@@ -6,7 +6,6 @@ different units of measurement, and a KNN/LOF harness that demonstrates the
 rank-based transforms' exact invariance to increasing changes of scale.
 """
 
-from ._kernels import active_backend, numba_available, set_backend
 from .data import Dataset, load_csv, save_csv
 from .errors import ScaleFreeError
 from .evaluate import (
@@ -56,7 +55,6 @@ __all__ = [
     "RankModel",
     "ScaleFreeError",
     "accuracy",
-    "active_backend",
     "apply_perturbation",
     "auc",
     "average_ranks",
@@ -73,7 +71,6 @@ __all__ = [
     "load_model",
     "lof_neighbor_count",
     "lof_scores",
-    "numba_available",
     "perturb_matrix",
     "rank_in_subsample",
     "rescale_unit",
@@ -81,7 +78,6 @@ __all__ = [
     "run_classification",
     "save_csv",
     "save_model",
-    "set_backend",
     "shift_scale",
     "subsample_indices",
     "subsample_seed",

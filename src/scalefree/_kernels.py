@@ -1,67 +1,35 @@
 """Hot numeric kernels: batch rank queries, KNN voting, LOF scoring.
 
-Each kernel has two implementations with identical semantics:
-
-* a numba ``@njit`` version (default when numba imports cleanly), and
-* a pure-numpy fallback.
-
-Set the environment variable ``SCALEFREE_NO_NUMBA=1`` before import to force
-the numpy path; ``set_backend()`` switches at runtime (used by the tests and
-by ``benchmarks/bench_backends.py``).
-
 Rank sums are accumulated as int64 and divided once, so rank and average-rank
-outputs are bitwise identical across the two backends.
+outputs are exact.
+
+KNN and LOF share one neighbour primitive, `k_nearest_with_ties`, which
+handles one block of queries at a time in a distance buffer of at most
+`_BLOCK_BYTES`. Each squared distance row is `((ref - q) ** 2).sum(axis=1)`
+for one query, and each per-row LOF sum runs over a dense length-N row, so
+every output is bitwise independent of the block size and equal to that of
+a full sort or a dense N x N pass.
 
 All kernels expect C-contiguous float64 arrays; validation happens in the
 calling modules.
 """
 
-import os
-
 import numpy as np
 
-_FORCE_NUMPY = os.environ.get("SCALEFREE_NO_NUMBA", "").strip() not in ("", "0")
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
-
-_BACKEND = "numba" if (_HAVE_NUMBA and not _FORCE_NUMPY) else "numpy"
+# byte budget of one (block rows, N) float64 buffer; a block holds >= 1 row
+_BLOCK_BYTES = 2 << 20
 
 
-def active_backend() -> str:
-    """Name of the backend currently answering kernel calls."""
-    return _BACKEND
+def _block_rows(n_cols: int) -> int:
+    return max(1, _BLOCK_BYTES // (8 * n_cols))
 
 
-def set_backend(name: str) -> None:
-    """Switch kernel backend at runtime ("numba" or "numpy")."""
-    global _BACKEND
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not _HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not installed")
-    _BACKEND = name
-
-
-def numba_available() -> bool:
-    return _HAVE_NUMBA
-
-
-# ---------------------------------------------------------------------------
-# numpy implementations
-# ---------------------------------------------------------------------------
-
-
-def _rank_batch_np(sorted_values: np.ndarray, queries: np.ndarray) -> np.ndarray:
+def rank_batch(sorted_values: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Count of values strictly below each query (lower-bound search)."""
     return np.searchsorted(sorted_values, queries, side="left").astype(np.float64)
 
 
-def _ares_batch_np(subsamples: np.ndarray, queries: np.ndarray) -> np.ndarray:
+def ares_batch(subsamples: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Average, over sub-samples, of the strictly-below count of each query."""
     totals = np.zeros(queries.shape[0], dtype=np.int64)
     for row in subsamples:
@@ -69,189 +37,73 @@ def _ares_batch_np(subsamples: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return totals / subsamples.shape[0]
 
 
-def _knn_predict_np(
-    train_x: np.ndarray,
-    train_codes: np.ndarray,
-    test_x: np.ndarray,
-    k: int,
-    n_classes: int,
+def k_nearest_with_ties(
+    ref: np.ndarray, queries: np.ndarray, k: int, skip_self: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Tie-inclusive k-neighbourhood of every query, in CSR form.
+
+    Returns ``(indptr, indices, dist2, kth2)``. Query i's neighbours are the
+    reference rows ``indices[indptr[i]:indptr[i + 1]]``, in ascending order,
+    at squared distances ``dist2[indptr[i]:indptr[i + 1]]``: every row within
+    ``kth2[i]``, the query's k-th smallest squared distance. Under ties there
+    are more than k of them. With ``skip_self`` the queries are the reference
+    rows themselves, and row i is left out of its own neighbourhood and k-th
+    distance.
+    """
+    n_ref, n_q = ref.shape[0], queries.shape[0]
+    rows = _block_rows(n_ref)
+    buf = np.empty((min(rows, n_q), n_ref))
+    diff = np.empty_like(ref)
+    kth2 = np.empty(n_q)
+    indptr = np.zeros(n_q + 1, dtype=np.int64)
+    indices = [np.empty(0, dtype=np.int64)]
+    dist2 = [np.empty(0)]
+    for start in range(0, n_q, rows):
+        stop = min(start + rows, n_q)
+        block = buf[: stop - start]
+        for j, q in enumerate(queries[start:stop]):
+            row = block[j]
+            # ((ref - q) ** 2).sum(axis=1) without allocating temporaries
+            np.subtract(ref, q, out=diff)
+            np.multiply(diff, diff, out=diff)
+            diff.sum(axis=1, out=row)
+            if skip_self:
+                row[start + j] = np.inf
+            kth2[start + j] = np.partition(row, k - 1)[k - 1]
+        member = block <= kth2[start:stop, None]
+        if skip_self:
+            member[np.arange(stop - start), np.arange(start, stop)] = False
+        indptr[start + 1 : stop + 1] = member.sum(axis=1)
+        indices.append(np.nonzero(member)[1])
+        dist2.append(block[member])
+    np.cumsum(indptr, out=indptr)
+    return indptr, np.concatenate(indices), np.concatenate(dist2), kth2
+
+
+def _dense_row_sums(
+    indptr: np.ndarray, indices: np.ndarray, values: np.ndarray, n_cols: int
 ) -> np.ndarray:
-    preds = np.empty(test_x.shape[0], dtype=np.int64)
-    for a in range(test_x.shape[0]):
-        d2 = ((train_x - test_x[a]) ** 2).sum(axis=1)
-        # stable sort keeps lower training-row index first among distance ties
-        nearest = np.argsort(d2, kind="stable")[:k]
-        votes = np.bincount(train_codes[nearest], minlength=n_classes)
-        preds[a] = votes.argmax()  # first max = smallest label code
-    return preds
+    """Row sums of a CSR matrix, each summed over its dense length-n_cols row.
 
-
-def _lof_np(x: np.ndarray, k: int) -> np.ndarray:
-    n = x.shape[0]
-    d2 = np.empty((n, n), dtype=np.float64)
-    for i in range(n):
-        d2[i] = ((x - x[i]) ** 2).sum(axis=1)
-    np.fill_diagonal(d2, np.inf)
-
-    kdist2 = np.partition(d2, k - 1, axis=1)[:, k - 1]
-    # neighborhood of i: every other point within i's k-distance (ties included)
-    member = d2 <= kdist2[:, None]
-    counts = member.sum(axis=1)
-
-    reach = np.sqrt(np.maximum(kdist2[None, :], d2))
-    reach_sum = np.where(member, reach, 0.0).sum(axis=1)
-    with np.errstate(divide="ignore"):
-        lrd = np.where(reach_sum > 0.0, counts / reach_sum, np.inf)
-
-    lrd_sum = np.where(member, lrd[None, :], 0.0).sum(axis=1)
-    # a point whose whole neighborhood sits at distance zero has infinite
-    # density, and so do all of its neighbors: its outlier ratio is 1
-    with np.errstate(invalid="ignore"):
-        scores = np.where(np.isinf(lrd), 1.0, lrd_sum / (counts * lrd))
-    return scores
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _lower_bound(values, x):
-        lo = 0
-        hi = values.shape[0]
-        while lo < hi:
-            mid = (lo + hi) >> 1
-            if values[mid] < x:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
-    @njit(cache=True)
-    def _rank_batch_nb(sorted_values, queries):
-        n = queries.shape[0]
-        out = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            out[i] = _lower_bound(sorted_values, queries[i])
-        return out
-
-    @njit(cache=True)
-    def _ares_batch_nb(subsamples, queries):
-        # sub-samples outer, queries inner: keeps one sorted row hot in cache
-        # and amortizes per-query overhead so cost stays linear in both axes
-        t = subsamples.shape[0]
-        n = queries.shape[0]
-        totals = np.zeros(n, dtype=np.int64)
-        for j in range(t):
-            row = subsamples[j]
-            for i in range(n):
-                totals[i] += _lower_bound(row, queries[i])
-        out = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            out[i] = totals[i] / t
-        return out
-
-    @njit(cache=True)
-    def _knn_predict_nb(train_x, train_codes, test_x, k, n_classes):
-        n, m = train_x.shape
-        preds = np.empty(test_x.shape[0], dtype=np.int64)
-        d2 = np.empty(n, dtype=np.float64)
-        votes = np.empty(n_classes, dtype=np.int64)
-        for a in range(test_x.shape[0]):
-            for i in range(n):
-                s = 0.0
-                for c in range(m):
-                    diff = train_x[i, c] - test_x[a, c]
-                    s += diff * diff
-                d2[i] = s
-            for v in range(n_classes):
-                votes[v] = 0
-            for _ in range(k):
-                best = 0
-                best_d = np.inf
-                for i in range(n):
-                    if d2[i] < best_d:  # strict: lowest index wins ties
-                        best_d = d2[i]
-                        best = i
-                votes[train_codes[best]] += 1
-                d2[best] = np.inf
-            winner = 0
-            winner_votes = votes[0]
-            for v in range(1, n_classes):
-                if votes[v] > winner_votes:  # strict: smallest code wins ties
-                    winner_votes = votes[v]
-                    winner = v
-            preds[a] = winner
-        return preds
-
-    @njit(cache=True)
-    def _lof_nb(x, k):
-        n, m = x.shape
-        d2 = np.empty((n, n), dtype=np.float64)
-        for i in range(n):
-            d2[i, i] = np.inf
-            for j in range(i + 1, n):
-                s = 0.0
-                for c in range(m):
-                    diff = x[i, c] - x[j, c]
-                    s += diff * diff
-                d2[i, j] = s
-                d2[j, i] = s
-
-        kdist2 = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            row = d2[i].copy()
-            row.sort()
-            kdist2[i] = row[k - 1]
-
-        lrd = np.empty(n, dtype=np.float64)
-        counts = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            s = 0.0
-            cnt = 0
-            for j in range(n):
-                if j != i and d2[i, j] <= kdist2[i]:
-                    cnt += 1
-                    r2 = d2[i, j]
-                    if kdist2[j] > r2:
-                        r2 = kdist2[j]
-                    s += np.sqrt(r2)
-            counts[i] = cnt
-            if s == 0.0:
-                lrd[i] = np.inf
-            else:
-                lrd[i] = cnt / s
-
-        scores = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            if np.isinf(lrd[i]):
-                scores[i] = 1.0
-            else:
-                s = 0.0
-                for j in range(n):
-                    if j != i and d2[i, j] <= kdist2[i]:
-                        s += lrd[j]
-                scores[i] = s / (counts[i] * lrd[i])
-        return scores
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-
-def rank_batch(sorted_values: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    if _BACKEND == "numba":
-        return _rank_batch_nb(sorted_values, queries)
-    return _rank_batch_np(sorted_values, queries)
-
-
-def ares_batch(subsamples: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    if _BACKEND == "numba":
-        return _ares_batch_nb(subsamples, queries)
-    return _ares_batch_np(subsamples, queries)
+    numpy sums a row pairwise, so where the zeros sit changes the rounding;
+    scattering into dense rows reproduces a dense matrix's ``sum(axis=1)``.
+    """
+    n_rows = indptr.shape[0] - 1
+    rows = _block_rows(n_cols)
+    buf = np.zeros((min(rows, n_rows), n_cols))
+    out = np.empty(n_rows)
+    for start in range(0, n_rows, rows):
+        stop = min(start + rows, n_rows)
+        block = buf[: stop - start]
+        lo, hi = indptr[start], indptr[stop]
+        at = (
+            np.repeat(np.arange(stop - start), np.diff(indptr[start : stop + 1])),
+            indices[lo:hi],
+        )
+        block[at] = values[lo:hi]
+        block.sum(axis=1, out=out[start:stop])
+        block[at] = 0.0
+    return out
 
 
 def knn_predict(
@@ -261,27 +113,42 @@ def knn_predict(
     k: int,
     n_classes: int,
 ) -> np.ndarray:
-    if _BACKEND == "numba":
-        return _knn_predict_nb(train_x, train_codes, test_x, k, n_classes)
-    return _knn_predict_np(train_x, train_codes, test_x, k, n_classes)
+    """Majority code among each query's k nearest training rows.
+
+    Every strictly closer row votes; the places left go to the rows at the
+    k-th distance, lowest index first, as a stable sort would pick them.
+    Vote ties go to the smallest code.
+    """
+    indptr, indices, dist2, kth2 = k_nearest_with_ties(train_x, test_x, k)
+    n_q = test_x.shape[0]
+    owner = np.repeat(np.arange(n_q), np.diff(indptr))
+    at_kth = dist2 == kth2[owner]
+    closer = np.bincount(owner[~at_kth], minlength=n_q)
+    # position of each entry among its query's rows at the k-th distance
+    tie_rank = np.cumsum(at_kth)
+    tie_rank -= np.concatenate(([0], tie_rank))[indptr[:-1]][owner] + 1
+    votes = ~at_kth | (tie_rank < (k - closer)[owner])
+    tally = np.bincount(
+        owner[votes] * n_classes + train_codes[indices[votes]],
+        minlength=n_q * n_classes,
+    )
+    return tally.reshape(n_q, n_classes).argmax(axis=1)
 
 
 def lof_raw(x: np.ndarray, k: int) -> np.ndarray:
-    if _BACKEND == "numba":
-        return _lof_nb(x, k)
-    return _lof_np(x, k)
+    """Local outlier factor of every row over tie-inclusive k-neighbourhoods."""
+    n = x.shape[0]
+    indptr, indices, dist2, kdist2 = k_nearest_with_ties(x, x, k, skip_self=True)
+    counts = np.diff(indptr)
 
+    reach = np.sqrt(np.maximum(kdist2[indices], dist2))
+    reach_sum = _dense_row_sums(indptr, indices, reach, n)
+    with np.errstate(divide="ignore"):
+        lrd = np.where(reach_sum > 0.0, counts / reach_sum, np.inf)
 
-def warm_up() -> None:
-    """Trigger JIT compilation of every kernel on tiny inputs.
-
-    Call before timing so compilation never lands inside a measurement.
-    No-op cost on the numpy backend.
-    """
-    sorted_vals = np.array([0.0, 1.0])
-    queries = np.array([0.5])
-    rank_batch(sorted_vals, queries)
-    ares_batch(np.array([[0.0, 1.0], [0.5, 2.0]]), queries)
-    tiny = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    knn_predict(tiny, np.array([0, 1, 0], dtype=np.int64), tiny, 1, 2)
-    lof_raw(tiny, 1)
+    lrd_sum = _dense_row_sums(indptr, indices, lrd[indices], n)
+    # a point whose whole neighborhood sits at distance zero has infinite
+    # density, and so do all of its neighbors: its outlier ratio is 1
+    with np.errstate(invalid="ignore"):
+        scores = np.where(np.isinf(lrd), 1.0, lrd_sum / (counts * lrd))
+    return scores

@@ -2,14 +2,22 @@
 
 Both are deliberately deterministic: KNN breaks distance ties by lower
 training-row index and vote ties by smallest label in sorted label order,
-so repeated runs (and runs on bitwise-equal feature matrices) give
-identical results.
+and LOF takes every row tied at the k-distance into the neighbourhood, so
+repeated runs (and runs on bitwise-equal feature matrices) give identical
+results. Both reject NaN and infinite features, whose distances have no
+order to select neighbours by.
 """
 
 import numpy as np
 
 from . import _kernels
-from .errors import DimensionMismatch, KExceedsTrainSize, TooFewRows
+from .errors import DimensionMismatch, KExceedsTrainSize, NonFiniteValue, TooFewRows
+
+
+def _require_finite(*matrices):
+    for x in matrices:
+        if not np.isfinite(x).all():
+            raise NonFiniteValue("feature matrix contains NaN or infinite values")
 
 
 def knn_classify(train_x, train_y, test_x, k: int = 5):
@@ -33,6 +41,7 @@ def knn_classify(train_x, train_y, test_x, k: int = 5):
         raise ValueError(f"k must be >= 1, got {k}")
     if k > train_x.shape[0]:
         raise KExceedsTrainSize(f"k={k} exceeds {train_x.shape[0]} training rows")
+    _require_finite(train_x, test_x)
 
     classes, codes = np.unique(train_y, return_inverse=True)
     pred_codes = _kernels.knn_predict(
@@ -51,6 +60,8 @@ def lof_scores(x, n_neighbors: int) -> np.ndarray:
 
     A row whose entire neighborhood lies at distance zero (duplicates) has
     infinite density, as do all its neighbors, and scores exactly 1.0.
+
+    Memory is O(block * N + N * k'), with k' the mean neighborhood size.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -61,4 +72,5 @@ def lof_scores(x, n_neighbors: int) -> np.ndarray:
         raise TooFewRows(
             f"need more than n_neighbors={n_neighbors} rows, got {x.shape[0]}"
         )
+    _require_finite(x)
     return _kernels.lof_raw(x, n_neighbors)

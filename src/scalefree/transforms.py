@@ -272,8 +272,3 @@ def fit_transformer(
             seed=seed,
         )
     return FittedTransformer(kind=kind, columns=columns)
-
-
-def fit_dataset_transformer(dataset: Dataset, kind: str, **kwargs) -> FittedTransformer:
-    """fit_transformer on a Dataset's feature matrix (labels ignored)."""
-    return fit_transformer(dataset.features, kind, **kwargs)

@@ -32,7 +32,6 @@ def test_c1_classification_invariant_under_increasing_rescaling(
     """Rank/ares KNN fold accuracies are bitwise equal across increasing
     perturbations of the measurement scale (zero tolerance), in under a
     minute for three small datasets."""
-    _kernels.warm_up()
     start = time.perf_counter()
     checked = 0
     for dataset in (glass_shaped, diabetes_shaped, heart_shaped):
@@ -190,7 +189,6 @@ def test_c7_anomaly_auc_invariant_under_increasing_rescaling(
 ):
     """LOF AUC with rank/ares preprocessing is identical across increasing
     perturbations (zero tolerance) on two small anomaly sets, within 2 min."""
-    _kernels.warm_up()
     start = time.perf_counter()
     checked = 0
     for dataset in (ionosphere_shaped, breastw_shaped):
@@ -214,7 +212,6 @@ def test_c8_batch_transform_time_scales_linearly_in_queries_and_ensemble():
     rng = np.random.default_rng(20240821)
     train = rng.normal(size=40_000)
     queries = rng.normal(size=40_000)
-    _kernels.warm_up()
 
     ratios = []
 

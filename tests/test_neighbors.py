@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from scalefree.errors import DimensionMismatch, KExceedsTrainSize, TooFewRows
+from scalefree.errors import (
+    DimensionMismatch,
+    KExceedsTrainSize,
+    NonFiniteValue,
+    TooFewRows,
+)
 from scalefree.neighbors import knn_classify, lof_scores
 
 
@@ -99,6 +104,16 @@ class TestKnnContracts:
         with pytest.raises(ValueError):
             knn_classify(np.zeros((2, 1)), [0, 1], np.zeros((1, 1)), k=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        train = np.zeros((4, 2))
+        test = np.ones((2, 2))
+        test[1, 0] = bad
+        with pytest.raises(NonFiniteValue):
+            knn_classify(train, [0, 1, 0, 1], test, k=1)
+        with pytest.raises(NonFiniteValue):
+            knn_classify(test, [0, 1], train, k=1)
+
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(62)
         for trial in range(30):
@@ -158,6 +173,13 @@ class TestLofProperties:
     def test_too_few_rows(self):
         with pytest.raises(TooFewRows):
             lof_scores(np.zeros((3, 2)), 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        x = np.arange(12.0).reshape(6, 2)
+        x[3, 1] = bad
+        with pytest.raises(NonFiniteValue):
+            lof_scores(x, 2)
 
     def test_neighbor_count_below_one(self):
         with pytest.raises(ValueError):

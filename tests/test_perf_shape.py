@@ -18,7 +18,6 @@ def test_subsample_size_cost_grows_sublinearly():
     rng = np.random.default_rng(131)
     train = rng.normal(size=20_000)
     queries = rng.normal(size=100_000)
-    _kernels.warm_up()
 
     times = []
     for size in (64, 256, 1024):

@@ -8,7 +8,7 @@ def best_call_time(fn, repeats=5, min_window=0.05):
 
     The inner repetition count is calibrated so every window lasts at least
     min_window seconds, which keeps timer resolution and scheduler noise out
-    of the ratios. Call sites must warm up JIT compilation beforehand.
+    of the ratios.
     """
     fn()
     inner = 1

@@ -1,7 +1,8 @@
-"""Hot numeric kernels: batch rank queries, KNN voting, LOF scoring.
+"""Hot numeric kernels: KNN voting, LOF scoring, and the paper-literal ARES.
 
-Rank sums are accumulated as int64 and divided once, so rank and average-rank
-outputs are exact.
+The ARES kernel sums one strictly-below search per sub-sample. The transforms
+use the pooled identity instead (one search over all t * psi sampled values,
+bitwise equal); this kernel stays as the reference the tests time and check.
 
 KNN and LOF share one neighbour primitive, `k_nearest_with_ties`, which
 handles one block of queries at a time in a distance buffer of at most
@@ -22,11 +23,6 @@ _BLOCK_BYTES = 2 << 20
 
 def _block_rows(n_cols: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * n_cols))
-
-
-def rank_batch(sorted_values: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Count of values strictly below each query (lower-bound search)."""
-    return np.searchsorted(sorted_values, queries, side="left").astype(np.float64)
 
 
 def ares_batch(subsamples: np.ndarray, queries: np.ndarray) -> np.ndarray:

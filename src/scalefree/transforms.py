@@ -6,17 +6,16 @@ of sub-sample values strictly below x. The traditional rank transform is the
 degenerate case psi = N, t = 1. All three transforms fit per column and apply
 per column.
 
-Rank counting uses the strictly-less rule everywhere (the count of training
-values y with y < x), so rank and ARES share one tie semantics and the
-degenerate-ensemble equivalence is exact. Per-query rank sums are integers
-summed exactly and divided once, which makes outputs bitwise reproducible.
+Rank counting uses the strictly-less rule everywhere (y < x). Summed over the
+t sub-samples, the counts equal one strictly-below count in the pooled multiset
+of all t * psi sampled values, an integer identity. So rank and ARES share one
+exact path: a search in the sorted pool, divided once by t.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .data import Dataset
 from .errors import ColumnCountMismatch, EmptyColumn, EmptyDataset, NonFiniteValue
 from .sampling import draw_subsample, subsample_seed
@@ -27,13 +26,13 @@ DEFAULT_N_SUBSAMPLES = 10
 KINDS = ("minmax", "rank", "ares")
 
 
-def _as_column(values, *, check_finite: bool = True) -> np.ndarray:
+def _as_column(values) -> np.ndarray:
     col = np.ascontiguousarray(values, dtype=np.float64)
     if col.ndim != 1:
         raise ValueError("expected a 1-D column of values")
     if col.shape[0] == 0:
         raise EmptyColumn("cannot fit a transform on an empty column")
-    if check_finite and not np.isfinite(col).all():
+    if not np.isfinite(col).all():
         raise NonFiniteValue("column contains NaN or infinite values")
     return col
 
@@ -41,10 +40,12 @@ def _as_column(values, *, check_finite: bool = True) -> np.ndarray:
 def _apply(values, batch_fn):
     """Run a batch kernel over an array, or over a scalar returning float."""
     arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim > 1:
+        raise ValueError("expected a scalar or 1-D array of query values")
+    if not np.isfinite(arr).all():
+        raise NonFiniteValue("query values contain NaN or infinite values")
     if arr.ndim == 0:
         return float(batch_fn(arr.reshape(1))[0])
-    if arr.ndim != 1:
-        raise ValueError("expected a scalar or 1-D array of query values")
     return batch_fn(np.ascontiguousarray(arr))
 
 
@@ -73,31 +74,56 @@ class MinMaxParams:
         return _apply(values, batch)
 
 
+class _CountBelow:
+    """Mean strictly-below count over t sorted sub-samples of one column.
+
+    ``pool`` holds all t * psi sampled values, sorted; rank is t = 1, psi = N."""
+
+    def _set_pool(self, subsamples: np.ndarray) -> np.ndarray:
+        """Validate t sorted sub-samples (one per row) and pool them."""
+        subs = np.ascontiguousarray(subsamples, dtype=np.float64)
+        if subs.ndim != 2 or subs.size == 0:
+            raise ValueError("need a 2-D array of at least one nonempty sub-sample")
+        if not np.isfinite(subs).all():
+            raise ValueError("model parameters must be finite")
+        if np.any(subs[:, 1:] < subs[:, :-1]):
+            raise ValueError("every sub-sample must be sorted nondecreasing")
+        t = subs.shape[0]
+        object.__setattr__(self, "pool", subs[0] if t == 1 else np.sort(subs, axis=None))
+        object.__setattr__(self, "t", t)
+        return subs
+
+    def transform(self, values):
+        """Mean strictly-below count over the sub-samples, in [0, psi]."""
+        return _apply(values, lambda arr: np.searchsorted(self.pool, arr, side="left") / self.t)
+
+    def sample_collisions(self, values) -> np.ndarray:
+        """Per query, how many sampled values equal it exactly. Order-reversing
+        rescalings map the transform to (psi - value), off by collisions / t."""
+        arr = np.atleast_1d(np.asarray(values, dtype=np.float64))
+        lo = np.searchsorted(self.pool, arr, side="left")
+        return np.searchsorted(self.pool, arr, side="right") - lo
+
+
 @dataclass(frozen=True, eq=False)
-class RankModel:
+class RankModel(_CountBelow):
     """All N training values of one column, sorted ascending."""
 
     sorted_train: np.ndarray
 
     def __post_init__(self):
-        st = np.ascontiguousarray(self.sorted_train, dtype=np.float64)
-        if st.ndim != 1 or st.shape[0] == 0:
-            raise ValueError("sorted_train must be a nonempty 1-D array")
-        if np.any(np.diff(st) < 0):
-            raise ValueError("sorted_train must be nondecreasing")
-        object.__setattr__(self, "sorted_train", st)
+        if np.ndim(self.sorted_train) != 1:
+            raise ValueError("sorted_train must be a 1-D array")
+        (sorted_train,) = self._set_pool(np.reshape(self.sorted_train, (1, -1)))
+        object.__setattr__(self, "sorted_train", sorted_train)
 
     @property
     def n_train(self) -> int:
         return self.sorted_train.shape[0]
 
-    def transform(self, values):
-        """Count of training values strictly below each query, in [0, N]."""
-        return _apply(values, lambda arr: _kernels.rank_batch(self.sorted_train, arr))
-
 
 @dataclass(frozen=True, eq=False)
-class AresModel:
+class AresModel(_CountBelow):
     """Ensemble of sorted sub-samples of one column.
 
     subsamples has shape (n_subsamples, subsample_size); each row is one
@@ -109,12 +135,7 @@ class AresModel:
     seed: int
 
     def __post_init__(self):
-        subs = np.ascontiguousarray(self.subsamples, dtype=np.float64)
-        if subs.ndim != 2 or subs.shape[0] == 0 or subs.shape[1] == 0:
-            raise ValueError("subsamples must be a nonempty 2-D array")
-        if np.any(np.diff(subs, axis=1) < 0):
-            raise ValueError("every sub-sample must be sorted nondecreasing")
-        object.__setattr__(self, "subsamples", subs)
+        object.__setattr__(self, "subsamples", self._set_pool(self.subsamples))
 
     @property
     def n_subsamples(self) -> int:
@@ -123,21 +144,6 @@ class AresModel:
     @property
     def subsample_size(self) -> int:
         return self.subsamples.shape[1]
-
-    def transform(self, values):
-        """Average strictly-below rank across sub-samples, in [0, subsample_size]."""
-        return _apply(values, lambda arr: _kernels.ares_batch(self.subsamples, arr))
-
-    def sample_collisions(self, values) -> np.ndarray:
-        """Per query, how many sampled values equal it exactly (over all
-        sub-samples). Order-reversing rescalings flip the transform to
-        (subsample_size - value) exactly for collision-free queries and
-        deviate by collisions/n_subsamples otherwise."""
-        arr = np.atleast_1d(np.asarray(values, dtype=np.float64))
-        pool = np.sort(self.subsamples.ravel())
-        lo = np.searchsorted(pool, arr, side="left")
-        hi = np.searchsorted(pool, arr, side="right")
-        return (hi - lo).astype(np.int64)
 
 
 def fit_minmax(values) -> MinMaxParams:
@@ -166,8 +172,6 @@ def fit_ares(
     sub-samples of size psi, independent of the column length.
     """
     col = _as_column(values)
-    if n_subsamples < 1:
-        raise ValueError(f"n_subsamples must be >= 1, got {n_subsamples}")
     subs = np.empty((n_subsamples, subsample_size), dtype=np.float64)
     for j in range(n_subsamples):
         subs[j] = draw_subsample(col, subsample_size, subsample_seed(seed, column_index, j))
@@ -241,8 +245,6 @@ def fit_transformer(
         raise ValueError("expected a 2-D feature matrix")
     if x.shape[0] == 0:
         raise EmptyDataset("cannot fit on a dataset with no rows")
-    if not np.isfinite(x).all():
-        raise NonFiniteValue("feature matrix contains NaN or infinite values")
 
     columns = []
     for c in range(x.shape[1]):

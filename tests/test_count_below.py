@@ -1,0 +1,74 @@
+"""Rank and ARES through the pooled count-below path, against direct counts.
+
+The transforms search one sorted pool of all t * psi sampled values. These
+properties check that this is bitwise the paper-literal definition: for ARES
+the mean over sub-samples of per-sub-sample strictly-below counts
+(`_kernels.ares_batch`), for rank the strictly-below count over the column.
+Values are drawn from small adversarial sets, so ties, signed zeros,
+subnormals, extreme magnitudes and queries equal to sampled values all occur.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from scalefree import _kernels
+from scalefree.transforms import AresModel, fit_ares, fit_rank
+
+TINY = np.finfo(np.float64).smallest_normal
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2 * 5e-324, TINY, -TINY, 1.0, -1.0,
+           float(np.nextafter(1.0, 2.0)), 1e308, -1e308]
+
+ATOMS = st.lists(
+    st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=False, allow_infinity=False)),
+    min_size=1,
+    max_size=12,
+)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def _queries(atoms, sampled):
+    """The atoms, every sampled value, their float neighbours, and both zeros."""
+    atoms = np.asarray(atoms, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        up, down = np.nextafter(atoms, np.inf), np.nextafter(atoms, -np.inf)
+    q = np.concatenate([atoms, np.ravel(sampled), up, down, [0.0, -0.0]])
+    return q[np.isfinite(q)]
+
+
+def _strictly_below(values, queries):
+    return np.array([np.count_nonzero(values < q) for q in queries], dtype=np.float64)
+
+
+@pytest.mark.parametrize("psi, t", [(1, 1), (1, 23), (3, 2), (6, 9), (4, 1000)])
+@settings(max_examples=40, deadline=None)
+@given(atoms=ATOMS, seed=SEEDS)
+def test_ares_equals_paper_literal_kernel(psi, t, atoms, seed):
+    rows = np.sort(np.random.default_rng(seed).choice(atoms, size=(t, psi)), axis=1)
+    model = AresModel(rows, seed=0)
+    q = _queries(atoms, rows)
+    assert model.transform(q).tobytes() == _kernels.ares_batch(model.subsamples, q).tobytes()
+    collisions = [np.count_nonzero(rows == x) for x in q]
+    assert np.array_equal(model.sample_collisions(q), collisions)
+
+
+@settings(max_examples=100, deadline=None)
+@given(atoms=ATOMS, seed=SEEDS, n=st.integers(1, 60))
+def test_rank_is_strictly_below_count(atoms, seed, n):
+    col = np.random.default_rng(seed).choice(atoms, size=n)
+    q = _queries(atoms, col)
+    assert fit_rank(col).transform(q).tobytes() == _strictly_below(col, q).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(atoms=ATOMS, seed=SEEDS, n=st.integers(1, 60))
+def test_full_size_single_subsample_is_rank(atoms, seed, n):
+    """t = 1, psi = N: fitted ARES, the reference kernel and rank all agree."""
+    col = np.random.default_rng(seed).choice(atoms, size=n)
+    ares = fit_ares(col, subsample_size=n, n_subsamples=1, seed=seed)
+    q = _queries(atoms, col)
+    expected = _strictly_below(col, q).tobytes()
+    assert ares.transform(q).tobytes() == expected
+    assert _kernels.ares_batch(ares.subsamples, q).tobytes() == expected
+    assert fit_rank(col).transform(q).tobytes() == expected

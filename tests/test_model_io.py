@@ -114,3 +114,27 @@ def test_unsorted_subsample_rejected(features, tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(CorruptModel):
         load_model(path)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_rank_value_rejected(bad, features, tmp_path):
+    ft = fit_transformer(features, "rank")
+    path = tmp_path / "model.json"
+    save_model(ft, path)
+    doc = json.loads(path.read_text())
+    doc["columns"][0]["sorted_train"][-1] = bad
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorruptModel):
+        load_model(path)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_subsample_value_rejected(bad, features, tmp_path):
+    ft = fit_transformer(features, "ares", seed=7)
+    path = tmp_path / "model.json"
+    save_model(ft, path)
+    doc = json.loads(path.read_text())
+    doc["columns"][0]["subsamples"][0][-1] = bad
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorruptModel):
+        load_model(path)

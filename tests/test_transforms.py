@@ -290,6 +290,17 @@ class TestFittedTransformer:
         with pytest.raises(NonFiniteValue):
             fit_transformer(x, "minmax")
 
+    @pytest.mark.parametrize("kind", ["minmax", "rank", "ares"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, kind, bad):
+        x = np.random.default_rng(18).normal(size=(20, 2))
+        ft = fit_transformer(x, kind, seed=3)
+        x[5, 1] = bad
+        with pytest.raises(NonFiniteValue):
+            ft.transform(x)
+        with pytest.raises(NonFiniteValue):
+            ft.columns[0].transform(bad)
+
     def test_ares_requires_seed(self):
         with pytest.raises(ValueError):
             fit_transformer(np.random.default_rng(0).normal(size=(10, 2)), "ares")

@@ -8,6 +8,9 @@ downstream.
 """
 
 import csv
+import itertools
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -79,34 +82,32 @@ def _resolve_label_index(header: list[str], label_column) -> int:
     raise MissingLabelColumn(f"no column named {label_column!r} in header {header}")
 
 
-def load_csv(path, label_column=None, name: str | None = None) -> Dataset:
-    """Read a CSV file into a Dataset.
+def _parse(rows, width, feature_idx, label_idx):
+    """(features, labels) of every row in one pass; None if any row is ragged
+    or any feature cell is not a finite number.
 
-    label_column selects the label column by header name or zero-based index;
-    None means every column is a feature. Parse failures report the 1-based
-    file row (header is row 1) and the offending column name.
+    Python's float stays the parser, so accepted syntax and rounding are the
+    same as in _scan.
     """
-    path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyFile(f"{path}: no header row") from None
-        rows = list(reader)
+    if any(len(row) != width for row in rows):
+        return None
+    cells = itertools.chain.from_iterable(rows)
+    if label_idx is not None:
+        cells = itertools.compress(cells, itertools.cycle([c != label_idx for c in range(width)]))
+    try:
+        values = np.fromiter(map(float, cells), np.float64, len(rows) * len(feature_idx))
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    labels = None if label_idx is None else [row[label_idx] for row in rows]
+    return values.reshape(len(rows), len(feature_idx)), labels
 
-    if not header or all(h.strip() == "" for h in header):
-        raise EmptyFile(f"{path}: empty header row")
 
-    label_idx = None
-    if label_column is not None:
-        label_idx = _resolve_label_index(header, label_column)
-    feature_idx = [i for i in range(len(header)) if i != label_idx]
-    if not feature_idx:
-        raise ParseError(f"{path}: no feature columns besides the label", row=1)
-
-    n = len(rows)
-    features = np.empty((n, len(feature_idx)), dtype=np.float64)
+def _scan(path, header, rows, feature_idx, label_idx):
+    """(features, labels) checked cell by cell; raises at the first fault in
+    file order, with its 1-based row and column name."""
+    features = np.empty((len(rows), len(feature_idx)), dtype=np.float64)
     labels = [] if label_idx is not None else None
 
     for r, row in enumerate(rows, start=2):
@@ -133,6 +134,41 @@ def load_csv(path, label_column=None, name: str | None = None) -> Dataset:
             features[r - 2, out_c] = value
         if labels is not None:
             labels.append(row[label_idx])
+    return features, labels
+
+
+def load_csv(path, label_column=None, name: str | None = None) -> Dataset:
+    """Read a CSV file into a Dataset.
+
+    label_column selects the label column by header name or zero-based index;
+    None means every column is a feature. Parse failures report the 1-based
+    file row (header is row 1) and the offending column name. A file that
+    parses cleanly is read in one vectorised pass; any fault sends it through
+    the cell-by-cell scan, which finds and reports the first one.
+    """
+    path = Path(path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise EmptyFile(f"{path}: no header row") from None
+        rows = list(reader)
+
+    if not header or all(h.strip() == "" for h in header):
+        raise EmptyFile(f"{path}: empty header row")
+
+    label_idx = None
+    if label_column is not None:
+        label_idx = _resolve_label_index(header, label_column)
+    feature_idx = [i for i in range(len(header)) if i != label_idx]
+    if not feature_idx:
+        raise ParseError(f"{path}: no feature columns besides the label", row=1)
+
+    parsed = _parse(rows, len(header), feature_idx, label_idx)
+    if parsed is None:
+        parsed = _scan(path, header, rows, feature_idx, label_idx)
+    features, labels = parsed
 
     return Dataset(
         name=name if name is not None else path.stem,
@@ -143,20 +179,51 @@ def load_csv(path, label_column=None, name: str | None = None) -> Dataset:
     )
 
 
+@contextmanager
+def replacing(path, **open_kwargs):
+    """Open a new sibling file for writing text; it replaces `path` on exit.
+
+    If the body raises, the sibling file is removed and `path` keeps its old
+    contents, so a failed write never leaves a truncated file behind. A
+    symlink at `path` is followed, as opening it would. An OSError from
+    creating or renaming the sibling names `path`, as opening it would.
+    """
+    target = Path(path).resolve()
+    tmp = target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        fh = open(tmp, "x", **open_kwargs)
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
+            yield fh
+        try:
+            os.replace(tmp, target)
+        except OSError as exc:
+            raise type(exc)(exc.errno, exc.strerror, path) from None
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_csv(dataset: Dataset, path) -> None:
     """Write a Dataset back to CSV, label column (if any) last.
 
     Feature values render with shortest round-trip precision, so
-    load_csv(save_csv(ds)) reproduces every value bit for bit.
+    load_csv(save_csv(ds)) reproduces every value bit for bit. repr runs once
+    per distinct bit pattern (so -0.0 and 0.0 stay apart), which is cheap on
+    rank and ARES outputs with their few distinct values.
     """
     header = list(dataset.feature_names)
     if dataset.labels is not None:
         header.append(dataset.label_name)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    bits = dataset.features.view(np.int64)
+    distinct, which = np.unique(bits, return_inverse=True)
+    texts = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+    rows = texts[which.reshape(bits.shape)].tolist()
+    if dataset.labels is not None:
+        rows = ([*row, label] for row, label in zip(rows, map(str, dataset.labels)))
+    with replacing(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for r in range(dataset.n_rows):
-            row = [repr(float(v)) for v in dataset.features[r]]
-            if dataset.labels is not None:
-                row.append(str(dataset.labels[r]))
-            writer.writerow(row)
+        writer.writerows(rows)

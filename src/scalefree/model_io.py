@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import replacing
 from .errors import CorruptModel, UnsupportedVersion
 from .transforms import AresModel, FittedTransformer, MinMaxParams, RankModel
 
@@ -23,29 +24,32 @@ def _fingerprint(n_features: int) -> str:
 
 
 def save_model(transformer: FittedTransformer, path) -> None:
-    doc = {
+    """Write the transformer as one line of JSON, one column block at a time.
+
+    json.dumps runs the C encoder, which json.dump never uses; the bytes are
+    those json.dump writes for the whole document.
+    """
+    head = {
         "format_version": FORMAT_VERSION,
         "kind": transformer.kind,
         "fingerprint": _fingerprint(transformer.n_features),
     }
     if transformer.kind == "ares":
-        doc["psi"] = transformer.subsample_size
-        doc["t"] = transformer.n_subsamples
-        doc["seed"] = transformer.seed
+        head["psi"] = transformer.subsample_size
+        head["t"] = transformer.n_subsamples
+        head["seed"] = transformer.seed
 
-    columns = []
-    for params in transformer.columns:
-        if transformer.kind == "minmax":
-            columns.append({"min": params.min, "max": params.max})
-        elif transformer.kind == "rank":
-            columns.append({"sorted_train": params.sorted_train.tolist()})
-        else:
-            columns.append({"subsamples": params.subsamples.tolist()})
-    doc["columns"] = columns
-
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    with replacing(path, encoding="utf-8") as fh:
+        fh.write(json.dumps(head)[:-1] + ', "columns": [')
+        for c, params in enumerate(transformer.columns):
+            if transformer.kind == "minmax":
+                block = {"min": params.min, "max": params.max}
+            elif transformer.kind == "rank":
+                block = {"sorted_train": params.sorted_train.tolist()}
+            else:
+                block = {"subsamples": params.subsamples.tolist()}
+            fh.write((", " if c else "") + json.dumps(block))
+        fh.write("]}\n")
 
 
 def load_model(path) -> FittedTransformer:

@@ -69,7 +69,12 @@ class MinMaxParams:
         def batch(arr):
             if self.max == self.min:
                 return np.zeros_like(arr)
-            return (arr - self.min) / (self.max - self.min)
+            span = self.max - self.min
+            if np.isfinite(span):
+                return (arr - self.min) / span
+            # The range overflows only when min and max both have magnitudes
+            # of at least 2**970, so halving them is exact.
+            return (arr / 2 - self.min / 2) / (self.max / 2 - self.min / 2)
 
         return _apply(values, batch)
 

@@ -116,6 +116,20 @@ class TestPerturb:
         assert load_csv(out, label_column="label").features.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("command", [["perturb", "--perturb", "log"], ["fit", "--kind", "rank"]])
+@pytest.mark.parametrize(
+    "target, reason",
+    [("missing/out", "[Errno 2] No such file or directory"), ("a_dir", "[Errno 21] Is a directory")],
+)
+def test_unwritable_output_is_named(command, target, reason, class_csv, tmp_path, capsys):
+    (tmp_path / "a_dir").mkdir()
+    out = str(tmp_path / target)
+    rc = main([*command, "--input", str(class_csv), "--label-col", "label", "--output", out])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {reason}: {out!r}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_dir", class_csv.name]
+
+
 class TestEvaluate:
     def test_log_and_identity_agree_for_ares(self, class_csv, tmp_path):
         rows = {}

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from scalefree import data
 from scalefree.data import Dataset, load_csv, save_csv
 from scalefree.errors import (
     EmptyDataset,
@@ -99,6 +100,75 @@ class TestLoadCsv:
         assert len(np.unique(ds.labels)) == 6
 
 
+# (file text, label column): the ways a cell or row can be read or rejected
+LOAD_CORPUS = [
+    ("cls,a,b\nx,1,2\ny,3,4\n", "cls"),
+    ("a,cls,b\n1,x,2\n3,y,4\n", 1),
+    ("a,b,cls\n1,2,x\n3,4,y\n", "cls"),
+    ("a,b\n1,2\n3,4\n", None),
+    ('a,cls\n1,"x,y"\n2,"q""z"\n', "cls"),
+    ("a,cls\n1,nan\n2,-inf\n", "cls"),
+    ("a,b\n", None),
+    ("a,cls\n", "cls"),
+    ("a,b\n1,2\n\n3,4\n", None),
+    ("a,b\n 1.5 ,2\n", None),
+    ("a,b\n1_0,2\n", None),
+    ("a,b\n-0.0,5e-324\n1e308,-1e308\n", None),
+    ("a,b\n1,nan\n", None),
+    ("a,b\n1,-inf\n", None),
+    ("a,b\n1e309,2\n", None),
+    ("a,b\n1,abc\n", None),
+    ("a,b\n1,\n", None),
+    ("a,b\n1,2,3\n", None),
+    ("a,cls\nx,1\n", "cls"),
+    # several faults: the first one in file order is reported
+    ("a,b\n1,2\n1,nan\n3,4\n5\n", None),
+    ("a,b\n1,2\n5\n3,4\n1,nan\n", None),
+    ("a,b\n1,2\nx,inf\n", None),
+    ("a,b\n1,2\ninf,x\n", None),
+]
+
+
+def _outcome(path, label_column):
+    try:
+        ds = load_csv(path, label_column=label_column)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "column", None)
+    labels = None if ds.labels is None else (ds.labels.dtype, ds.labels.tolist())
+    return ds.features.shape, ds.features.tobytes(), labels, ds.feature_names, ds.label_name
+
+
+class TestLoadPaths:
+    """The one-pass parse and the cell-by-cell scan must agree on every file."""
+
+    @pytest.mark.parametrize("text, label_column", LOAD_CORPUS)
+    def test_fast_path_matches_scan(self, text, label_column, tmp_path, monkeypatch):
+        path = _write(tmp_path, text)
+        fast = _outcome(path, label_column)
+        monkeypatch.setattr(data, "_parse", lambda *args: None)
+        assert _outcome(path, label_column) == fast
+
+    def test_clean_file_takes_fast_path(self, tmp_path, monkeypatch):
+        path = _write(tmp_path, "a,cls,b\n1,x,2\n3,y,4\n")
+
+        def no_scan(*args):
+            raise AssertionError("clean file sent to the cell-by-cell scan")
+
+        monkeypatch.setattr(data, "_scan", no_scan)
+        ds = load_csv(path, label_column="cls")
+        assert ds.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert ds.labels.tolist() == ["x", "y"]
+
+    def test_non_finite_before_ragged_row(self, tmp_path):
+        with pytest.raises(NonFiniteValue, match="row 3, column 'b'"):
+            load_csv(_write(tmp_path, "a,b\n1,2\n1,nan\n3,4\n5\n"))
+
+    def test_ragged_row_before_non_finite(self, tmp_path):
+        with pytest.raises(ParseError) as exc_info:
+            load_csv(_write(tmp_path, "a,b\n1,2\n5\n3,4\n1,nan\n"))
+        assert exc_info.value.row == 3 and exc_info.value.column is None
+
+
 class TestSaveCsv:
     def test_round_trip_bitwise(self, tmp_path):
         rng = np.random.default_rng(82)
@@ -123,6 +193,29 @@ class TestSaveCsv:
         back = load_csv(path)
         assert back.features.tobytes() == ds.features.tobytes()
         assert back.labels is None
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        class Unprintable:
+            def __str__(self):
+                raise RuntimeError("label cannot be written")
+
+        path = tmp_path / "out.csv"
+        save_csv(Dataset("old", np.ones((3, 2))), path)
+        before = path.read_bytes()
+        labels = np.array([1, 2, Unprintable(), 4] * 500, dtype=object)
+        with pytest.raises(RuntimeError):
+            save_csv(Dataset("new", np.zeros((2000, 2)), labels=labels), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_write_through_symlink(self, tmp_path):
+        (tmp_path / "real").mkdir()
+        link = tmp_path / "link.csv"
+        link.symlink_to(tmp_path / "real" / "out.csv")
+        ds = Dataset("plain", np.array([[0.5, -0.0]]))
+        save_csv(ds, link)
+        assert link.is_symlink()
+        assert load_csv(tmp_path / "real" / "out.csv").features.tobytes() == ds.features.tobytes()
 
     def test_write_is_deterministic(self, tmp_path):
         ds = Dataset("det", np.random.default_rng(83).normal(size=(10, 2)))

@@ -7,7 +7,7 @@ import pytest
 
 from scalefree.errors import CorruptModel, UnsupportedVersion
 from scalefree.model_io import load_model, save_model
-from scalefree.transforms import fit_transformer
+from scalefree.transforms import FittedTransformer, MinMaxParams, fit_transformer
 
 
 @pytest.fixture
@@ -138,3 +138,15 @@ def test_non_finite_subsample_value_rejected(bad, features, tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(CorruptModel):
         load_model(path)
+
+
+def test_failed_write_keeps_previous_file(features, tmp_path):
+    path = tmp_path / "model.json"
+    save_model(fit_transformer(features, "rank"), path)
+    before = path.read_bytes()
+    # json cannot encode a float32, so the write fails on the second column
+    columns = [MinMaxParams(0.0, 1.0), MinMaxParams(0.0, np.float32(1.0))]
+    with pytest.raises(TypeError):
+        save_model(FittedTransformer(kind="minmax", columns=columns), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]

@@ -1,5 +1,7 @@
 """Column transforms: fitting, querying, ties, and the invariance laws."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,22 @@ class TestMinMax:
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             MinMaxParams(2.0, 1.0)
+
+    def test_range_beyond_float_max(self):
+        col = [-1e308, 0.0, 1e308]
+        out = fit_minmax(col).transform(col)
+        assert out.tolist() == [0.0, 0.5, 1.0]
+        p = MinMaxParams(-sys.float_info.max, sys.float_info.max)
+        assert p.transform([p.min, 0.0, p.max]).tolist() == [0.0, 0.5, 1.0]
+
+    def test_finite_range_unchanged_bitwise(self):
+        rng = np.random.default_rng(7)
+        for scale in (1e-300, 1e-5, 1.0, 1e5, 1e300):
+            col = rng.normal(scale=scale, size=300)
+            p = fit_minmax(col)
+            queries = np.concatenate([col, rng.normal(scale=2 * scale, size=100), [-0.0]])
+            expected = (queries - p.min) / (p.max - p.min)
+            assert p.transform(queries).tobytes() == expected.tobytes()
 
 
 class TestRank:

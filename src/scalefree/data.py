@@ -10,6 +10,7 @@ downstream.
 import csv
 import itertools
 import os
+import stat
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -179,16 +180,44 @@ def load_csv(path, label_column=None, name: str | None = None) -> Dataset:
     )
 
 
+def _replaceable(path) -> Path | None:
+    """The resolved target of `path` if it may be replaced by a rename: it
+    does not exist yet, or it is a regular file. None for anything else
+    (a device such as /dev/null, a FIFO, a terminal, a directory), which
+    must be opened and written in place."""
+    target = Path(path).resolve()
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        return target
+    except OSError:
+        return None
+    try:
+        # The resolved name must reach the same file: /dev/stdout resolves
+        # to a pseudo-name such as "pipe:[123]" under /proc.
+        if stat.S_ISREG(st.st_mode) and os.path.samestat(st, os.stat(target)):
+            return target
+    except OSError:
+        pass
+    return None
+
+
 @contextmanager
 def replacing(path, **open_kwargs):
-    """Open a new sibling file for writing text; it replaces `path` on exit.
+    """Open `path` for writing text so that a failed write leaves it intact.
 
-    If the body raises, the sibling file is removed and `path` keeps its old
-    contents, so a failed write never leaves a truncated file behind. A
-    symlink at `path` is followed, as opening it would. An OSError from
-    creating or renaming the sibling names `path`, as opening it would.
+    A regular or new file is written as a new sibling file that replaces
+    `path` on exit; if the body raises, the sibling is removed and `path`
+    keeps its old contents. A symlink at `path` is followed, as opening it
+    would. An OSError from creating or renaming the sibling names `path`, as
+    opening it would. Any other existing target (a device, FIFO or terminal)
+    is opened and written in place, as a plain open would.
     """
-    target = Path(path).resolve()
+    target = _replaceable(path)
+    if target is None:
+        with open(path, "w", **open_kwargs) as fh:
+            yield fh
+        return
     tmp = target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
     try:
         fh = open(tmp, "x", **open_kwargs)
@@ -209,18 +238,14 @@ def replacing(path, **open_kwargs):
 def save_csv(dataset: Dataset, path) -> None:
     """Write a Dataset back to CSV, label column (if any) last.
 
-    Feature values render with shortest round-trip precision, so
-    load_csv(save_csv(ds)) reproduces every value bit for bit. repr runs once
-    per distinct bit pattern (so -0.0 and 0.0 stay apart), which is cheap on
-    rank and ARES outputs with their few distinct values.
+    Feature values render with shortest round-trip precision (csv formats a
+    float with repr), so load_csv(save_csv(ds)) reproduces every value bit
+    for bit. Rows are formatted one at a time, so no whole-file copy is held.
     """
     header = list(dataset.feature_names)
     if dataset.labels is not None:
         header.append(dataset.label_name)
-    bits = dataset.features.view(np.int64)
-    distinct, which = np.unique(bits, return_inverse=True)
-    texts = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
-    rows = texts[which.reshape(bits.shape)].tolist()
+    rows = map(np.ndarray.tolist, dataset.features)
     if dataset.labels is not None:
         rows = ([*row, label] for row, label in zip(rows, map(str, dataset.labels)))
     with replacing(path, newline="", encoding="utf-8") as fh:

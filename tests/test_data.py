@@ -1,5 +1,9 @@
 """CSV ingestion, validation errors, and round-tripping."""
 
+import os
+import stat
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -216,6 +220,41 @@ class TestSaveCsv:
         save_csv(ds, link)
         assert link.is_symlink()
         assert load_csv(tmp_path / "real" / "out.csv").features.tobytes() == ds.features.tobytes()
+
+    def test_fifo_is_written_in_place(self, tmp_path):
+        ds = Dataset("small", np.array([[0.5, -0.0], [1e-310, 3.0]]), labels=np.array([1, 2]))
+        (tmp_path / "ref").mkdir()
+        save_csv(ds, tmp_path / "ref" / "out.csv")
+        fifo = tmp_path / "out.csv"
+        os.mkfifo(fifo)
+        # A reader opened first lets the writer's open return at once; the
+        # file is smaller than the pipe buffer, so the write never blocks.
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            save_csv(ds, fifo)
+            got = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert got == (tmp_path / "ref" / "out.csv").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "ref"]
+
+    @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+    def test_pipe_named_by_fd_is_written_in_place(self, tmp_path):
+        # The same kind of path as /dev/stdout when standard output is a pipe.
+        ds = Dataset("small", np.array([[0.25, 7.0]]))
+        save_csv(ds, tmp_path / "ref.csv")
+        r, w = os.pipe()
+        try:
+            save_csv(ds, f"/proc/self/fd/{w}")
+            os.close(w)
+            w = None
+            got = os.read(r, 1 << 16)
+        finally:
+            os.close(r)
+            if w is not None:
+                os.close(w)
+        assert got == (tmp_path / "ref.csv").read_bytes()
 
     def test_write_is_deterministic(self, tmp_path):
         ds = Dataset("det", np.random.default_rng(83).normal(size=(10, 2)))

@@ -1,8 +1,8 @@
 """The streamed CSV and model writers against the one-cell-at-a-time ones.
 
-`tests/reference_io.py` keeps the writers as they were before rows were
-streamed, repr was memoised per bit pattern and model blocks went through
-json's C encoder. Files must come out byte for byte the same. Values are
+`tests/reference_io.py` keeps the writers as they were before rows went
+through the C csv writer as floats and model blocks through json's C
+encoder. Files must come out byte for byte the same. Values are
 drawn from small adversarial sets, so heavy ties, signed zeros, subnormals
 and magnitudes near the float64 maximum all occur.
 """

@@ -1,6 +1,8 @@
 """Model persistence: lossless round-trips and corrupt-file handling."""
 
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -150,3 +152,19 @@ def test_failed_write_keeps_previous_file(features, tmp_path):
         save_model(FittedTransformer(kind="minmax", columns=columns), path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+
+def test_fifo_is_written_in_place(features, tmp_path):
+    ft = fit_transformer(features[:5], "rank")
+    save_model(ft, tmp_path / "ref.json")
+    fifo = tmp_path / "model.json"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        save_model(ft, fifo)
+        got = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert got == (tmp_path / "ref.json").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "ref.json"]

@@ -12,13 +12,7 @@ import sys
 
 from .data import load_csv, save_csv
 from .errors import ScaleFreeError
-from .evaluate import (
-    DEFAULT_FOLDS,
-    DEFAULT_KNN_K,
-    evaluation_grid,
-    run_anomaly,
-    run_classification,
-)
+from .evaluate import DEFAULT_FOLDS, DEFAULT_KNN_K, evaluation_grid
 from .model_io import load_model, save_model
 from .perturb import (
     DEFAULT_SCALE,
@@ -199,20 +193,16 @@ def cmd_evaluate(args) -> int:
     if args.task == "classify":
         task_kwargs.update(knn_k=args.k, n_folds=args.folds)
 
-    if args.grid:
-        reports = evaluation_grid(
-            dataset,
-            args.task,
-            seed=seed,
-            shift=args.perturb_a,
-            scale=args.perturb_b,
-            **task_kwargs,
-        )
-    else:
-        spec = PerturbationSpec(args.perturb, shift=args.perturb_a, scale=args.perturb_b)
-        runner = run_classification if args.task == "classify" else run_anomaly
-        reports = [runner(dataset, args.preproc, spec, seed=seed, **task_kwargs)]
-
+    reports = evaluation_grid(
+        dataset,
+        args.task,
+        KINDS if args.grid else (args.preproc,),
+        PERTURBATION_KINDS if args.grid else (args.perturb,),
+        seed=seed,
+        shift=args.perturb_a,
+        scale=args.perturb_b,
+        **task_kwargs,
+    )
     write_report(reports, args.output)
     return 0
 

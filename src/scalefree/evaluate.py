@@ -25,12 +25,19 @@ from .data import Dataset
 from .errors import MissingLabelColumn, NonBinaryLabels, TooFewRows
 from .metrics import accuracy, auc
 from .neighbors import knn_classify, lof_scores
-from .perturb import PerturbationSpec, perturb_matrix
+from .perturb import (
+    DEFAULT_SCALE,
+    DEFAULT_SHIFT,
+    PERTURBATION_KINDS,
+    PerturbationSpec,
+    perturb_matrix,
+)
 from .report import EvaluationReport
 from .sampling import cv_fit_seed, fold_seed
 from .transforms import (
     DEFAULT_N_SUBSAMPLES,
     DEFAULT_SUBSAMPLE_SIZE,
+    KINDS,
     fit_transformer,
 )
 
@@ -179,26 +186,21 @@ def run_anomaly(
 def evaluation_grid(
     dataset: Dataset,
     task: str,
-    preprocessors=("minmax", "rank", "ares"),
-    perturbations=("identity", "log", "square", "sqrt", "inverse"),
+    preprocessors=KINDS,
+    perturbations=PERTURBATION_KINDS,
     *,
     seed: int,
-    shift: float | None = None,
-    scale: float | None = None,
+    shift: float = DEFAULT_SHIFT,
+    scale: float = DEFAULT_SCALE,
     **task_kwargs,
 ) -> list[EvaluationReport]:
     """Sweep preprocessor x perturbation combinations for one dataset."""
     if task not in ("classify", "anomaly"):
         raise ValueError(f"unknown task {task!r}; expected 'classify' or 'anomaly'")
-    spec_kwargs = {}
-    if shift is not None:
-        spec_kwargs["shift"] = shift
-    if scale is not None:
-        spec_kwargs["scale"] = scale
     runner = run_classification if task == "classify" else run_anomaly
     reports = []
     for preproc in preprocessors:
         for kind in perturbations:
-            spec = PerturbationSpec(kind, **spec_kwargs)
+            spec = PerturbationSpec(kind, shift=shift, scale=scale)
             reports.append(runner(dataset, preproc, spec, seed=seed, **task_kwargs))
     return reports

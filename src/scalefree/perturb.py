@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyColumn, NonFiniteResult
+from .errors import NonFiniteResult
+from .transforms import fit_minmax
 
 PERTURBATION_KINDS = ("identity", "log", "square", "sqrt", "inverse")
 
@@ -53,16 +54,7 @@ class PerturbationSpec:
 
 def rescale_unit(values) -> np.ndarray:
     """Min-max rescale a column onto [0,1]; a constant column maps to zeros."""
-    col = np.ascontiguousarray(values, dtype=np.float64)
-    if col.ndim != 1:
-        raise ValueError("expected a 1-D column of values")
-    if col.shape[0] == 0:
-        raise EmptyColumn("cannot rescale an empty column")
-    lo = col.min()
-    hi = col.max()
-    if hi == lo:
-        return np.zeros_like(col)
-    return (col - lo) / (hi - lo)
+    return fit_minmax(values).transform(values)
 
 
 def shift_scale(values, spec: PerturbationSpec):

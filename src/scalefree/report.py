@@ -5,6 +5,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .data import replacing
 from .errors import EmptyInput
 
 REPORT_COLUMNS = (
@@ -45,7 +46,8 @@ def write_report(reports, path, fmt: str | None = None) -> None:
     Rows are sorted by (dataset, preprocessor, perturbation) and floats are
     rendered with shortest round-trip precision, so equal report lists
     always produce byte-identical files. fmt defaults from the path suffix:
-    '.json' selects JSON, anything else CSV.
+    '.json' selects JSON, anything else CSV. A failed write leaves an existing
+    report at path untouched (see `data.replacing`).
     """
     reports = sorted(reports, key=EvaluationReport.sort_key)
     if not reports:
@@ -57,7 +59,7 @@ def write_report(reports, path, fmt: str | None = None) -> None:
         raise ValueError(f"unknown report format {fmt!r}")
 
     if fmt == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with replacing(path, newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(REPORT_COLUMNS)
             for r in reports:
@@ -87,6 +89,6 @@ def write_report(reports, path, fmt: str | None = None) -> None:
         }
         for r in reports
     ]
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path, encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")

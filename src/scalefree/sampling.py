@@ -44,27 +44,6 @@ def derive_seed(base_seed: int, *components: int) -> int:
     return s
 
 
-class _SplitMix64:
-    """Minimal counter-based uint64 stream used for index sampling."""
-
-    __slots__ = ("_state",)
-
-    def __init__(self, seed: int):
-        self._state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
-
-    def below(self, n: int) -> int:
-        # Modulo bias is < n / 2**64: irrelevant for n well under 2**32,
-        # and determinism matters more here than the last bias bit.
-        return self.next_u64() % n
-
-
 def subsample_seed(base_seed: int, column_index: int, subsample_index: int) -> int:
     """Stream seed for one sub-sample draw of one column."""
     return derive_seed(base_seed, DOMAIN_SUBSAMPLE, column_index, subsample_index)
@@ -94,11 +73,13 @@ def subsample_indices(n_rows: int, size: int, stream_seed: int) -> np.ndarray:
         raise PsiTooLarge(
             f"sub-sample size {size} exceeds column length {n_rows}"
         )
-    rng = _SplitMix64(stream_seed)
     chosen: set[int] = set()
     picks = []
-    for i in range(n_rows - size, n_rows):
-        j = rng.below(i + 1)
+    for k, i in enumerate(range(n_rows - size, n_rows)):
+        # Draw k of the splitmix64 stream from stream_seed. The modulo bias
+        # is < n / 2**64: irrelevant for n well under 2**32, and determinism
+        # matters more here than the last bias bit.
+        j = _mix((stream_seed + k * _GOLDEN) & _MASK64) % (i + 1)
         if j in chosen:
             j = i
         chosen.add(j)

@@ -69,11 +69,15 @@ class MinMaxParams:
         def batch(arr):
             if self.max == self.min:
                 return np.zeros_like(arr)
-            span = self.max - self.min
-            if np.isfinite(span):
-                return (arr - self.min) / span
-            # The range overflows only when min and max both have magnitudes
-            # of at least 2**970, so halving them is exact.
+            with np.errstate(over="ignore"):
+                span = self.max - self.min
+                shifted = arr - self.min
+            if np.isfinite(span) and np.isfinite(shifted).all():
+                return shifted / span
+            # A difference with min overflows only when min and the other
+            # operand both have magnitudes of at least 2**970. Halving is
+            # then exact, but for a subnormal, which is negligible next to
+            # min either way.
             return (arr / 2 - self.min / 2) / (self.max / 2 - self.min / 2)
 
         return _apply(values, batch)

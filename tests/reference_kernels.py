@@ -1,11 +1,25 @@
-"""Reference KNN and LOF kernels: one full sort or dense N x N pass each.
+"""Reference kernels the package's exact paths are checked against.
 
-These are the straightforward numpy kernels the blocked neighbour search in
-`scalefree._kernels` replaced, kept verbatim so the differential tests can
+`ares_batch` is the paper-literal ARES: one strictly-below search per
+sub-sample, averaged. The transforms search one pooled sort of all sampled
+values instead, which must be bitwise equal to it; the acceptance suite also
+times it.
+
+`_knn_predict_np` and `_lof_np` are the straightforward numpy kernels (one
+full sort, or one dense N x N pass) that the blocked neighbour search in
+`scalefree.neighbors` replaced, kept verbatim so the differential tests can
 require bitwise-equal outputs from it.
 """
 
 import numpy as np
+
+
+def ares_batch(subsamples: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Average, over sub-samples, of the strictly-below count of each query."""
+    totals = np.zeros(queries.shape[0], dtype=np.int64)
+    for row in subsamples:
+        totals += np.searchsorted(row, queries, side="left")
+    return totals / subsamples.shape[0]
 
 
 def _knn_predict_np(

@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from scalefree import _kernels
+from scalefree import neighbors
 from scalefree.neighbors import knn_classify, lof_scores
 from scalefree.transforms import fit_transformer
 
@@ -58,7 +58,7 @@ def _assert_lof_bitwise(x, k):
 class TestKnnMatchesReference:
     def test_queries_span_several_blocks(self, kind):
         n_train, n_test = 1500, 600
-        assert n_test > 2 * _kernels._block_rows(n_train)
+        assert n_test > 2 * neighbors._block_rows(n_train)
         x = _features(kind, n_train + n_test, 6, seed=201)
         for k in (1, 5, 40):
             _assert_knn_matches(x, n_train, k, seed=202)
@@ -77,7 +77,7 @@ class TestKnnMatchesReference:
 class TestLofMatchesReference:
     def test_rows_span_several_blocks(self, kind):
         n = 1200
-        assert n > 2 * _kernels._block_rows(n)
+        assert n > 2 * neighbors._block_rows(n)
         x = _features(kind, n, 6, seed=207)
         for k in (1, math.ceil(math.sqrt(n))):
             _assert_lof_bitwise(x, k)
@@ -98,7 +98,7 @@ def test_lof_peak_memory_is_linear_in_n_times_k():
     n = 3000
     k = math.ceil(math.sqrt(n))
     x = np.random.default_rng(210).normal(size=(n, 16))
-    bound = 4 * _kernels._BLOCK_BYTES + 64 * n * k
+    bound = 4 * neighbors._BLOCK_BYTES + 64 * n * k
     assert bound < n * n * 8 / 3
 
     tracemalloc.start()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from scalefree.errors import EmptyColumn
+from scalefree.errors import EmptyColumn, NonFiniteResult
 from scalefree.perturb import (
     PERTURBATION_KINDS,
     PerturbationSpec,
@@ -91,6 +91,11 @@ class TestApplyPerturbation:
         out = apply_perturbation(col, PerturbationSpec(kind))
         assert np.isfinite(out).all()
 
+    def test_overflowing_scale_raises(self):
+        with pytest.raises(NonFiniteResult):
+            with np.errstate(over="ignore"):
+                apply_perturbation([0.0, 1.0], PerturbationSpec("square", scale=1e200))
+
     @pytest.mark.parametrize("kind", PERTURBATION_KINDS)
     def test_constant_column_stays_constant(self, kind):
         out = apply_perturbation([4.0, 4.0, 4.0], PerturbationSpec(kind))
@@ -106,6 +111,12 @@ class TestPerturbMatrix:
         out = perturb_matrix(x, spec)
         for c in range(3):
             assert np.array_equal(out[:, c], apply_perturbation(x[:, c], spec))
+
+    def test_range_beyond_float_max(self):
+        """A finite column whose range overflows float64 still unit-scales."""
+        spec = PerturbationSpec("identity")
+        out = perturb_matrix([[-1e308], [0.0], [1e308]], spec)
+        assert out[:, 0].tolist() == shift_scale([0.0, 0.5, 1.0], spec).tolist()
 
     def test_rank_of_perturbed_matches_original(self):
         """Composition law: rank transforms see through increasing perturbations."""

@@ -23,6 +23,23 @@ def _report(**overrides):
     return EvaluationReport(**base)
 
 
+def test_failed_write_keeps_previous_report(tmp_path):
+    class Unprintable:
+        def __repr__(self):
+            raise RuntimeError("seed cannot be written")
+
+    for name in ("r.csv", "r.json"):
+        path = tmp_path / name
+        write_report([_report()], path)
+        before = path.read_bytes()
+        rows = [_report(dataset=f"d{i}") for i in range(500)]
+        rows[-1] = _report(dataset="zz", seed=Unprintable())
+        with pytest.raises((RuntimeError, TypeError)):
+            write_report(rows, path)
+        assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv", "r.json"]
+
+
 def test_single_report_csv(tmp_path):
     path = tmp_path / "r.csv"
     write_report([_report()], path)

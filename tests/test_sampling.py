@@ -1,5 +1,7 @@
 """Seed derivation and deterministic index sampling."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from scalefree.sampling import (
     subsample_indices,
     subsample_seed,
 )
+from scalefree.transforms import fit_ares
 
 
 class TestDeriveSeed:
@@ -71,6 +74,46 @@ class TestSubsampleIndices:
         expected = trials * 3 / 10
         sigma = np.sqrt(trials * 0.3 * 0.7)
         assert np.all(np.abs(counts - expected) < 6 * sigma)
+
+
+def _digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+
+
+class TestGoldenStream:
+    """Pins the sub-sample stream: a changed draw changes every fitted ARES model."""
+
+    def test_small_draws(self):
+        assert subsample_indices(20, 5, stream_seed=2024).tolist() == [0, 5, 8, 9, 18]
+        assert subsample_indices(10**6, 4, stream_seed=0).tolist() == [
+            52768, 241298, 505825, 542444,
+        ]
+
+    @pytest.mark.parametrize(
+        "n, size, seed, digest",
+        [
+            (1, 1, 0, "af5570f5a1810b7a"),
+            (10, 10, 7, "23c379d6c0f22ef6"),
+            (100, 7, 42, "1fc92a5d4ca37f09"),
+            (1000, 256, 2**64 - 1, "a20feda0c2e8806b"),
+            (50_000, 64, 0x9E3779B97F4A7C15, "5674481a8fcc5b5f"),
+        ],
+    )
+    def test_subsample_indices(self, n, size, seed, digest):
+        assert _digest(subsample_indices(n, size, seed)) == digest
+
+    @pytest.mark.parametrize(
+        "seed, column, psi, t, digest",
+        [
+            (0, 0, 7, 10, "eb14601486c20eb7"),
+            (42, 3, 256, 50, "78c7263ebc4b0ed0"),
+            (2**64 - 1, 15, 1, 3, "3de0b4ad6573b437"),
+        ],
+    )
+    def test_fit_ares(self, seed, column, psi, t, digest):
+        col = np.random.default_rng(5).normal(size=500)
+        model = fit_ares(col, psi, t, seed=seed, column_index=column)
+        assert _digest(model.subsamples) == digest
 
 
 class TestDrawSubsample:

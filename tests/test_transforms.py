@@ -75,6 +75,12 @@ class TestMinMax:
         p = MinMaxParams(-sys.float_info.max, sys.float_info.max)
         assert p.transform([p.min, 0.0, p.max]).tolist() == [0.0, 0.5, 1.0]
 
+    def test_query_far_beyond_finite_range(self):
+        p = MinMaxParams(-1e308, 0.0)
+        assert p.transform(1e308) == 2.0
+        assert p.transform([-1e308, 5e-324, 1e308]).tolist() == [0.0, 1.0, 2.0]
+        assert MinMaxParams(1e308, 1.5e308).transform(-1e308) == -4.0
+
     def test_finite_range_unchanged_bitwise(self):
         rng = np.random.default_rng(7)
         for scale in (1e-300, 1e-5, 1.0, 1e5, 1e300):

@@ -12,7 +12,7 @@ import sys
 
 from .data import load_csv, save_csv
 from .errors import ScaleFreeError
-from .evaluate import DEFAULT_FOLDS, DEFAULT_KNN_K, evaluation_grid
+from .evaluate import DEFAULT_FOLDS, DEFAULT_KNN_K, TASKS, evaluation_grid
 from .model_io import load_model, save_model
 from .perturb import (
     DEFAULT_SCALE,
@@ -57,16 +57,15 @@ def resolve_seed(value: int | None) -> int:
     return DEFAULT_SEED
 
 
-def _add_io_args(parser, *, with_label=True):
+def _add_io_args(parser):
     parser.add_argument("--input", required=True, help="input CSV file")
     parser.add_argument("--output", required=True, help="output file path")
-    if with_label:
-        parser.add_argument(
-            "--label-col",
-            type=_label_col,
-            default=None,
-            help="label column by header name or zero-based index",
-        )
+    parser.add_argument(
+        "--label-col",
+        type=_label_col,
+        default=None,
+        help="label column by header name or zero-based index",
+    )
 
 
 def _add_perturb_args(parser):
@@ -91,7 +90,6 @@ def _add_perturb_args(parser):
 
 
 def _add_model_args(parser):
-    parser.add_argument("--kind", choices=KINDS, default="ares", help="transform to fit")
     parser.add_argument(
         "--psi",
         type=_positive_int,
@@ -121,6 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="fit a transformer on a CSV, write a model file")
     _add_io_args(p_fit)
+    p_fit.add_argument("--kind", choices=KINDS, default="ares", help="transform to fit")
     _add_model_args(p_fit)
 
     p_tr = sub.add_parser("transform", help="apply a saved model to a CSV")
@@ -135,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_args(p_ev)
     _add_model_args(p_ev)
     _add_perturb_args(p_ev)
-    p_ev.add_argument("--task", choices=("classify", "anomaly"), default="classify")
+    p_ev.add_argument("--task", choices=TASKS, default="classify")
     p_ev.add_argument(
         "--preproc", choices=KINDS, default="ares", help="preprocessor to evaluate"
     )

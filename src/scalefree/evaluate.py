@@ -44,6 +44,8 @@ from .transforms import (
 DEFAULT_FOLDS = 10
 DEFAULT_KNN_K = 5
 
+TASKS = ("classify", "anomaly")
+
 
 @dataclass(frozen=True, eq=False)
 class FoldAssignment:
@@ -195,8 +197,8 @@ def evaluation_grid(
     **task_kwargs,
 ) -> list[EvaluationReport]:
     """Sweep preprocessor x perturbation combinations for one dataset."""
-    if task not in ("classify", "anomaly"):
-        raise ValueError(f"unknown task {task!r}; expected 'classify' or 'anomaly'")
+    if task not in TASKS:
+        raise ValueError(f"unknown task {task!r}; expected one of {TASKS}")
     runner = run_classification if task == "classify" else run_anomaly
     reports = []
     for preproc in preprocessors:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import replacing
 from .errors import CorruptModel, UnsupportedVersion
-from .transforms import AresModel, FittedTransformer, MinMaxParams, RankModel
+from .transforms import KINDS, AresModel, FittedTransformer, MinMaxParams, RankModel
 
 FORMAT_VERSION = 1
 
@@ -71,43 +71,30 @@ def load_model(path) -> FittedTransformer:
         )
 
     kind = doc.get("kind")
-    if kind not in ("minmax", "rank", "ares"):
+    if kind not in KINDS:
         raise CorruptModel(f"{path}: unknown transformer kind {kind!r}")
     raw_columns = doc.get("columns")
     if not isinstance(raw_columns, list) or not raw_columns:
         raise CorruptModel(f"{path}: missing or empty columns")
 
     try:
-        columns = []
-        for block in raw_columns:
-            if kind == "minmax":
-                columns.append(MinMaxParams(min=float(block["min"]), max=float(block["max"])))
-            elif kind == "rank":
-                columns.append(
-                    RankModel(sorted_train=np.asarray(block["sorted_train"], dtype=np.float64))
-                )
-            else:
-                columns.append(
-                    AresModel(
-                        subsamples=np.asarray(block["subsamples"], dtype=np.float64),
-                        seed=int(doc["seed"]),
-                    )
-                )
-        if kind == "ares":
-            psi = int(doc["psi"])
-            t = int(doc["t"])
-            for params in columns:
-                if params.subsample_size != psi or params.n_subsamples != t:
-                    raise ValueError("sub-sample block shape disagrees with psi/t")
-            transformer = FittedTransformer(
-                kind=kind,
-                columns=columns,
-                subsample_size=psi,
-                n_subsamples=t,
-                seed=int(doc["seed"]),
-            )
+        if kind == "minmax":
+            columns = [MinMaxParams(float(b["min"]), float(b["max"])) for b in raw_columns]
+        elif kind == "rank":
+            columns = [
+                RankModel(np.asarray(b["sorted_train"], dtype=np.float64)) for b in raw_columns
+            ]
         else:
-            transformer = FittedTransformer(kind=kind, columns=columns)
+            seed = int(doc["seed"])
+            columns = [
+                AresModel(np.asarray(b["subsamples"], dtype=np.float64), seed)
+                for b in raw_columns
+            ]
+        transformer = FittedTransformer(kind, columns)
+        if kind == "ares":
+            header = (int(doc["psi"]), int(doc["t"]))
+            if header != (transformer.subsample_size, transformer.n_subsamples):
+                raise ValueError("sub-sample block shape disagrees with psi/t")
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptModel(f"{path}: malformed column parameters ({exc})") from None
 

@@ -18,7 +18,15 @@ import numpy as np
 from .errors import NonFiniteResult
 from .transforms import fit_minmax
 
-PERTURBATION_KINDS = ("identity", "log", "square", "sqrt", "inverse")
+# The monotone map of each perturbation, applied to shift-scaled values.
+_MAPS = {
+    "identity": np.positive,
+    "log": np.log,
+    "square": np.square,
+    "sqrt": np.sqrt,
+    "inverse": np.reciprocal,
+}
+PERTURBATION_KINDS = tuple(_MAPS)
 
 DEFAULT_SHIFT = 0.0001
 DEFAULT_SCALE = 100.0
@@ -47,14 +55,11 @@ class PerturbationSpec:
         if not self.scale > 0:
             raise ValueError(f"scale must be > 0, got {self.scale}")
 
-    @property
-    def order_reversing(self) -> bool:
-        return self.kind == "inverse"
-
 
 def rescale_unit(values) -> np.ndarray:
     """Min-max rescale a column onto [0,1]; a constant column maps to zeros."""
-    return fit_minmax(values).transform(values)
+    col = np.ascontiguousarray(values, dtype=np.float64)
+    return fit_minmax(col)._unit(col)
 
 
 def shift_scale(values, spec: PerturbationSpec):
@@ -65,16 +70,7 @@ def shift_scale(values, spec: PerturbationSpec):
 def apply_perturbation(values, spec: PerturbationSpec) -> np.ndarray:
     """Re-express one column on the perturbed scale."""
     x = shift_scale(rescale_unit(values), spec)
-    if spec.kind == "identity":
-        out = x
-    elif spec.kind == "log":
-        out = np.log(x)
-    elif spec.kind == "square":
-        out = x * x
-    elif spec.kind == "sqrt":
-        out = np.sqrt(x)
-    else:
-        out = 1.0 / x
+    out = _MAPS[spec.kind](x, out=x)
     if not np.isfinite(out).all():
         raise NonFiniteResult(f"perturbation {spec.kind!r} produced non-finite values")
     return out

@@ -2,21 +2,11 @@
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .data import replacing
 from .errors import EmptyInput
-
-REPORT_COLUMNS = (
-    "dataset",
-    "preprocessor",
-    "perturbation",
-    "metric",
-    "aggregate",
-    "wall_time_ms",
-    "seed",
-)
 
 
 @dataclass
@@ -38,6 +28,11 @@ class EvaluationReport:
 
     def sort_key(self):
         return (self.dataset, self.preprocessor, self.perturbation)
+
+
+# A CSV row holds every field but the per-fold detail, floats as repr.
+REPORT_COLUMNS = tuple(f.name for f in fields(EvaluationReport) if f.name != "per_fold")
+_FLOAT_COLUMNS = {f.name for f in fields(EvaluationReport) if f.type is float}
 
 
 def write_report(reports, path, fmt: str | None = None) -> None:
@@ -64,31 +59,12 @@ def write_report(reports, path, fmt: str | None = None) -> None:
             writer.writerow(REPORT_COLUMNS)
             for r in reports:
                 writer.writerow(
-                    [
-                        r.dataset,
-                        r.preprocessor,
-                        r.perturbation,
-                        r.metric,
-                        repr(float(r.aggregate)),
-                        repr(float(r.wall_time_ms)),
-                        r.seed,
-                    ]
+                    repr(float(getattr(r, name))) if name in _FLOAT_COLUMNS else getattr(r, name)
+                    for name in REPORT_COLUMNS
                 )
         return
 
-    payload = [
-        {
-            "dataset": r.dataset,
-            "preprocessor": r.preprocessor,
-            "perturbation": r.perturbation,
-            "metric": r.metric,
-            "aggregate": r.aggregate,
-            "wall_time_ms": r.wall_time_ms,
-            "seed": r.seed,
-            "per_fold": list(r.per_fold),
-        }
-        for r in reports
-    ]
+    payload = [asdict(r) for r in reports]
     with replacing(path, encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")

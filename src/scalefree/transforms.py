@@ -23,8 +23,6 @@ from .sampling import draw_subsample, subsample_seed
 DEFAULT_SUBSAMPLE_SIZE = 7
 DEFAULT_N_SUBSAMPLES = 10
 
-KINDS = ("minmax", "rank", "ares")
-
 
 def _as_column(values) -> np.ndarray:
     col = np.ascontiguousarray(values, dtype=np.float64)
@@ -65,22 +63,22 @@ class MinMaxParams:
     def transform(self, values):
         """Affine map to [0,1] on training data; out-of-range values are NOT
         clamped, and a constant training column maps everything to 0.0."""
+        return _apply(values, self._unit)
 
-        def batch(arr):
-            if self.max == self.min:
-                return np.zeros_like(arr)
-            with np.errstate(over="ignore"):
-                span = self.max - self.min
-                shifted = arr - self.min
-            if np.isfinite(span) and np.isfinite(shifted).all():
-                return shifted / span
-            # A difference with min overflows only when min and the other
-            # operand both have magnitudes of at least 2**970. Halving is
-            # then exact, but for a subnormal, which is negligible next to
-            # min either way.
-            return (arr / 2 - self.min / 2) / (self.max / 2 - self.min / 2)
-
-        return _apply(values, batch)
+    def _unit(self, arr: np.ndarray) -> np.ndarray:
+        """The map of `transform` on a finite 1-D float64 array, unchecked."""
+        if self.max == self.min:
+            return np.zeros_like(arr)
+        with np.errstate(over="ignore"):
+            span = self.max - self.min
+            shifted = arr - self.min
+        if np.isfinite(span) and np.isfinite(shifted).all():
+            return shifted / span
+        # A difference with min overflows only when min and the other
+        # operand both have magnitudes of at least 2**970. Halving is
+        # then exact, but for a subnormal, which is negligible next to
+        # min either way.
+        return (arr / 2 - self.min / 2) / (self.max / 2 - self.min / 2)
 
 
 class _CountBelow:
@@ -126,10 +124,6 @@ class RankModel(_CountBelow):
         (sorted_train,) = self._set_pool(np.reshape(self.sorted_train, (1, -1)))
         object.__setattr__(self, "sorted_train", sorted_train)
 
-    @property
-    def n_train(self) -> int:
-        return self.sorted_train.shape[0]
-
 
 @dataclass(frozen=True, eq=False)
 class AresModel(_CountBelow):
@@ -153,6 +147,11 @@ class AresModel(_CountBelow):
     @property
     def subsample_size(self) -> int:
         return self.subsamples.shape[1]
+
+
+# The parameter class of each transformer kind; one per column.
+_PARAMS = {"minmax": MinMaxParams, "rank": RankModel, "ares": AresModel}
+KINDS = tuple(_PARAMS)
 
 
 def fit_minmax(values) -> MinMaxParams:
@@ -201,25 +200,45 @@ def rank_in_subsample(sample, x: float) -> int:
 class FittedTransformer:
     """One fitted parameter object per feature column, plus the kind tag.
 
-    Immutable after fit; transform rejects matrices whose column count
-    differs from fit time.
+    Every column holds the kind's parameter class; ARES columns share one
+    psi, t and seed, which the transformer reports as its own. Immutable
+    after fit; transform rejects matrices whose column count differs from
+    fit time.
     """
 
     kind: str
     columns: list
-    subsample_size: int | None = None
-    n_subsamples: int | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown transformer kind {self.kind!r}")
+            raise ValueError(f"unknown transformer kind {self.kind!r}; expected one of {KINDS}")
         if not self.columns:
             raise ValueError("a fitted transformer needs at least one column")
+        cls = _PARAMS[self.kind]
+        if not all(isinstance(params, cls) for params in self.columns):
+            raise ValueError(f"{self.kind} columns must all be {cls.__name__}")
+        if self.kind == "ares":
+            if len({(p.subsample_size, p.n_subsamples, p.seed) for p in self.columns}) > 1:
+                raise ValueError("ares columns disagree on psi, t or seed")
 
     @property
     def n_features(self) -> int:
         return len(self.columns)
+
+    @property
+    def subsample_size(self) -> int | None:
+        """The ARES columns' psi; None for other kinds."""
+        return getattr(self.columns[0], "subsample_size", None)
+
+    @property
+    def n_subsamples(self) -> int | None:
+        """The ARES columns' t; None for other kinds."""
+        return getattr(self.columns[0], "n_subsamples", None)
+
+    @property
+    def seed(self) -> int | None:
+        """The ARES columns' base seed; None for other kinds."""
+        return getattr(self.columns[0], "seed", None)
 
     def transform(self, features: np.ndarray) -> np.ndarray:
         x = np.asarray(features, dtype=np.float64)
@@ -255,6 +274,9 @@ def fit_transformer(
     if x.shape[0] == 0:
         raise EmptyDataset("cannot fit on a dataset with no rows")
 
+    if kind == "ares" and seed is None:
+        raise ValueError("ares requires a seed")
+
     columns = []
     for c in range(x.shape[1]):
         col = np.ascontiguousarray(x[:, c])
@@ -263,23 +285,5 @@ def fit_transformer(
         elif kind == "rank":
             columns.append(fit_rank(col))
         else:
-            if seed is None:
-                raise ValueError("ares requires a seed")
-            columns.append(
-                fit_ares(
-                    col,
-                    subsample_size=subsample_size,
-                    n_subsamples=n_subsamples,
-                    seed=seed,
-                    column_index=c,
-                )
-            )
-    if kind == "ares":
-        return FittedTransformer(
-            kind=kind,
-            columns=columns,
-            subsample_size=subsample_size,
-            n_subsamples=n_subsamples,
-            seed=seed,
-        )
-    return FittedTransformer(kind=kind, columns=columns)
+            columns.append(fit_ares(col, subsample_size, n_subsamples, seed=seed, column_index=c))
+    return FittedTransformer(kind, columns)

@@ -179,6 +179,14 @@ class TestEvaluate:
         assert payload[0]["per_fold"] == []
         assert 0.0 <= payload[0]["aggregate"] <= 1.0
 
+    def test_kind_is_a_usage_error(self, class_csv, tmp_path):
+        out = tmp_path / "r.csv"
+        with pytest.raises(SystemExit) as exc_info:
+            main(["evaluate", "--input", str(class_csv), "--label-col", "label",
+                  "--kind", "rank", "--output", str(out)])
+        assert exc_info.value.code == 2
+        assert not out.exists()
+
     def test_bad_folds_exits_one(self, class_csv, tmp_path, capsys):
         rc = main(["evaluate", "--input", str(class_csv), "--label-col", "label",
                    "--folds", "1", "--output", str(tmp_path / "r.csv")])

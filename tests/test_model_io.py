@@ -9,7 +9,7 @@ import pytest
 
 from scalefree.errors import CorruptModel, UnsupportedVersion
 from scalefree.model_io import load_model, save_model
-from scalefree.transforms import FittedTransformer, MinMaxParams, fit_transformer
+from scalefree.transforms import FittedTransformer, MinMaxParams, fit_ares, fit_transformer
 
 
 @pytest.fixture
@@ -40,6 +40,16 @@ def test_ares_metadata_round_trip(features, tmp_path):
     assert back.subsample_size == 5
     assert back.n_subsamples == 12
     assert back.seed == 99
+
+
+def test_ares_built_from_columns_round_trip(features, tmp_path):
+    columns = [fit_ares(features[:, c], 6, 4, seed=31, column_index=c) for c in range(3)]
+    ft = FittedTransformer("ares", columns)
+    path = tmp_path / "model.json"
+    save_model(ft, path)
+    back = load_model(path)
+    assert (back.subsample_size, back.n_subsamples, back.seed) == (6, 4, 31)
+    assert back.transform(features).tobytes() == ft.transform(features).tobytes()
 
 
 def test_save_is_deterministic(features, tmp_path):
@@ -102,6 +112,18 @@ def test_fingerprint_mismatch(features, tmp_path):
     save_model(ft, path)
     doc = json.loads(path.read_text())
     doc["columns"] = doc["columns"][:2]  # drop a column; fingerprint now stale
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorruptModel):
+        load_model(path)
+
+
+@pytest.mark.parametrize("key", ["psi", "t"])
+def test_header_disagreeing_with_blocks_rejected(key, features, tmp_path):
+    ft = fit_transformer(features, "ares", seed=7)
+    path = tmp_path / "model.json"
+    save_model(ft, path)
+    doc = json.loads(path.read_text())
+    doc[key] += 1
     path.write_text(json.dumps(doc))
     with pytest.raises(CorruptModel):
         load_model(path)

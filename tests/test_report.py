@@ -40,6 +40,52 @@ def test_failed_write_keeps_previous_report(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv", "r.json"]
 
 
+GOLDEN_REPORTS = [
+    EvaluationReport("glass", "rank", "log", "accuracy", 0.1 + 0.2, 1e-07, 42, [1 / 3, 0.5]),
+    EvaluationReport("breast,w", "ares", "inverse", "auc", 0.9375, 1234.5, 7, []),
+]
+
+GOLDEN_CSV = (
+    b"dataset,preprocessor,perturbation,metric,aggregate,wall_time_ms,seed\r\n"
+    b'"breast,w",ares,inverse,auc,0.9375,1234.5,7\r\n'
+    b"glass,rank,log,accuracy,0.30000000000000004,1e-07,42\r\n"
+)
+
+GOLDEN_JSON = b"""[
+  {
+    "dataset": "breast,w",
+    "preprocessor": "ares",
+    "perturbation": "inverse",
+    "metric": "auc",
+    "aggregate": 0.9375,
+    "wall_time_ms": 1234.5,
+    "seed": 7,
+    "per_fold": []
+  },
+  {
+    "dataset": "glass",
+    "preprocessor": "rank",
+    "perturbation": "log",
+    "metric": "accuracy",
+    "aggregate": 0.30000000000000004,
+    "wall_time_ms": 1e-07,
+    "seed": 42,
+    "per_fold": [
+      0.3333333333333333,
+      0.5
+    ]
+  }
+]
+"""
+
+
+@pytest.mark.parametrize("name, expected", [("r.csv", GOLDEN_CSV), ("r.json", GOLDEN_JSON)])
+def test_golden_bytes(name, expected, tmp_path):
+    path = tmp_path / name
+    write_report(GOLDEN_REPORTS, path)
+    assert path.read_bytes() == expected
+
+
 def test_single_report_csv(tmp_path):
     path = tmp_path / "r.csv"
     write_report([_report()], path)

@@ -16,6 +16,7 @@ from scalefree.errors import (
 )
 from scalefree.transforms import (
     AresModel,
+    FittedTransformer,
     MinMaxParams,
     RankModel,
     fit_ares,
@@ -354,3 +355,33 @@ class TestFittedTransformer:
         out = ft.transform_dataset(ds)
         assert np.array_equal(out.labels, ds.labels)
         assert out.feature_names == ds.feature_names
+
+
+class TestFittedTransformerColumns:
+    """Columns carry the model: their class must match the kind, and ARES
+    columns must share one psi, t and seed."""
+
+    col = np.arange(30.0)
+
+    def test_ensemble_read_from_columns(self):
+        columns = [fit_ares(self.col, 6, 4, seed=8, column_index=c) for c in range(3)]
+        ft = FittedTransformer("ares", columns)
+        assert (ft.subsample_size, ft.n_subsamples, ft.seed) == (6, 4, 8)
+        rank = FittedTransformer("rank", [fit_rank(self.col)])
+        assert (rank.subsample_size, rank.n_subsamples, rank.seed) == (None, None, None)
+
+    @pytest.mark.parametrize(
+        "kind, fit", [("rank", lambda col: fit_ares(col, seed=1)), ("minmax", fit_rank)]
+    )
+    def test_kind_rejects_other_columns(self, kind, fit):
+        with pytest.raises(ValueError):
+            FittedTransformer(kind, [fit(self.col)])
+
+    @pytest.mark.parametrize(
+        "other", [{"subsample_size": 5}, {"n_subsamples": 3}, {"seed": 2}]
+    )
+    def test_ares_columns_must_share_ensemble(self, other):
+        first = fit_ares(self.col, seed=1)
+        second = fit_ares(self.col, **{"seed": 1, **other}, column_index=1)
+        with pytest.raises(ValueError):
+            FittedTransformer("ares", [first, second])

@@ -50,6 +50,10 @@ class DimensionMismatch(ScaleFreeError):
     """Train and test matrices have different feature counts."""
 
 
+class InexactDistances(ScaleFreeError):
+    """Integer features too large for exact float64 squared distances."""
+
+
 class KExceedsTrainSize(ScaleFreeError):
     """KNN was asked for more neighbors than there are training rows."""
 

@@ -9,7 +9,9 @@ Protocol per run:
   is the mean fold accuracy;
 * anomaly detection: the preprocessor is fit on all rows (unsupervised), LOF
   scores every row with n_neighbors = ceil(sqrt(N)), reported number is the
-  AUC of the scores against the binary flags.
+  AUC of the scores against the binary flags;
+* rank and ARES reach KNN and LOF as their integer counts (the transform
+  times t), whose squared distances are exact; min-max as its floats.
 
 All randomness (fold permutation, per-fold sub-sample draws) expands from
 the single seed via the derivations in `sampling`.
@@ -74,6 +76,14 @@ def kfold_split(n: int, k: int = DEFAULT_FOLDS, seed: int = 0) -> FoldAssignment
     return FoldAssignment(fold_of_row=fold_of_row, n_folds=k)
 
 
+def _neighbor_features(transformer, features) -> np.ndarray:
+    """What the neighbour learners see. The common factor t between counts
+    and transform changes neither KNN order nor LOF ratios."""
+    if transformer.kind == "minmax":
+        return transformer.transform(features)
+    return transformer.counts(features)
+
+
 def run_classification(
     dataset: Dataset,
     preprocessor: str,
@@ -106,8 +116,8 @@ def run_classification(
             n_subsamples=n_subsamples,
             seed=cv_fit_seed(seed, f),
         )
-        train_t = transformer.transform(features[train_idx])
-        test_t = transformer.transform(features[test_idx])
+        train_t = _neighbor_features(transformer, features[train_idx])
+        test_t = _neighbor_features(transformer, features[test_idx])
         predicted = knn_classify(train_t, labels[train_idx], test_t, k=knn_k)
         per_fold.append(accuracy(predicted, labels[test_idx]))
     elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -168,7 +178,7 @@ def run_anomaly(
         n_subsamples=n_subsamples,
         seed=seed,
     )
-    transformed = transformer.transform(features)
+    transformed = _neighbor_features(transformer, features)
     scores = lof_scores(transformed, lof_neighbor_count(dataset.n_rows))
     value = auc(scores, flags)
     elapsed_ms = (time.perf_counter() - start) * 1000.0

@@ -9,24 +9,78 @@ results.
 The public functions, `knn_classify` and `lof_scores`, validate their input
 once: they reject NaN and infinite features, whose distances have no order
 to select neighbours by. The private helpers they call only compute, on
-C-contiguous finite float64 arrays. KNN and LOF share one neighbour
-primitive, `_k_nearest_with_ties`, which handles one block of queries at a
-time in a distance buffer of at most `_BLOCK_BYTES`. Each squared distance
-row is `((ref - q) ** 2).sum(axis=1)` for one query, and each per-row LOF
-sum runs over a dense length-N row, so every output is bitwise independent
-of the block size and equal to that of a full sort or a dense N x N pass.
+C-contiguous finite arrays. KNN and LOF share one neighbour primitive,
+`_k_nearest_with_ties`, which handles one block of queries at a time in a
+float64 distance buffer of at most `_BLOCK_BYTES`. It has two distance
+paths, picked by the input's dtype:
+
+* Integer input (the rank and ARES counts) stays int64. A block of squared
+  distances is ``|q|² + |r|² − 2·q·rᵀ`` in float64. Every product and
+  partial sum is an integer of magnitude at most ``4·m·max|x|²`` for m
+  columns, and the public functions raise `InexactDistances` unless that
+  is below 2**53. So each distance is the exact integer, in any summation
+  order and for any block size.
+* Float input (min-max) takes ``((ref - q) ** 2).sum(axis=1)`` one query at
+  a time, numpy's pairwise order over each row.
+
+The block is small enough to stay in cache, and the block product is an
+`np.einsum` with its default ``optimize=False``, which never calls BLAS.
+OpenBLAS runs even such small products on all its threads, which costs CPU
+time beyond the wall time and can stall when another core is busy; the einsum
+pass stays on the calling thread without any thread-count setting.
+
+Each per-row LOF sum runs over a dense length-N row, so every output is
+bitwise independent of the block size and equal to that of a full sort or
+a dense N x N pass over the same distances.
 """
 
 import numpy as np
 
-from .errors import DimensionMismatch, KExceedsTrainSize, NonFiniteValue, TooFewRows
+from .errors import (
+    DimensionMismatch,
+    InexactDistances,
+    KExceedsTrainSize,
+    NonFiniteValue,
+    TooFewRows,
+)
 
-# byte budget of one (block rows, N) float64 buffer; a block holds >= 1 row
-_BLOCK_BYTES = 2 << 20
+# byte budget of one (block rows, N) float64 buffer; a block holds >= 1 row.
+# 256 KiB keeps a block in cache: 16 rows at N = 2000.
+_BLOCK_BYTES = 256 << 10
 
 
 def _block_rows(n_cols: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * n_cols))
+
+
+def _distance_rows(ref: np.ndarray, queries: np.ndarray):
+    """A function ``fill(start, stop, out)`` that writes the squared distances
+    from ``queries[start:stop]`` to every reference row into ``out``."""
+    if ref.dtype == np.int64:
+        ref_t = np.ascontiguousarray(ref.T, dtype=np.float64)
+        q = queries.astype(np.float64)
+        rn = np.einsum("ji,ji->i", ref_t, ref_t)
+        qn = np.einsum("ij,ij->i", q, q)
+        q *= -2.0
+
+        def fill(start, stop, out):
+            # exact: integers below 2**53 throughout, see the module docstring
+            np.einsum("ij,jk->ik", q[start:stop], ref_t, out=out)
+            out += qn[start:stop, None]
+            out += rn
+
+        return fill
+
+    diff = np.empty_like(ref)
+
+    def fill(start, stop, out):
+        for row, q in zip(out, queries[start:stop]):
+            # ((ref - q) ** 2).sum(axis=1) without allocating temporaries
+            np.subtract(ref, q, out=diff)
+            np.multiply(diff, diff, out=diff)
+            diff.sum(axis=1, out=row)
+
+    return fill
 
 
 def _k_nearest_with_ties(
@@ -40,34 +94,34 @@ def _k_nearest_with_ties(
     ``kth2[i]``, the query's k-th smallest squared distance. Under ties there
     are more than k of them. With ``skip_self`` the queries are the reference
     rows themselves, and row i is left out of its own neighbourhood and k-th
-    distance.
+    distance. ``ref`` and ``queries`` are both int64 or both float64.
     """
     n_ref, n_q = ref.shape[0], queries.shape[0]
     rows = _block_rows(n_ref)
     buf = np.empty((min(rows, n_q), n_ref))
-    diff = np.empty_like(ref)
+    member_buf = np.empty(buf.shape, dtype=bool)
+    fill = _distance_rows(ref, queries)
     kth2 = np.empty(n_q)
     indptr = np.zeros(n_q + 1, dtype=np.int64)
     indices = [np.empty(0, dtype=np.int64)]
     dist2 = [np.empty(0)]
     for start in range(0, n_q, rows):
         stop = min(start + rows, n_q)
-        block = buf[: stop - start]
-        for j, q in enumerate(queries[start:stop]):
-            row = block[j]
-            # ((ref - q) ** 2).sum(axis=1) without allocating temporaries
-            np.subtract(ref, q, out=diff)
-            np.multiply(diff, diff, out=diff)
-            diff.sum(axis=1, out=row)
-            if skip_self:
-                row[start + j] = np.inf
-            kth2[start + j] = np.partition(row, k - 1)[k - 1]
-        member = block <= kth2[start:stop, None]
+        block, member = buf[: stop - start], member_buf[: stop - start]
+        fill(start, stop, block)
+        # with skip_self, row j of the block is query start + j: its own
+        # entries sit at flat positions start + j * (n_ref + 1)
         if skip_self:
-            member[np.arange(stop - start), np.arange(start, stop)] = False
-        indptr[start + 1 : stop + 1] = member.sum(axis=1)
-        indices.append(np.nonzero(member)[1])
-        dist2.append(block[member])
+            block.reshape(-1)[start :: n_ref + 1] = np.inf
+        kth2[start:stop] = np.partition(block, k - 1, axis=1)[:, k - 1]
+        np.less_equal(block, kth2[start:stop, None], out=member)
+        if skip_self:
+            member.reshape(-1)[start :: n_ref + 1] = False
+        member.sum(axis=1, out=indptr[start + 1 : stop + 1])
+        # the column of each flat position; faster than 2-D np.nonzero
+        flat = np.flatnonzero(member)
+        indices.append(flat % n_ref)
+        dist2.append(block.reshape(-1)[flat])
     np.cumsum(indptr, out=indptr)
     return indptr, np.concatenate(indices), np.concatenate(dist2), kth2
 
@@ -84,14 +138,12 @@ def _dense_row_sums(
     rows = _block_rows(n_cols)
     buf = np.zeros((min(rows, n_rows), n_cols))
     out = np.empty(n_rows)
+    owner = np.repeat(np.arange(n_rows), np.diff(indptr))
     for start in range(0, n_rows, rows):
         stop = min(start + rows, n_rows)
         block = buf[: stop - start]
         lo, hi = indptr[start], indptr[stop]
-        at = (
-            np.repeat(np.arange(stop - start), np.diff(indptr[start : stop + 1])),
-            indices[lo:hi],
-        )
+        at = (owner[lo:hi] - start, indices[lo:hi])
         block[at] = values[lo:hi]
         block.sum(axis=1, out=out[start:stop])
         block[at] = 0.0
@@ -146,20 +198,43 @@ def _lof_raw(x: np.ndarray, k: int) -> np.ndarray:
     return scores
 
 
+def _as_features(*matrices) -> list[np.ndarray]:
+    """The matrices, C-contiguous: int64 when every one has an integer dtype
+    that int64 holds exactly, float64 otherwise."""
+    arrays = [np.asarray(x) for x in matrices]
+    exact = all(np.can_cast(a.dtype, np.int64) for a in arrays)
+    dtype = np.int64 if exact else np.float64
+    return [np.ascontiguousarray(a, dtype=dtype) for a in arrays]
+
+
 def _require_finite(*matrices):
     for x in matrices:
         if not np.isfinite(x).all():
             raise NonFiniteValue("feature matrix contains NaN or infinite values")
 
 
+def _require_exact(*matrices):
+    """Integer features must keep 4·m·max|x|² below 2**53, so that every
+    squared distance and every term of the Gram pass is exact in float64."""
+    if matrices[0].dtype != np.int64:
+        return
+    m = matrices[0].shape[1]
+    peak = max((max(-int(x.min()), int(x.max())) for x in matrices if x.size), default=0)
+    if 4 * m * peak * peak >= 2**53:
+        raise InexactDistances(
+            f"integer features up to {peak} in {m} columns exceed the exact float64 "
+            "range of squared distances (4·m·max|x|² must be below 2**53)"
+        )
+
+
 def knn_classify(train_x, train_y, test_x, k: int = 5):
     """Majority label among the k Euclidean-nearest training rows.
 
     Ties in distance go to the lower training-row index; ties in the vote go
-    to the smallest label under the training labels' sorted order.
+    to the smallest label under the training labels' sorted order. Integer
+    features take the exact integer distance path.
     """
-    train_x = np.ascontiguousarray(train_x, dtype=np.float64)
-    test_x = np.ascontiguousarray(test_x, dtype=np.float64)
+    train_x, test_x = _as_features(train_x, test_x)
     train_y = np.asarray(train_y)
     if train_x.ndim != 2 or test_x.ndim != 2:
         raise ValueError("expected 2-D feature matrices")
@@ -174,6 +249,7 @@ def knn_classify(train_x, train_y, test_x, k: int = 5):
     if k > train_x.shape[0]:
         raise KExceedsTrainSize(f"k={k} exceeds {train_x.shape[0]} training rows")
     _require_finite(train_x, test_x)
+    _require_exact(train_x, test_x)
 
     classes, codes = np.unique(train_y, return_inverse=True)
     pred_codes = _knn_predict(
@@ -189,13 +265,14 @@ def lof_scores(x, n_neighbors: int) -> np.ndarray:
     neighbor's k-distance, local reachability density, then the ratio of
     neighbor densities to own density. The neighborhood is every point
     within the k-distance, so it can exceed n_neighbors under ties.
+    Integer features take the exact integer distance path.
 
     A row whose entire neighborhood lies at distance zero (duplicates) has
     infinite density, as do all its neighbors, and scores exactly 1.0.
 
     Memory is O(block * N + N * k'), with k' the mean neighborhood size.
     """
-    x = np.ascontiguousarray(x, dtype=np.float64)
+    (x,) = _as_features(x)
     if x.ndim != 2:
         raise ValueError("expected a 2-D feature matrix")
     if n_neighbors < 1:
@@ -205,4 +282,5 @@ def lof_scores(x, n_neighbors: int) -> np.ndarray:
             f"need more than n_neighbors={n_neighbors} rows, got {x.shape[0]}"
         )
     _require_finite(x)
+    _require_exact(x)
     return _lof_raw(x, n_neighbors)

@@ -58,7 +58,7 @@ class PerturbationSpec:
 
 def rescale_unit(values) -> np.ndarray:
     """Min-max rescale a column onto [0,1]; a constant column maps to zeros."""
-    col = np.ascontiguousarray(values, dtype=np.float64)
+    col = np.asarray(values, dtype=np.float64)
     return fit_minmax(col)._unit(col)
 
 

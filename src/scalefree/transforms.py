@@ -25,9 +25,10 @@ DEFAULT_N_SUBSAMPLES = 10
 
 
 def _as_column(values) -> np.ndarray:
-    col = np.ascontiguousarray(values, dtype=np.float64)
+    col = np.asarray(values, dtype=np.float64)
     if col.ndim != 1:
         raise ValueError("expected a 1-D column of values")
+    col = np.ascontiguousarray(col)
     if col.shape[0] == 0:
         raise EmptyColumn("cannot fit a transform on an empty column")
     if not np.isfinite(col).all():
@@ -100,9 +101,14 @@ class _CountBelow:
         object.__setattr__(self, "t", t)
         return subs
 
+    def counts(self, arr: np.ndarray) -> np.ndarray:
+        """Summed strictly-below count over the sub-samples, as int64, of a
+        finite 1-D float64 array, unchecked."""
+        return np.searchsorted(self.pool, arr, side="left")
+
     def transform(self, values):
         """Mean strictly-below count over the sub-samples, in [0, psi]."""
-        return _apply(values, lambda arr: np.searchsorted(self.pool, arr, side="left") / self.t)
+        return _apply(values, lambda arr: self.counts(arr) / self.t)
 
     def sample_collisions(self, values) -> np.ndarray:
         """Per query, how many sampled values equal it exactly. Order-reversing
@@ -196,20 +202,21 @@ def rank_in_subsample(sample, x: float) -> int:
     return int(np.searchsorted(sample, x, side="left"))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class FittedTransformer:
     """One fitted parameter object per feature column, plus the kind tag.
 
     Every column holds the kind's parameter class; ARES columns share one
     psi, t and seed, which the transformer reports as its own. Immutable
-    after fit; transform rejects matrices whose column count differs from
-    fit time.
+    after fit, with the columns held as a tuple; transform rejects matrices
+    whose column count differs from fit time.
     """
 
     kind: str
-    columns: list
+    columns: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "columns", tuple(self.columns))
         if self.kind not in KINDS:
             raise ValueError(f"unknown transformer kind {self.kind!r}; expected one of {KINDS}")
         if not self.columns:
@@ -240,7 +247,9 @@ class FittedTransformer:
         """The ARES columns' base seed; None for other kinds."""
         return getattr(self.columns[0], "seed", None)
 
-    def transform(self, features: np.ndarray) -> np.ndarray:
+    def _per_column(self, features, kernel, dtype) -> np.ndarray:
+        """Validate a feature matrix once, then run an unchecked per-column
+        kernel on each of its columns."""
         x = np.asarray(features, dtype=np.float64)
         if x.ndim != 2:
             raise ValueError("expected a 2-D feature matrix")
@@ -248,10 +257,24 @@ class FittedTransformer:
             raise ColumnCountMismatch(
                 f"transformer was fit on {self.n_features} columns, got {x.shape[1]}"
             )
-        out = np.empty_like(x)
+        if not np.isfinite(x).all():
+            raise NonFiniteValue("query values contain NaN or infinite values")
+        out = np.empty(x.shape, dtype=dtype)
         for c, params in enumerate(self.columns):
-            out[:, c] = params.transform(np.ascontiguousarray(x[:, c]))
+            out[:, c] = kernel(params, np.ascontiguousarray(x[:, c]))
         return out
+
+    def counts(self, features: np.ndarray) -> np.ndarray:
+        """Rank and ARES: per column, the strictly-below count summed over the
+        t sub-samples, as an int64 matrix. `transform` is this divided by t."""
+        if self.kind == "minmax":
+            raise ValueError("min-max has no integer counts; use transform")
+        return self._per_column(features, _CountBelow.counts, np.int64)
+
+    def transform(self, features: np.ndarray) -> np.ndarray:
+        if self.kind == "minmax":
+            return self._per_column(features, MinMaxParams._unit, np.float64)
+        return self.counts(features) / self.columns[0].t
 
     def transform_dataset(self, dataset: Dataset) -> Dataset:
         """Transform the feature matrix; labels pass through untouched."""

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from scalefree import evaluate
 from scalefree.data import Dataset
 from scalefree.errors import MissingLabelColumn, NonBinaryLabels, TooFewRows
 from scalefree.evaluate import (
@@ -197,6 +198,34 @@ class TestRunAnomaly:
         ds = Dataset("nolabel", np.random.default_rng(0).normal(size=(30, 2)))
         with pytest.raises(MissingLabelColumn):
             run_anomaly(ds, "minmax", seed=1)
+
+
+@pytest.mark.parametrize("preproc", ["minmax", "rank", "ares"])
+def test_learners_see_counts_for_rank_and_ares(
+    monkeypatch, class_dataset, anomaly_dataset, preproc
+):
+    """Rank and ARES reach KNN and LOF as their int64 counts, whose squared
+    distances are exact; min-max reaches them as its float transform."""
+    seen = []
+
+    def spy(fn):
+        def wrapper(x, *args, **kwargs):
+            seen.append(x)
+            return fn(x, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(evaluate, "knn_classify", spy(evaluate.knn_classify))
+    monkeypatch.setattr(evaluate, "lof_scores", spy(evaluate.lof_scores))
+    run_classification(class_dataset, preproc, seed=5, n_folds=2)
+    run_anomaly(anomaly_dataset, preproc, seed=5)
+
+    want = np.float64 if preproc == "minmax" else np.int64
+    assert [x.dtype for x in seen] == [want] * 3
+    features = perturb_matrix(anomaly_dataset.features, PerturbationSpec("identity"))
+    ft = fit_transformer(features, preproc, seed=5)
+    expected = ft.transform(features) if preproc == "minmax" else ft.counts(features)
+    assert np.array_equal(seen[-1], expected)
 
 
 class TestEvaluationGrid:

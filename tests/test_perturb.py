@@ -28,6 +28,10 @@ class TestRescaleUnit:
         with pytest.raises(EmptyColumn):
             rescale_unit([])
 
+    def test_bare_scalar(self):
+        with pytest.raises(ValueError, match="1-D column"):
+            rescale_unit(5.0)
+
 
 class TestShiftScale:
     def test_default_constants(self):

@@ -1,5 +1,6 @@
 """Column transforms: fitting, querying, ties, and the invariance laws."""
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -45,6 +46,13 @@ class TestMinMax:
     def test_fit_rejects_nan(self):
         with pytest.raises(NonFiniteValue):
             fit_minmax([1.0, np.nan])
+
+    @pytest.mark.parametrize(
+        "fit", [fit_minmax, fit_rank, lambda v: fit_ares(v, 1, 1, seed=0)]
+    )
+    def test_fit_rejects_bare_scalar(self, fit):
+        with pytest.raises(ValueError, match="1-D column"):
+            fit(5.0)
 
     def test_transform_endpoints(self):
         p = MinMaxParams(2.0, 10.0)
@@ -385,3 +393,46 @@ class TestFittedTransformerColumns:
         second = fit_ares(self.col, **{"seed": 1, **other}, column_index=1)
         with pytest.raises(ValueError):
             FittedTransformer("ares", [first, second])
+
+
+class TestFittedTransformerFrozen:
+    def test_fields_cannot_be_reassigned(self):
+        ft = fit_transformer(np.arange(12.0).reshape(6, 2), "rank")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ft.kind = "minmax"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ft.columns = ()
+        assert isinstance(ft.columns, tuple)
+        assert ft.kind == "rank"
+
+
+class TestCounts:
+    """`counts` is the integer numerator of the rank and ARES transforms."""
+
+    x = np.random.default_rng(19).lognormal(size=(400, 3))
+
+    @pytest.mark.parametrize(
+        "kind, psi, t", [("rank", None, None), ("ares", 7, 10), ("ares", 256, 50)]
+    )
+    def test_counts_over_t_is_transform(self, kind, psi, t):
+        kw = {} if kind == "rank" else {"subsample_size": psi, "n_subsamples": t}
+        ft = fit_transformer(self.x[:300], kind, seed=5, **kw)
+        queries = np.vstack([self.x, -self.x[:20], self.x[:20] * 2.0])
+        counts = ft.counts(queries)
+        assert counts.dtype == np.int64
+        assert (counts / ft.columns[0].t).tobytes() == ft.transform(queries).tobytes()
+        per_column = np.column_stack([p.transform(queries[:, c]) for c, p in enumerate(ft.columns)])
+        assert per_column.tobytes() == ft.transform(queries).tobytes()
+
+    def test_minmax_has_no_counts(self):
+        ft = fit_transformer(self.x, "minmax")
+        with pytest.raises(ValueError):
+            ft.counts(self.x)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        ft = fit_transformer(self.x, "ares", seed=5)
+        q = self.x.copy()
+        q[3, 2] = bad
+        with pytest.raises(NonFiniteValue):
+            ft.counts(q)

@@ -51,7 +51,7 @@ class DimensionMismatch(ScaleFreeError):
 
 
 class InexactDistances(ScaleFreeError):
-    """Integer features too large for exact float64 squared distances."""
+    """Features too large for exact (integer) or finite (float) squared distances."""
 
 
 class KExceedsTrainSize(ScaleFreeError):

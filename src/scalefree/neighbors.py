@@ -11,28 +11,43 @@ once: they reject NaN and infinite features, whose distances have no order
 to select neighbours by. The private helpers they call only compute, on
 C-contiguous finite arrays. KNN and LOF share one neighbour primitive,
 `_k_nearest_with_ties`, which handles one block of queries at a time in a
-float64 distance buffer of at most `_BLOCK_BYTES`. It has two distance
-paths, picked by the input's dtype:
+float64 distance buffer of at most `_BLOCK_BYTES`. For every dtype it fills
+the block with one Gram pass, ``|q|² + |r|² − 2·q·rᵀ`` in float64. The
+public functions first raise `InexactDistances` unless ``4·m·max|x|²``, for
+m columns, is below 2**53 for integer input and finite for float input.
+That quantity bounds every Gram term and every squared distance.
 
-* Integer input (the rank and ARES counts) stays int64. A block of squared
-  distances is ``|q|² + |r|² − 2·q·rᵀ`` in float64. Every product and
-  partial sum is an integer of magnitude at most ``4·m·max|x|²`` for m
-  columns, and the public functions raise `InexactDistances` unless that
-  is below 2**53. So each distance is the exact integer, in any summation
-  order and for any block size.
-* Float input (min-max) takes ``((ref - q) ** 2).sum(axis=1)`` one query at
-  a time, numpy's pairwise order over each row.
+* Integer input (the rank and ARES counts) stays int64. Every product and
+  partial sum of the Gram pass is an integer below 2**53, so each distance
+  is the exact integer, in any summation order and for any block size, and
+  the block is used as it is.
+* Float input (min-max) uses the block only as a filter. With unit roundoff
+  ``u = 2**-53``, ``γ_n = n·u/(1 − n·u)`` and ``s = |q| + max_r |r|``, every
+  row's Gram value differs from the reference distance
+  ``((ref - q) ** 2).sum(axis=1)`` by a shift ``c_q`` shared by the whole
+  query row (the rounding of ``|q|²``) plus at most
+  ``ε_q = 2·γ_{m+3}·s² + 1.5·m·2**-1074``: ``γ_{m+2}·s²`` for the Gram
+  pass, the same for the reference sum, and half a subnormal step for each
+  of the 3·m products that can underflow. A row the reference keeps lies
+  within the k-th distance, so its Gram value is at most ``2·ε_q`` above
+  the block's k-th Gram value. The candidates are the rows within twice
+  that, ``4·ε_q``. On them alone the search recomputes
+  ``((ref[col] - q) ** 2).sum(axis=1)``; numpy sums each row on its own, so
+  every refined value is bitwise the reference's, and the k-th distance and
+  the neighbourhood are taken from the refined values.
 
-The block is small enough to stay in cache, and the block product is an
-`np.einsum` with its default ``optimize=False``, which never calls BLAS.
-OpenBLAS runs even such small products on all its threads, which costs CPU
-time beyond the wall time and can stall when another core is busy; the einsum
-pass stays on the calling thread without any thread-count setting.
+The block product is an `np.einsum` with its default ``optimize=False``,
+which never calls BLAS. OpenBLAS runs even such small products on all its
+threads, which costs CPU time beyond the wall time and can stall when
+another core is busy; the einsum pass stays on the calling thread without
+any thread-count setting.
 
 Each per-row LOF sum runs over a dense length-N row, so every output is
 bitwise independent of the block size and equal to that of a full sort or
 a dense N x N pass over the same distances.
 """
+
+import math
 
 import numpy as np
 
@@ -47,6 +62,7 @@ from .errors import (
 # byte budget of one (block rows, N) float64 buffer; a block holds >= 1 row.
 # 256 KiB keeps a block in cache: 16 rows at N = 2000.
 _BLOCK_BYTES = 256 << 10
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 def _block_rows(n_cols: int) -> int:
@@ -54,33 +70,52 @@ def _block_rows(n_cols: int) -> int:
 
 
 def _distance_rows(ref: np.ndarray, queries: np.ndarray):
-    """A function ``fill(start, stop, out)`` that writes the squared distances
-    from ``queries[start:stop]`` to every reference row into ``out``."""
-    if ref.dtype == np.int64:
-        ref_t = np.ascontiguousarray(ref.T, dtype=np.float64)
-        q = queries.astype(np.float64)
-        rn = np.einsum("ji,ji->i", ref_t, ref_t)
-        qn = np.einsum("ij,ij->i", q, q)
-        q *= -2.0
-
-        def fill(start, stop, out):
-            # exact: integers below 2**53 throughout, see the module docstring
-            np.einsum("ij,jk->ik", q[start:stop], ref_t, out=out)
-            out += qn[start:stop, None]
-            out += rn
-
-        return fill
-
-    diff = np.empty_like(ref)
+    """The Gram pass: ``(fill, slack)``, where ``fill(start, stop, out)``
+    writes ``|q|² + |r|² − 2·q·rᵀ`` for ``queries[start:stop]`` against every
+    reference row into ``out``. ``slack`` is None for int64 input, whose fill
+    is exact; for float64 input it is, per query, how far above the k-th
+    filled value a row the reference would keep can lie (module docstring)."""
+    ref_t = np.ascontiguousarray(ref.T, dtype=np.float64)
+    q = queries.astype(np.float64)
+    rn = np.einsum("ji,ji->i", ref_t, ref_t)
+    qn = np.einsum("ij,ij->i", q, q)
+    q *= -2.0
 
     def fill(start, stop, out):
-        for row, q in zip(out, queries[start:stop]):
-            # ((ref - q) ** 2).sum(axis=1) without allocating temporaries
-            np.subtract(ref, q, out=diff)
-            np.multiply(diff, diff, out=diff)
-            diff.sum(axis=1, out=row)
+        np.einsum("ij,jk->ik", q[start:stop], ref_t, out=out)
+        out += qn[start:stop, None]
+        out += rn
 
-    return fill
+    if ref.dtype == np.int64:
+        return fill, None
+    m = ref.shape[1]
+    gamma = (m + 3) * _UNIT_ROUNDOFF / (1 - (m + 3) * _UNIT_ROUNDOFF)
+    # per row, |fill - reference - c_q| <= eps with c_q shared by the query's row
+    eps = 2 * gamma * (np.sqrt(qn) + np.sqrt(rn.max())) ** 2 + 1.5 * m * 2.0**-1074
+    # a row kept and the k-th row can err in opposite directions; doubled for safety
+    return fill, 2 * (2 * eps)
+
+
+def _refine(ref: np.ndarray, queries: np.ndarray, cols: np.ndarray, rows: np.ndarray):
+    """``((ref[cols] - queries[rows]) ** 2).sum(axis=1)``, in chunks of at
+    most `_BLOCK_BYTES`. numpy sums each row on its own, so every value is
+    bitwise the reference kernels' squared distance for that pair."""
+    out = np.empty(cols.shape[0])
+    step = _block_rows(ref.shape[1])
+    for lo in range(0, cols.shape[0], step):
+        diff = ref[cols[lo : lo + step]]
+        diff -= queries[rows[lo : lo + step]]
+        diff *= diff
+        diff.sum(axis=1, out=out[lo : lo + step])
+    return out
+
+
+def _kth_per_row(values: np.ndarray, rows: np.ndarray, k: int, n_rows: int) -> np.ndarray:
+    """The k-th smallest of ``values`` within each row; ``rows`` ascends and
+    holds every row in ``range(n_rows)`` at least k times."""
+    order = np.lexsort((values, rows))
+    first = np.searchsorted(rows, np.arange(n_rows))
+    return values[order[first + (k - 1)]]
 
 
 def _k_nearest_with_ties(
@@ -100,7 +135,7 @@ def _k_nearest_with_ties(
     rows = _block_rows(n_ref)
     buf = np.empty((min(rows, n_q), n_ref))
     member_buf = np.empty(buf.shape, dtype=bool)
-    fill = _distance_rows(ref, queries)
+    fill, slack = _distance_rows(ref, queries)
     kth2 = np.empty(n_q)
     indptr = np.zeros(n_q + 1, dtype=np.int64)
     indices = [np.empty(0, dtype=np.int64)]
@@ -113,15 +148,25 @@ def _k_nearest_with_ties(
         # entries sit at flat positions start + j * (n_ref + 1)
         if skip_self:
             block.reshape(-1)[start :: n_ref + 1] = np.inf
-        kth2[start:stop] = np.partition(block, k - 1, axis=1)[:, k - 1]
-        np.less_equal(block, kth2[start:stop, None], out=member)
+        kth = np.partition(block, k - 1, axis=1)[:, k - 1]
+        limit = kth if slack is None else kth + slack[start:stop]
+        np.less_equal(block, limit[:, None], out=member)
         if skip_self:
             member.reshape(-1)[start :: n_ref + 1] = False
-        member.sum(axis=1, out=indptr[start + 1 : stop + 1])
-        # the column of each flat position; faster than 2-D np.nonzero
+        # the row and column of each flat position; faster than 2-D np.nonzero
         flat = np.flatnonzero(member)
-        indices.append(flat % n_ref)
-        dist2.append(block.reshape(-1)[flat])
+        owner, cols = np.divmod(flat, n_ref)
+        if slack is None:
+            dist = block.reshape(-1)[flat]
+        else:
+            dist = _refine(ref, queries, cols, owner + start)
+            kth = _kth_per_row(dist, owner, k, stop - start)
+            keep = dist <= kth[owner]
+            owner, cols, dist = owner[keep], cols[keep], dist[keep]
+        kth2[start:stop] = kth
+        indptr[start + 1 : stop + 1] = np.bincount(owner, minlength=stop - start)
+        indices.append(cols)
+        dist2.append(dist)
     np.cumsum(indptr, out=indptr)
     return indptr, np.concatenate(indices), np.concatenate(dist2), kth2
 
@@ -215,10 +260,17 @@ def _require_finite(*matrices):
 
 def _require_exact(*matrices):
     """Integer features must keep 4·m·max|x|² below 2**53, so that every
-    squared distance and every term of the Gram pass is exact in float64."""
-    if matrices[0].dtype != np.int64:
-        return
+    squared distance and every term of the Gram pass is exact in float64;
+    float features must keep it finite, so that none of them overflows."""
     m = matrices[0].shape[1]
+    if matrices[0].dtype != np.int64:
+        peak = max((max(-float(x.min()), float(x.max())) for x in matrices if x.size), default=0.0)
+        if not math.isfinite(4.0 * m * peak * peak):
+            raise InexactDistances(
+                f"float features up to {peak:g} in {m} columns overflow the float64 "
+                "range of squared distances (4·m·max|x|² must be finite)"
+            )
+        return
     peak = max((max(-int(x.min()), int(x.max())) for x in matrices if x.size), default=0)
     if 4 * m * peak * peak >= 2**53:
         raise InexactDistances(

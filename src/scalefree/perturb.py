@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteResult
-from .transforms import fit_minmax
+from .errors import EmptyColumn, NonFiniteResult, NonFiniteValue
+from .transforms import MinMaxParams, fit_minmax
 
 # The monotone map of each perturbation, applied to shift-scaled values.
 _MAPS = {
@@ -67,21 +67,38 @@ def shift_scale(values, spec: PerturbationSpec):
     return spec.scale * (np.asarray(values, dtype=np.float64) + spec.shift)
 
 
-def apply_perturbation(values, spec: PerturbationSpec) -> np.ndarray:
-    """Re-express one column on the perturbed scale."""
-    x = shift_scale(rescale_unit(values), spec)
-    out = _MAPS[spec.kind](x, out=x)
+def _perturbed(unit: np.ndarray, spec: PerturbationSpec) -> np.ndarray:
+    """The perturbation of unit-scaled values, unchecked."""
+    x = shift_scale(unit, spec)
+    return _MAPS[spec.kind](x, out=x)
+
+
+def _require_finite_result(out: np.ndarray, spec: PerturbationSpec) -> np.ndarray:
     if not np.isfinite(out).all():
         raise NonFiniteResult(f"perturbation {spec.kind!r} produced non-finite values")
     return out
 
 
+def apply_perturbation(values, spec: PerturbationSpec) -> np.ndarray:
+    """Re-express one column on the perturbed scale."""
+    return _require_finite_result(_perturbed(rescale_unit(values), spec), spec)
+
+
 def perturb_matrix(features: np.ndarray, spec: PerturbationSpec) -> np.ndarray:
-    """Apply one perturbation to every column of a feature matrix."""
+    """Apply one perturbation to every column of a feature matrix.
+
+    The matrix is checked once on the way in and once on the way out; each
+    column runs the unchecked kernel of `apply_perturbation`."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("expected a 2-D feature matrix")
+    if x.shape[0] == 0 and x.shape[1] > 0:
+        raise EmptyColumn("cannot fit a transform on an empty column")
+    if not np.isfinite(x).all():
+        raise NonFiniteValue("column contains NaN or infinite values")
     out = np.empty_like(x)
     for c in range(x.shape[1]):
-        out[:, c] = apply_perturbation(np.ascontiguousarray(x[:, c]), spec)
-    return out
+        col = np.ascontiguousarray(x[:, c])
+        unit = MinMaxParams(float(col.min()), float(col.max()))._unit(col)
+        out[:, c] = _perturbed(unit, spec)
+    return _require_finite_result(out, spec)

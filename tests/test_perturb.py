@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from scalefree.errors import EmptyColumn, NonFiniteResult
+from scalefree.errors import EmptyColumn, NonFiniteResult, NonFiniteValue
 from scalefree.perturb import (
     PERTURBATION_KINDS,
     PerturbationSpec,
@@ -121,6 +121,19 @@ class TestPerturbMatrix:
         spec = PerturbationSpec("identity")
         out = perturb_matrix([[-1e308], [0.0], [1e308]], spec)
         assert out[:, 0].tolist() == shift_scale([0.0, 0.5, 1.0], spec).tolist()
+
+    def test_checks_the_matrix_once_with_the_column_errors(self):
+        """One check of the input and one of the output raise what the
+        per-column path raises."""
+        spec = PerturbationSpec("log")
+        with pytest.raises(NonFiniteValue, match="^column contains NaN or infinite values$"):
+            perturb_matrix([[1.0, 2.0], [3.0, np.nan]], spec)
+        with pytest.raises(EmptyColumn, match="^cannot fit a transform on an empty column$"):
+            perturb_matrix(np.zeros((0, 2)), spec)
+        assert perturb_matrix(np.zeros((0, 0)), spec).shape == (0, 0)
+        with pytest.raises(NonFiniteResult, match="^perturbation 'square' produced non-finite values$"):
+            with np.errstate(over="ignore"):
+                perturb_matrix([[0.0, 0.0], [1.0, 1.0]], PerturbationSpec("square", scale=1e200))
 
     def test_rank_of_perturbed_matches_original(self):
         """Composition law: rank transforms see through increasing perturbations."""

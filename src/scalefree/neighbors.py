@@ -148,7 +148,8 @@ def _k_nearest_with_ties(
         # entries sit at flat positions start + j * (n_ref + 1)
         if skip_self:
             block.reshape(-1)[start :: n_ref + 1] = np.inf
-        kth = np.partition(block, k - 1, axis=1)[:, k - 1]
+        kth = kth2[start:stop]
+        kth[:] = np.partition(block, k - 1, axis=1)[:, k - 1]
         limit = kth if slack is None else kth + slack[start:stop]
         np.less_equal(block, limit[:, None], out=member)
         if skip_self:
@@ -160,10 +161,9 @@ def _k_nearest_with_ties(
             dist = block.reshape(-1)[flat]
         else:
             dist = _refine(ref, queries, cols, owner + start)
-            kth = _kth_per_row(dist, owner, k, stop - start)
+            kth[:] = _kth_per_row(dist, owner, k, stop - start)
             keep = dist <= kth[owner]
             owner, cols, dist = owner[keep], cols[keep], dist[keep]
-        kth2[start:stop] = kth
         indptr[start + 1 : stop + 1] = np.bincount(owner, minlength=stop - start)
         indices.append(cols)
         dist2.append(dist)

@@ -263,19 +263,19 @@ def _require_exact(*matrices):
     squared distance and every term of the Gram pass is exact in float64;
     float features must keep it finite, so that none of them overflows."""
     m = matrices[0].shape[1]
-    if matrices[0].dtype != np.int64:
-        peak = max((max(-float(x.min()), float(x.max())) for x in matrices if x.size), default=0.0)
-        if not math.isfinite(4.0 * m * peak * peak):
+    # Python ints and floats: no int64 wrap-around, and overflow gives inf
+    peak = max((max(-x.min().item(), x.max().item()) for x in matrices if x.size), default=0)
+    bound = 4 * m * peak * peak
+    if matrices[0].dtype == np.int64:
+        if bound >= 2**53:
             raise InexactDistances(
-                f"float features up to {peak:g} in {m} columns overflow the float64 "
-                "range of squared distances (4·m·max|x|² must be finite)"
+                f"integer features up to {peak} in {m} columns exceed the exact float64 "
+                "range of squared distances (4·m·max|x|² must be below 2**53)"
             )
-        return
-    peak = max((max(-int(x.min()), int(x.max())) for x in matrices if x.size), default=0)
-    if 4 * m * peak * peak >= 2**53:
+    elif not math.isfinite(bound):
         raise InexactDistances(
-            f"integer features up to {peak} in {m} columns exceed the exact float64 "
-            "range of squared distances (4·m·max|x|² must be below 2**53)"
+            f"float features up to {peak:g} in {m} columns overflow the float64 "
+            "range of squared distances (4·m·max|x|² must be finite)"
         )
 
 

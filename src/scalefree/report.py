@@ -35,25 +35,19 @@ REPORT_COLUMNS = tuple(f.name for f in fields(EvaluationReport) if f.name != "pe
 _FLOAT_COLUMNS = {f.name for f in fields(EvaluationReport) if f.type is float}
 
 
-def write_report(reports, path, fmt: str | None = None) -> None:
+def write_report(reports, path) -> None:
     """Write reports to CSV (aggregate rows) or JSON (with per-fold detail).
 
     Rows are sorted by (dataset, preprocessor, perturbation) and floats are
     rendered with shortest round-trip precision, so equal report lists
-    always produce byte-identical files. fmt defaults from the path suffix:
-    '.json' selects JSON, anything else CSV. A failed write leaves an existing
-    report at path untouched (see `data.replacing`).
+    always produce byte-identical files. A '.json' path suffix selects JSON,
+    anything else CSV. A failed write leaves an existing report at path
+    untouched (see `data.replacing`).
     """
     reports = sorted(reports, key=EvaluationReport.sort_key)
     if not reports:
         raise EmptyInput("no reports to write")
-    path = Path(path)
-    if fmt is None:
-        fmt = "json" if path.suffix.lower() == ".json" else "csv"
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"unknown report format {fmt!r}")
-
-    if fmt == "csv":
+    if Path(path).suffix.lower() != ".json":
         with replacing(path, newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(REPORT_COLUMNS)

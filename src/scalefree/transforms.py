@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ColumnCountMismatch, EmptyColumn, EmptyDataset, NonFiniteValue
-from .sampling import draw_subsample, subsample_seed
+from .sampling import subsample_indices, subsample_seed
 
 DEFAULT_SUBSAMPLE_SIZE = 7
 DEFAULT_N_SUBSAMPLES = 10
@@ -160,14 +160,29 @@ _PARAMS = {"minmax": MinMaxParams, "rank": RankModel, "ares": AresModel}
 KINDS = tuple(_PARAMS)
 
 
+def _fit_rows(kind: str, xt, psi: int = 0, t: int = 0, seed: int = 0, column_index=0) -> list:
+    """The parameters of each finite row of `xt`, one column per row. ARES
+    row c draws with the seeds of column column_index[c] (an (m, 1) array, or
+    an int for one row), and all m·t draws are one `subsample_indices` call."""
+    if kind == "minmax":
+        return list(map(MinMaxParams, xt.min(axis=1).tolist(), xt.max(axis=1).tolist()))
+    if kind == "rank":
+        return [RankModel(sorted_train=row) for row in np.sort(xt, axis=1)]
+    subs = np.empty((xt.shape[0], t, psi))  # rejects a negative psi or t
+    if subs.shape[0] and t:  # a draw, so psi is checked, only if there is one
+        seeds = subsample_seed(seed, column_index, np.arange(t)).reshape(-1, t)
+        idx = subsample_indices(xt.shape[1], psi, seeds)
+        subs = np.take_along_axis(xt[:, None, :], idx, axis=2)
+        subs.sort()
+    return [AresModel(subsamples=s, seed=seed) for s in subs]
+
+
 def fit_minmax(values) -> MinMaxParams:
-    col = _as_column(values)
-    return MinMaxParams(min=float(col.min()), max=float(col.max()))
+    return _fit_rows("minmax", _as_column(values)[None])[0]
 
 
 def fit_rank(values) -> RankModel:
-    col = _as_column(values)
-    return RankModel(sorted_train=np.sort(col))
+    return _fit_rows("rank", _as_column(values)[None])[0]
 
 
 def fit_ares(
@@ -179,17 +194,10 @@ def fit_ares(
     column_index: int = 0,
 ) -> AresModel:
     """Draw and sort n_subsamples sub-samples of subsample_size rows each.
-
-    Sub-sample j uses the stream seed derived from (seed, column_index, j);
-    rows are selected by index, without replacement within a sub-sample, and
-    independently across sub-samples. Cost is O(t * psi log psi) for t
-    sub-samples of size psi, independent of the column length.
-    """
-    col = _as_column(values)
-    subs = np.empty((n_subsamples, subsample_size), dtype=np.float64)
-    for j in range(n_subsamples):
-        subs[j] = draw_subsample(col, subsample_size, subsample_seed(seed, column_index, j))
-    return AresModel(subsamples=subs, seed=seed)
+    Sub-sample j draws rows by index, without replacement, with the stream
+    seed derived from (seed, column_index, j)."""
+    col = _as_column(values)[None]
+    return _fit_rows("ares", col, subsample_size, n_subsamples, seed, column_index)[0]
 
 
 def rank_in_subsample(sample, x: float) -> int:
@@ -296,17 +304,10 @@ def fit_transformer(
         raise ValueError("expected a 2-D feature matrix")
     if x.shape[0] == 0:
         raise EmptyDataset("cannot fit on a dataset with no rows")
-
     if kind == "ares" and seed is None:
         raise ValueError("ares requires a seed")
-
-    columns = []
-    for c in range(x.shape[1]):
-        col = np.ascontiguousarray(x[:, c])
-        if kind == "minmax":
-            columns.append(fit_minmax(col))
-        elif kind == "rank":
-            columns.append(fit_rank(col))
-        else:
-            columns.append(fit_ares(col, subsample_size, n_subsamples, seed=seed, column_index=c))
-    return FittedTransformer(kind, columns)
+    if not np.isfinite(x).all():
+        raise NonFiniteValue("column contains NaN or infinite values")
+    xt = np.ascontiguousarray(x.T)  # per column, the same values a 1-D fit sees
+    params = _fit_rows(kind, xt, subsample_size, n_subsamples, seed, np.arange(len(xt))[:, None])
+    return FittedTransformer(kind, params)

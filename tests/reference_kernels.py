@@ -9,9 +9,69 @@ times it.
 full sort, or one dense N x N pass) that the blocked neighbour search in
 `scalefree.neighbors` replaced, kept verbatim so the differential tests can
 require bitwise-equal outputs from it.
+
+`_mix`, `derive_seed` and `subsample_indices` are the scalar splitmix64
+stream and the set-based Floyd draw on Python ints that `scalefree.sampling`
+replaced with one uint64 array pass over all seeds, kept verbatim so the
+differential tests can require the same seeds and draws, lane by lane.
 """
 
 import numpy as np
+
+from scalefree.errors import PsiNonPositive, PsiTooLarge
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _mix(z: int) -> int:
+    """splitmix64 finalizer: full-avalanche mix of a 64-bit word."""
+    z = (z + _GOLDEN) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def derive_seed(base_seed: int, *components: int) -> int:
+    """Derive an independent stream seed from a base seed and integer tags.
+
+    Pure 64-bit integer arithmetic, so the expansion is identical on every
+    platform and independent of any numpy RNG version.
+    """
+    s = base_seed & _MASK64
+    for c in components:
+        s = _mix(s ^ (int(c) & _MASK64))
+    return s
+
+
+def subsample_indices(n_rows: int, size: int, stream_seed: int) -> np.ndarray:
+    """Pick `size` distinct row indices out of `n_rows`, uniformly.
+
+    Uses Floyd's algorithm, O(size) expected, so drawing a small sub-sample
+    never touches the full index range. Returns the indices sorted.
+
+    Raises PsiNonPositive if size < 1 and PsiTooLarge if size > n_rows.
+    """
+    if size < 1:
+        raise PsiNonPositive(f"sub-sample size must be >= 1, got {size}")
+    if size > n_rows:
+        raise PsiTooLarge(
+            f"sub-sample size {size} exceeds column length {n_rows}"
+        )
+    chosen: set[int] = set()
+    picks = []
+    for k, i in enumerate(range(n_rows - size, n_rows)):
+        # Draw k of the splitmix64 stream from stream_seed. The modulo bias
+        # is < n / 2**64: irrelevant for n well under 2**32, and determinism
+        # matters more here than the last bias bit.
+        j = _mix((stream_seed + k * _GOLDEN) & _MASK64) % (i + 1)
+        if j in chosen:
+            j = i
+        chosen.add(j)
+        picks.append(j)
+    out = np.array(picks, dtype=np.int64)
+    out.sort()
+    return out
 
 
 def ares_batch(subsamples: np.ndarray, queries: np.ndarray) -> np.ndarray:

@@ -128,17 +128,6 @@ def test_json_includes_per_fold(tmp_path):
     assert payload[0]["aggregate"] == 0.875
 
 
-def test_explicit_format_overrides_suffix(tmp_path):
-    path = tmp_path / "r.out"
-    write_report([_report()], path, fmt="json")
-    assert json.loads(path.read_text())[0]["dataset"] == "toy"
-
-
 def test_empty_reports_rejected(tmp_path):
     with pytest.raises(EmptyInput):
         write_report([], tmp_path / "r.csv")
-
-
-def test_unknown_format(tmp_path):
-    with pytest.raises(ValueError):
-        write_report([_report()], tmp_path / "r.xml", fmt="xml")

@@ -1,9 +1,12 @@
 """Seed derivation and deterministic index sampling."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scalefree.errors import PsiNonPositive, PsiTooLarge
 from scalefree.sampling import (
@@ -15,6 +18,8 @@ from scalefree.sampling import (
     subsample_seed,
 )
 from scalefree.transforms import fit_ares
+
+import reference_kernels as ref
 
 
 class TestDeriveSeed:
@@ -146,3 +151,86 @@ class TestDrawSubsample:
     def test_full_draw_is_sorted_column(self):
         col = np.array([4.0, 2.0, 8.0, 6.0])
         assert np.array_equal(draw_subsample(col, 4, stream_seed=3), np.sort(col))
+
+
+_U64 = st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1))
+# Integers that need the mod-2**64 reduction: negative, >= 2**63, >= 2**64.
+_WIDE = st.one_of(
+    st.integers(-(2**70), -1), st.integers(2**63, 2**64 - 1), st.integers(2**64, 2**70),
+    st.integers(0, 2**63 - 1),
+)
+
+
+@st.composite
+def _draws(draw):
+    """(n_rows, size, seeds), with lanes * size capped so the scalar
+    reference stays fast; small n_rows let size reach n_rows. The seeds
+    start with 0 and 2**64 - 1, and the rest are uniform 64-bit words."""
+    n = draw(st.one_of(st.integers(1, 64), st.integers(1, 10**6)))
+    lanes = draw(st.integers(1, 800))
+    size = draw(st.integers(1, min(n, max(1, 4000 // lanes))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    words = rng.integers(0, 2**64, lanes, dtype=np.uint64)
+    return n, size, ([0, 2**64 - 1] + words.tolist())[:lanes]
+
+
+class TestVectorisedDrawMatchesScalarStream:
+    """The uint64 array draw equals the scalar splitmix64 / set-based Floyd
+    reference (tests/reference_kernels.py) lane by lane."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_draws())
+    @example((1, 1, [0, 2**64 - 1]))
+    @example((300, 300, [0, 2**64 - 1, 5]))
+    @example((10**6, 5, list(range(800))))
+    @example((10**6, 2000, [2**64 - 1]))
+    def test_lanes_equal_reference(self, case):
+        n, size, seeds = case
+        got = subsample_indices(n, size, np.array(seeds, dtype=np.uint64))
+        assert got.shape == (len(seeds), size)
+        for lane, seed in zip(got, seeds):
+            assert np.array_equal(lane, ref.subsample_indices(n, size, seed))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_U64, st.integers(1, 500), st.data())
+    def test_one_seed_equals_reference(self, seed, n, data):
+        size = data.draw(st.integers(1, n))
+        assert np.array_equal(
+            subsample_indices(n, size, seed), ref.subsample_indices(n, size, seed)
+        )
+
+    def test_seed_array_shape_is_kept(self):
+        seeds = np.arange(12, dtype=np.uint64).reshape(3, 4)
+        got = subsample_indices(50, 6, seeds)
+        assert got.shape == (3, 4, 6)
+        for c in range(3):
+            for j in range(4):
+                assert np.array_equal(got[c, j], ref.subsample_indices(50, 6, int(seeds[c, j])))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_WIDE, st.lists(_WIDE, max_size=4))
+    def test_derive_seed_equals_reference(self, base, components):
+        assert derive_seed(base, *components) == ref.derive_seed(base, *components)
+
+    @settings(max_examples=50, deadline=None)
+    @given(_WIDE, st.integers(-(2**62), 2**62), st.integers(0, 20), st.integers(0, 20))
+    def test_broadcast_subsample_seeds_equal_reference(self, base, first, m, t):
+        columns = np.arange(first, first + m)[:, None]
+        got = subsample_seed(base, columns, np.arange(t))
+        assert got.shape == (m, t) and got.dtype == np.uint64
+        want = [[ref.derive_seed(base, 0xA5, c, j) for j in range(t)] for c in range(first, first + m)]
+        assert got.tolist() == want
+
+
+def test_many_lane_draw_memory_is_independent_of_n_rows():
+    """800 draws of 64 out of 10**6 rows hold O(lanes·size) words, not an
+    N-sized taken mask per lane (800·10**6 bytes) or even one N-sized int64
+    array."""
+    seeds = np.arange(800, dtype=np.uint64)
+    tracemalloc.start()
+    try:
+        subsample_indices(10**6, 64, seeds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 10**6, f"peak {peak / 1e6:.1f} MB"

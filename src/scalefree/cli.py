@@ -2,8 +2,9 @@
 
 All randomness flows from one seed, resolved as --seed if given, else the
 SCALEFREE_SEED environment variable, else the documented default 42.
-Usage errors exit 2 (argparse); data/contract errors exit 1 with a
-diagnostic naming the failed contract; success exits 0.
+Usage errors, a malformed SCALEFREE_SEED among them, exit 2 (argparse);
+data/contract errors exit 1 with a diagnostic naming the failed contract;
+success exits 0.
 """
 
 import argparse
@@ -52,9 +53,10 @@ def resolve_seed(value: int | None) -> int:
     if value is not None:
         return value
     env = os.environ.get(SEED_ENV_VAR, "").strip()
-    if env:
-        return int(env)
-    return DEFAULT_SEED
+    try:
+        return int(env) if env else DEFAULT_SEED
+    except ValueError:
+        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
 
 
 def _add_io_args(parser):
@@ -162,7 +164,7 @@ def cmd_fit(args) -> int:
         args.kind,
         subsample_size=args.psi,
         n_subsamples=args.t,
-        seed=resolve_seed(args.seed),
+        seed=args.seed,
     )
     save_model(transformer, args.output)
     return 0
@@ -186,7 +188,6 @@ def cmd_evaluate(args) -> int:
     if args.folds < 2:
         raise ScaleFreeError(f"--folds must be >= 2, got {args.folds}")
     dataset = load_csv(args.input, label_column=args.label_col)
-    seed = resolve_seed(args.seed)
 
     task_kwargs = {"subsample_size": args.psi, "n_subsamples": args.t}
     if args.task == "classify":
@@ -197,7 +198,7 @@ def cmd_evaluate(args) -> int:
         args.task,
         KINDS if args.grid else (args.preproc,),
         PERTURBATION_KINDS if args.grid else (args.perturb,),
-        seed=seed,
+        seed=args.seed,
         shift=args.perturb_a,
         scale=args.perturb_b,
         **task_kwargs,
@@ -215,7 +216,13 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if "seed" in args:  # fit and evaluate: a bad seed variable is a usage error
+        try:
+            args.seed = resolve_seed(args.seed)
+        except ValueError as exc:
+            parser.exit(2, f"{parser.prog}: error: {exc}\n")
     try:
         return _COMMANDS[args.command](args)
     except ScaleFreeError as exc:

@@ -138,8 +138,8 @@ def _scan(path, header, rows, feature_idx, label_idx):
     return features, labels
 
 
-def load_csv(path, label_column=None, name: str | None = None) -> Dataset:
-    """Read a CSV file into a Dataset.
+def load_csv(path, label_column=None) -> Dataset:
+    """Read a CSV file into a Dataset named after the file's stem.
 
     label_column selects the label column by header name or zero-based index;
     None means every column is a feature. Parse failures report the 1-based
@@ -172,7 +172,7 @@ def load_csv(path, label_column=None, name: str | None = None) -> Dataset:
     features, labels = parsed
 
     return Dataset(
-        name=name if name is not None else path.stem,
+        name=path.stem,
         features=features,
         feature_names=[header[i] for i in feature_idx],
         labels=np.array(labels) if labels is not None else None,

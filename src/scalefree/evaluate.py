@@ -116,9 +116,8 @@ def run_classification(
             n_subsamples=n_subsamples,
             seed=cv_fit_seed(seed, f),
         )
-        train_t = _neighbor_features(transformer, features[train_idx])
-        test_t = _neighbor_features(transformer, features[test_idx])
-        predicted = knn_classify(train_t, labels[train_idx], test_t, k=knn_k)
+        neighbor = _neighbor_features(transformer, features)  # each row maps on its own
+        predicted = knn_classify(neighbor[train_idx], labels[train_idx], neighbor[test_idx], knn_k)
         per_fold.append(accuracy(predicted, labels[test_idx]))
     elapsed_ms = (time.perf_counter() - start) * 1000.0
 

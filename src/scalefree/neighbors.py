@@ -6,16 +6,18 @@ and LOF takes every row tied at the k-distance into the neighbourhood, so
 repeated runs (and runs on bitwise-equal feature matrices) give identical
 results.
 
-The public functions, `knn_classify` and `lof_scores`, validate their input
-once: they reject NaN and infinite features, whose distances have no order
-to select neighbours by. The private helpers they call only compute, on
-C-contiguous finite arrays. KNN and LOF share one neighbour primitive,
-`_k_nearest_with_ties`, which handles one block of queries at a time in a
-float64 distance buffer of at most `_BLOCK_BYTES`. For every dtype it fills
-the block with one Gram pass, ``|q|² + |r|² − 2·q·rᵀ`` in float64. The
-public functions first raise `InexactDistances` unless ``4·m·max|x|²``, for
-m columns, is below 2**53 for integer input and finite for float input.
-That quantity bounds every Gram term and every squared distance.
+The public functions, `knn_classify` and `lof_scores`, validate each input
+once, from its min and max: `NonFiniteValue` for NaN and infinite features,
+whose distances have no order to select neighbours by, then
+`InexactDistances` unless ``4·m·max|x|²``, for m columns, is below 2**53
+for integer input and finite for float input. That quantity bounds every
+Gram term and every squared distance. The private helpers they call only
+compute, on C-contiguous finite arrays. KNN and LOF share one neighbour
+primitive, `_k_nearest_with_ties`, which handles one block of queries at a
+time in a float64 distance buffer of at most `_BLOCK_BYTES`. For every
+dtype it fills the block with one Gram pass, ``|q|² + |r|² − 2·q·rᵀ`` in
+float64, and one rule, `_first_k`, picks a row's k nearest entries: by
+distance, then by lower index.
 
 * Integer input (the rank and ARES counts) stays int64. Every product and
   partial sum of the Gram pass is an integer below 2**53, so each distance
@@ -110,12 +112,13 @@ def _refine(ref: np.ndarray, queries: np.ndarray, cols: np.ndarray, rows: np.nda
     return out
 
 
-def _kth_per_row(values: np.ndarray, rows: np.ndarray, k: int, n_rows: int) -> np.ndarray:
-    """The k-th smallest of ``values`` within each row; ``rows`` ascends and
-    holds every row in ``range(n_rows)`` at least k times."""
+def _first_k(values: np.ndarray, rows: np.ndarray, k: int, n_rows: int) -> np.ndarray:
+    """Positions of each row's k smallest ``values``, (n_rows, k), by value and
+    then by position (the sort is stable); ``rows`` ascends and holds every
+    row in ``range(n_rows)`` at least k times."""
     order = np.lexsort((values, rows))
     first = np.searchsorted(rows, np.arange(n_rows))
-    return values[order[first + (k - 1)]]
+    return order[first[:, None] + np.arange(k)]
 
 
 def _k_nearest_with_ties(
@@ -151,9 +154,8 @@ def _k_nearest_with_ties(
         kth = kth2[start:stop]
         kth[:] = np.partition(block, k - 1, axis=1)[:, k - 1]
         limit = kth if slack is None else kth + slack[start:stop]
+        # a self entry is inf, above every finite limit, so it is never a member
         np.less_equal(block, limit[:, None], out=member)
-        if skip_self:
-            member.reshape(-1)[start :: n_ref + 1] = False
         # the row and column of each flat position; faster than 2-D np.nonzero
         flat = np.flatnonzero(member)
         owner, cols = np.divmod(flat, n_ref)
@@ -161,7 +163,7 @@ def _k_nearest_with_ties(
             dist = block.reshape(-1)[flat]
         else:
             dist = _refine(ref, queries, cols, owner + start)
-            kth[:] = _kth_per_row(dist, owner, k, stop - start)
+            kth[:] = dist[_first_k(dist, owner, k, stop - start)[:, -1]]
             keep = dist <= kth[owner]
             owner, cols, dist = owner[keep], cols[keep], dist[keep]
         indptr[start + 1 : stop + 1] = np.bincount(owner, minlength=stop - start)
@@ -204,23 +206,15 @@ def _knn_predict(
 ) -> np.ndarray:
     """Majority code among each query's k nearest training rows.
 
-    Every strictly closer row votes; the places left go to the rows at the
-    k-th distance, lowest index first, as a stable sort would pick them.
-    Vote ties go to the smallest code.
+    The voters are each query's first k rows by distance, then by lower
+    index (`_first_k`). Vote ties go to the smallest code.
     """
-    indptr, indices, dist2, kth2 = _k_nearest_with_ties(train_x, test_x, k)
+    indptr, indices, dist2, _ = _k_nearest_with_ties(train_x, test_x, k)
     n_q = test_x.shape[0]
     owner = np.repeat(np.arange(n_q), np.diff(indptr))
-    at_kth = dist2 == kth2[owner]
-    closer = np.bincount(owner[~at_kth], minlength=n_q)
-    # position of each entry among its query's rows at the k-th distance
-    tie_rank = np.cumsum(at_kth)
-    tie_rank -= np.concatenate(([0], tie_rank))[indptr[:-1]][owner] + 1
-    votes = ~at_kth | (tie_rank < (k - closer)[owner])
-    tally = np.bincount(
-        owner[votes] * n_classes + train_codes[indices[votes]],
-        minlength=n_q * n_classes,
-    )
+    votes = train_codes[indices[_first_k(dist2, owner, k, n_q)]]
+    votes += np.arange(n_q)[:, None] * n_classes
+    tally = np.bincount(votes.ravel(), minlength=n_q * n_classes)
     return tally.reshape(n_q, n_classes).argmax(axis=1)
 
 
@@ -252,19 +246,18 @@ def _as_features(*matrices) -> list[np.ndarray]:
     return [np.ascontiguousarray(a, dtype=dtype) for a in arrays]
 
 
-def _require_finite(*matrices):
-    for x in matrices:
-        if not np.isfinite(x).all():
-            raise NonFiniteValue("feature matrix contains NaN or infinite values")
-
-
 def _require_exact(*matrices):
-    """Integer features must keep 4·m·max|x|² below 2**53, so that every
-    squared distance and every term of the Gram pass is exact in float64;
-    float features must keep it finite, so that none of them overflows."""
+    """Read each input once, for its min and max. Raise `NonFiniteValue` for
+    NaN or ±inf, then `InexactDistances` unless 4·m·max|x|² is below 2**53
+    for integer features, so that every squared distance and Gram term is
+    exact in float64, or finite for float features, so that none overflows."""
     m = matrices[0].shape[1]
-    # Python ints and floats: no int64 wrap-around, and overflow gives inf
-    peak = max((max(-x.min().item(), x.max().item()) for x in matrices if x.size), default=0)
+    # Python ints and floats: no int64 wrap-around, and overflow gives inf;
+    # NaN and ±inf reach the min or the max
+    ends = [v for x in matrices if x.size for v in (-x.min().item(), x.max().item())]
+    if not all(map(math.isfinite, ends)):
+        raise NonFiniteValue("feature matrix contains NaN or infinite values")
+    peak = max(ends, default=0)
     bound = 4 * m * peak * peak
     if matrices[0].dtype == np.int64:
         if bound >= 2**53:
@@ -300,7 +293,6 @@ def knn_classify(train_x, train_y, test_x, k: int = 5):
         raise ValueError(f"k must be >= 1, got {k}")
     if k > train_x.shape[0]:
         raise KExceedsTrainSize(f"k={k} exceeds {train_x.shape[0]} training rows")
-    _require_finite(train_x, test_x)
     _require_exact(train_x, test_x)
 
     classes, codes = np.unique(train_y, return_inverse=True)
@@ -333,6 +325,5 @@ def lof_scores(x, n_neighbors: int) -> np.ndarray:
         raise TooFewRows(
             f"need more than n_neighbors={n_neighbors} rows, got {x.shape[0]}"
         )
-    _require_finite(x)
     _require_exact(x)
     return _lof_raw(x, n_neighbors)

@@ -168,7 +168,8 @@ def _fit_rows(kind: str, xt, psi: int = 0, t: int = 0, seed: int = 0, column_ind
         return list(map(MinMaxParams, xt.min(axis=1).tolist(), xt.max(axis=1).tolist()))
     if kind == "rank":
         return [RankModel(sorted_train=row) for row in np.sort(xt, axis=1)]
-    subs = np.empty((xt.shape[0], t, psi))  # rejects a negative psi or t
+    psi, t = max(psi, 0), max(t, 0)  # a negative size acts as 0
+    subs = np.empty((xt.shape[0], t, psi))
     if subs.shape[0] and t:  # a draw, so psi is checked, only if there is one
         seeds = subsample_seed(seed, column_index, np.arange(t)).reshape(-1, t)
         idx = subsample_indices(xt.shape[1], psi, seeds)

@@ -212,6 +212,39 @@ class TestSeedResolution:
               "--kind", "ares", "--seed", "2222", "--output", str(m1)])
         assert json.loads(m1.read_text())["seed"] == 2222
 
+    @pytest.mark.parametrize("command", [
+        ["fit", "--kind", "ares"],
+        ["evaluate", "--task", "classify", "--preproc", "rank", "--folds", "2"],
+    ])
+    def test_malformed_env_var_is_a_usage_error(
+        self, command, class_csv, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("SCALEFREE_SEED", "abc")
+        out = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as exc_info:
+            main([*command, "--input", str(class_csv), "--label-col", "label",
+                  "--output", str(out)])
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "SCALEFREE_SEED" in err and "'abc'" in err
+        assert not out.exists()
+
+    def test_malformed_env_var_is_unused_by_a_flag(self, class_csv, tmp_path, monkeypatch):
+        monkeypatch.setenv("SCALEFREE_SEED", "abc")
+        m1 = tmp_path / "m1.json"
+        assert main(["fit", "--input", str(class_csv), "--label-col", "label",
+                     "--kind", "ares", "--seed", "3", "--output", str(m1)]) == 0
+        assert json.loads(m1.read_text())["seed"] == 3
+
+    def test_perturb_and_transform_ignore_the_env_var(self, class_csv, tmp_path, monkeypatch):
+        model, perturbed, out = tmp_path / "m.json", tmp_path / "p.csv", tmp_path / "t.csv"
+        io = ["--input", str(class_csv), "--label-col", "label"]
+        assert main(["fit", *io, "--kind", "rank", "--output", str(model)]) == 0
+        monkeypatch.setenv("SCALEFREE_SEED", "abc")
+        assert main(["perturb", *io, "--perturb", "log", "--output", str(perturbed)]) == 0
+        assert main(["transform", *io, "--model", str(model), "--output", str(out)]) == 0
+        assert perturbed.exists() and out.exists()
+
 
 class TestUsageErrors:
     def test_unknown_flag_exits_two(self, capsys):

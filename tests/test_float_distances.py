@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from scalefree import neighbors
-from scalefree.errors import InexactDistances
+from scalefree.errors import InexactDistances, NonFiniteValue
 from scalefree.neighbors import _k_nearest_with_ties, knn_classify, lof_scores
 
 from reference_kernels import _knn_predict_np, _lof_np
@@ -131,6 +131,19 @@ class TestOverflowGuard:
             knn_classify(self.x[:150], labels, self.x[150:], k=5)
         with pytest.raises(InexactDistances):
             knn_classify(self.x[:150] / 1e200, labels, self.x[150:], k=5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_is_reported_before_the_bound(self, bad):
+        """A NaN or ±inf next to features that also break the bound is
+        reported as non-finite, in train or test, for both learners."""
+        labels = np.arange(150) % 3
+        for row in (3, 170):
+            x = self.x.copy()
+            x[row, 5] = bad
+            with pytest.raises(NonFiniteValue):
+                lof_scores(x, 5)
+            with pytest.raises(NonFiniteValue):
+                knn_classify(x[:150], labels, x[150:], k=5)
 
     def test_just_below_the_bound_is_searched(self):
         # 4 * 2 * peak**2 stays finite

@@ -90,6 +90,15 @@ class TestMinMax:
         assert p.transform([-1e308, 5e-324, 1e308]).tolist() == [0.0, 1.0, 2.0]
         assert MinMaxParams(1e308, 1.5e308).transform(-1e308) == -4.0
 
+    def test_each_value_maps_on_its_own(self):
+        """Whether one value's shift overflows never changes another value's
+        result, so transforming all rows at once equals transforming any
+        subset of them, bit for bit."""
+        p = MinMaxParams(-1e308, -1e307)
+        queries = np.array([1e308, 0.3, 5e-324, -1e308, 1.7e308, 2.5e-320, -0.0, -5e307])
+        each = np.array([p.transform(q) for q in queries])
+        assert p.transform(queries).tobytes() == each.tobytes()
+
     def test_finite_range_unchanged_bitwise(self):
         rng = np.random.default_rng(7)
         for scale in (1e-300, 1e-5, 1.0, 1e5, 1e300):
@@ -184,6 +193,22 @@ class TestAresFit:
             fit_ares(col, subsample_size=0, seed=0)
         with pytest.raises(ValueError):
             fit_ares(col, n_subsamples=0, seed=0)
+
+    @pytest.mark.parametrize("psi, t", [(-1, 10), (-7, 10), (3, -1), (-1, -1), (-2, 0), (0, -3)])
+    def test_negative_sizes_act_as_zero(self, psi, t):
+        """A negative psi or t fails exactly as psi = 0 or t = 0 does."""
+        col, x = np.arange(4.0), np.arange(8.0).reshape(4, 2)
+        fits = [
+            lambda s, n: fit_ares(col, subsample_size=s, n_subsamples=n, seed=0),
+            lambda s, n: fit_transformer(x, "ares", subsample_size=s, n_subsamples=n, seed=1),
+        ]
+        for fit in fits:
+            with pytest.raises((PsiNonPositive, ValueError)) as want:
+                fit(max(psi, 0), max(t, 0))
+            with pytest.raises(want.type) as got:
+                fit(psi, t)
+            assert got.type is want.type
+            assert str(got.value) == str(want.value)
 
     def test_deterministic_bitwise(self):
         col = np.random.default_rng(5).normal(size=120)

@@ -28,7 +28,7 @@ from .perturb import (
     shift_scale,
 )
 from .report import EvaluationReport, write_report
-from .sampling import derive_seed, draw_subsample, subsample_indices, subsample_seed
+from .sampling import derive_seed, subsample_indices, subsample_seed
 from .transforms import (
     AresModel,
     FittedTransformer,
@@ -38,7 +38,6 @@ from .transforms import (
     fit_minmax,
     fit_rank,
     fit_transformer,
-    rank_in_subsample,
 )
 
 __version__ = "0.1.0"
@@ -59,7 +58,6 @@ __all__ = [
     "auc",
     "average_ranks",
     "derive_seed",
-    "draw_subsample",
     "evaluation_grid",
     "fit_ares",
     "fit_minmax",
@@ -72,7 +70,6 @@ __all__ = [
     "lof_neighbor_count",
     "lof_scores",
     "perturb_matrix",
-    "rank_in_subsample",
     "rescale_unit",
     "run_anomaly",
     "run_classification",

@@ -15,7 +15,7 @@ class EmptyColumn(ScaleFreeError):
 
 
 class EmptyDataset(ScaleFreeError):
-    """A matrix-level operation received a dataset with no rows."""
+    """A matrix-level operation received a dataset with no rows or no feature columns."""
 
 
 class EmptyInput(ScaleFreeError):

@@ -6,13 +6,14 @@ and LOF takes every row tied at the k-distance into the neighbourhood, so
 repeated runs (and runs on bitwise-equal feature matrices) give identical
 results.
 
-The public functions, `knn_classify` and `lof_scores`, validate each input
-once, from its min and max: `NonFiniteValue` for NaN and infinite features,
-whose distances have no order to select neighbours by, then
-`InexactDistances` unless ``4·m·max|x|²``, for m columns, is below 2**53
-for integer input and finite for float input. That quantity bounds every
-Gram term and every squared distance. The private helpers they call only
-compute, on C-contiguous finite arrays. KNN and LOF share one neighbour
+The public functions, `knn_classify` and `lof_scores`, reject matrices of
+no columns with `EmptyDataset`, then validate each input once, from its min
+and max: `NonFiniteValue` for NaN and infinite features, whose distances
+have no order to select neighbours by, then `InexactDistances` unless
+``4·m·max|x|²``, for m columns, is below 2**53 for integer input and
+finite for float input. That quantity bounds every Gram term and every
+squared distance. The private helpers they call only compute, on
+C-contiguous finite arrays. KNN and LOF share one neighbour
 primitive, `_k_nearest_with_ties`, which handles one block of queries at a
 time in a float64 distance buffer of at most `_BLOCK_BYTES`. For every
 dtype it fills the block with one Gram pass, ``|q|² + |r|² − 2·q·rᵀ`` in
@@ -38,23 +39,35 @@ distance, then by lower index.
   every refined value is bitwise the reference's, and the k-th distance and
   the neighbourhood are taken from the refined values.
 
-The block product is an `np.einsum` with its default ``optimize=False``,
-which never calls BLAS. OpenBLAS runs even such small products on all its
-threads, which costs CPU time beyond the wall time and can stall when
-another core is busy; the einsum pass stays on the calling thread without
-any thread-count setting.
+The block product is one `np.matmul`, a BLAS call, and the search pins
+numpy's bundled OpenBLAS to one thread while it runs (`_one_blas_thread`).
+Left to itself, OpenBLAS threads even these small products on a 2-vCPU
+machine: a 16 × m × 2000 product ran on two threads once m ≥ 32, burned
+twice the CPU time and once stalled at 4.7 ms against 0.06 ms, and a
+1-row block, which goes to gemv, threaded at 1 × 16 × 20000. No block size
+avoids that, so the count is set, not the block. Exactness does not depend
+on the BLAS kernel: integer partial sums are exact in any order, and the
+float bound holds for any summation order, fused multiply-add included.
+The thread count is process-wide, so while a search runs, BLAS calls from
+other threads of the process run single-threaded too. Without those
+OpenBLAS symbols (another BLAS) the pin does nothing and the results are
+the same.
 
 Each per-row LOF sum runs over a dense length-N row, so every output is
 bitwise independent of the block size and equal to that of a full sort or
 a dense N x N pass over the same distances.
 """
 
+import contextlib
+import ctypes
 import math
+import threading
 
 import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    EmptyDataset,
     InexactDistances,
     KExceedsTrainSize,
     NonFiniteValue,
@@ -65,6 +78,53 @@ from .errors import (
 # 256 KiB keeps a block in cache: 16 rows at N = 2000.
 _BLOCK_BYTES = 256 << 10
 _UNIT_ROUNDOFF = 2.0**-53
+
+
+def _openblas_threads():
+    """``(get, put)``, which read and set the thread count of numpy's bundled
+    OpenBLAS, or None when numpy links another BLAS or names them otherwise
+    (numpy 1.x). The extension module's handle resolves the symbols through
+    its own dependencies, so no library path is needed."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+_BLAS_THREADS = _openblas_threads()
+# the count is process-wide, so the pin is too: searches inside
+# _one_blas_thread, and the count the last one out restores
+_pin_lock = threading.Lock()
+_pin_state = {"active": 0, "saved": 1}
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with OpenBLAS on one thread, then restore the count that
+    was set before, also on an exception. Overlapping searches on several
+    threads share one pin: the first in saves the count, the last out
+    restores it. Does nothing when `_BLAS_THREADS` is None."""
+    if _BLAS_THREADS is None:
+        yield
+        return
+    get, put = _BLAS_THREADS
+    with _pin_lock:
+        if _pin_state["active"] == 0:
+            _pin_state["saved"] = get()
+            put(1)
+        _pin_state["active"] += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_state["active"] -= 1
+            if _pin_state["active"] == 0:
+                put(_pin_state["saved"])
 
 
 def _block_rows(n_cols: int) -> int:
@@ -84,7 +144,7 @@ def _distance_rows(ref: np.ndarray, queries: np.ndarray):
     q *= -2.0
 
     def fill(start, stop, out):
-        np.einsum("ij,jk->ik", q[start:stop], ref_t, out=out)
+        np.matmul(q[start:stop], ref_t, out=out)
         out += qn[start:stop, None]
         out += rn
 
@@ -143,32 +203,34 @@ def _k_nearest_with_ties(
     indptr = np.zeros(n_q + 1, dtype=np.int64)
     indices = [np.empty(0, dtype=np.int64)]
     dist2 = [np.empty(0)]
-    for start in range(0, n_q, rows):
-        stop = min(start + rows, n_q)
-        block, member = buf[: stop - start], member_buf[: stop - start]
-        fill(start, stop, block)
-        # with skip_self, row j of the block is query start + j: its own
-        # entries sit at flat positions start + j * (n_ref + 1)
-        if skip_self:
-            block.reshape(-1)[start :: n_ref + 1] = np.inf
-        kth = kth2[start:stop]
-        kth[:] = np.partition(block, k - 1, axis=1)[:, k - 1]
-        limit = kth if slack is None else kth + slack[start:stop]
-        # a self entry is inf, above every finite limit, so it is never a member
-        np.less_equal(block, limit[:, None], out=member)
-        # the row and column of each flat position; faster than 2-D np.nonzero
-        flat = np.flatnonzero(member)
-        owner, cols = np.divmod(flat, n_ref)
-        if slack is None:
-            dist = block.reshape(-1)[flat]
-        else:
-            dist = _refine(ref, queries, cols, owner + start)
-            kth[:] = dist[_first_k(dist, owner, k, stop - start)[:, -1]]
-            keep = dist <= kth[owner]
-            owner, cols, dist = owner[keep], cols[keep], dist[keep]
-        indptr[start + 1 : stop + 1] = np.bincount(owner, minlength=stop - start)
-        indices.append(cols)
-        dist2.append(dist)
+    # the fill is the only BLAS call; one thread keeps CPU time at wall time
+    with _one_blas_thread():
+        for start in range(0, n_q, rows):
+            stop = min(start + rows, n_q)
+            block, member = buf[: stop - start], member_buf[: stop - start]
+            fill(start, stop, block)
+            # with skip_self, row j of the block is query start + j: its own
+            # entries sit at flat positions start + j * (n_ref + 1)
+            if skip_self:
+                block.reshape(-1)[start :: n_ref + 1] = np.inf
+            kth = kth2[start:stop]
+            kth[:] = np.partition(block, k - 1, axis=1)[:, k - 1]
+            limit = kth if slack is None else kth + slack[start:stop]
+            # a self entry is inf, above every finite limit, so it is never a member
+            np.less_equal(block, limit[:, None], out=member)
+            # the row and column of each flat position; faster than 2-D np.nonzero
+            flat = np.flatnonzero(member)
+            owner, cols = np.divmod(flat, n_ref)
+            if slack is None:
+                dist = block.reshape(-1)[flat]
+            else:
+                dist = _refine(ref, queries, cols, owner + start)
+                kth[:] = dist[_first_k(dist, owner, k, stop - start)[:, -1]]
+                keep = dist <= kth[owner]
+                owner, cols, dist = owner[keep], cols[keep], dist[keep]
+            indptr[start + 1 : stop + 1] = np.bincount(owner, minlength=stop - start)
+            indices.append(cols)
+            dist2.append(dist)
     np.cumsum(indptr, out=indptr)
     return indptr, np.concatenate(indices), np.concatenate(dist2), kth2
 
@@ -247,11 +309,15 @@ def _as_features(*matrices) -> list[np.ndarray]:
 
 
 def _require_exact(*matrices):
-    """Read each input once, for its min and max. Raise `NonFiniteValue` for
-    NaN or ±inf, then `InexactDistances` unless 4·m·max|x|² is below 2**53
-    for integer features, so that every squared distance and Gram term is
-    exact in float64, or finite for float features, so that none overflows."""
+    """Raise `EmptyDataset` for matrices of no columns, whose rows have no
+    distance to tell them apart. Then read each input once, for its min and
+    max. Raise `NonFiniteValue` for NaN or ±inf, then `InexactDistances`
+    unless 4·m·max|x|² is below 2**53 for integer features, so that every
+    squared distance and Gram term is exact in float64, or finite for float
+    features, so that none overflows."""
     m = matrices[0].shape[1]
+    if m == 0:
+        raise EmptyDataset("feature matrix has no columns")
     # Python ints and floats: no int64 wrap-around, and overflow gives inf;
     # NaN and ±inf reach the min or the max
     ends = [v for x in matrices if x.size for v in (-x.min().item(), x.max().item())]

@@ -96,12 +96,3 @@ def subsample_indices(n_rows: int, size: int, stream_seed) -> np.ndarray:
     picks.sort(axis=1)
     return picks.reshape(np.shape(stream_seed) + (size,))
 
-
-def draw_subsample(values: np.ndarray, size: int, stream_seed: int) -> np.ndarray:
-    """Draw one sub-sample of a column: distinct rows, values sorted ascending.
-
-    Selection depends only on (len(values), size, stream_seed); the values
-    stored at the selected rows play no part in which rows are picked.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    return np.sort(values[subsample_indices(values.shape[0], size, stream_seed)])

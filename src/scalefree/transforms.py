@@ -201,16 +201,6 @@ def fit_ares(
     return _fit_rows("ares", col, subsample_size, n_subsamples, seed, column_index)[0]
 
 
-def rank_in_subsample(sample, x: float) -> int:
-    """Rank of x within one sorted sub-sample: |{y in sample : y < x}|.
-
-    Lower-bound binary search; equals the piecewise position of x among the
-    sorted values, and ranges over {0, ..., len(sample)}.
-    """
-    sample = np.ascontiguousarray(sample, dtype=np.float64)
-    return int(np.searchsorted(sample, x, side="left"))
-
-
 @dataclass(frozen=True, eq=False)
 class FittedTransformer:
     """One fitted parameter object per feature column, plus the kind tag.

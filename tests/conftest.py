@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from scalefree import neighbors
 from scalefree.data import Dataset
 
 
@@ -54,6 +55,23 @@ def minmax_sensitive_classification(seed=20240817):
     blocks.append(np.column_stack([signal, noise]))
     labels.append(np.arange(n_anchor) % 2)
     return Dataset("sensitivity", np.vstack(blocks), labels=np.concatenate(labels))
+
+
+@pytest.fixture(autouse=True)
+def blas_threads_unchanged():
+    """Fail a test after which numpy's OpenBLAS thread count differs from
+    before it. The neighbour search pins the count to one thread and must
+    put it back; the count is reset so later tests start from it."""
+    if neighbors._BLAS_THREADS is None:
+        yield
+        return
+    get, put = neighbors._BLAS_THREADS
+    before = get()
+    yield
+    after = get()
+    if after != before:
+        put(before)
+        pytest.fail(f"OpenBLAS thread count changed from {before} to {after}")
 
 
 @pytest.fixture

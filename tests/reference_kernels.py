@@ -3,7 +3,9 @@
 `ares_batch` is the paper-literal ARES: one strictly-below search per
 sub-sample, averaged. The transforms search one pooled sort of all sampled
 values instead, which must be bitwise equal to it; the acceptance suite also
-times it.
+times it. `rank_in_subsample` is the paper's rank of one value in one sorted
+sub-sample, and `draw_subsample` the paper's draw of one sorted sub-sample;
+the package fits and counts whole columns at once instead.
 
 `_knn_predict_np` and `_lof_np` are the straightforward numpy kernels (one
 full sort, or one dense N x N pass) that the blocked neighbour search in
@@ -72,6 +74,26 @@ def subsample_indices(n_rows: int, size: int, stream_seed: int) -> np.ndarray:
     out = np.array(picks, dtype=np.int64)
     out.sort()
     return out
+
+
+def draw_subsample(values: np.ndarray, size: int, stream_seed: int) -> np.ndarray:
+    """Draw one sub-sample of a column: distinct rows, values sorted ascending.
+
+    Selection depends only on (len(values), size, stream_seed); the values
+    stored at the selected rows play no part in which rows are picked.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    return np.sort(values[subsample_indices(values.shape[0], size, stream_seed)])
+
+
+def rank_in_subsample(sample, x: float) -> int:
+    """Rank of x within one sorted sub-sample: |{y in sample : y < x}|.
+
+    Lower-bound binary search; equals the piecewise position of x among the
+    sorted values, and ranges over {0, ..., len(sample)}.
+    """
+    sample = np.ascontiguousarray(sample, dtype=np.float64)
+    return int(np.searchsorted(sample, x, side="left"))
 
 
 def ares_batch(subsamples: np.ndarray, queries: np.ndarray) -> np.ndarray:

@@ -12,10 +12,10 @@ import numpy as np
 
 from scalefree.evaluate import run_anomaly, run_classification
 from scalefree.perturb import PerturbationSpec, apply_perturbation
-from scalefree.transforms import fit_ares, fit_rank, rank_in_subsample
+from scalefree.transforms import fit_ares, fit_rank
 
 from conftest import minmax_sensitive_classification
-from reference_kernels import ares_batch
+from reference_kernels import ares_batch, rank_in_subsample
 from timing_utils import best_call_time
 
 INCREASING_PERTURBATIONS = ("log", "square", "sqrt")

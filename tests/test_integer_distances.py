@@ -160,6 +160,52 @@ def test_single_column_and_all_other_rows():
     )
 
 
+def _near_bound(n, m, shape, seed):
+    """n x m integers up to the largest peak with 4·m·peak² below 2**53: two
+    rows at ±peak, a duplicate row, and the rest from five values at the ends
+    and zero ("ends", many ties) or uniform over [-peak, peak]."""
+    peak = math.isqrt((2**53 - 1) // (4 * m))
+    assert 4 * m * peak**2 < 2**53 <= 4 * m * (peak + 1) ** 2
+    rng = np.random.default_rng(seed)
+    if shape == "ends":
+        x = rng.choice(np.array([-peak, 1 - peak, 0, peak - 1, peak]), size=(n, m))
+    else:
+        x = rng.integers(-peak, peak, size=(n, m), endpoint=True)
+    x[0], x[1], x[-1] = peak, -peak, x[2]
+    return x
+
+
+@pytest.mark.parametrize("shape", ["ends", "uniform"])
+@pytest.mark.parametrize("m", [32, 64, 130])
+def test_wide_inputs_near_the_bound_match_oracle(m, shape):
+    """BLAS takes 1-row blocks to gemv and wider ones to gemm, whose kernels
+    may sum in any order and fuse multiply-adds; below the bound every
+    partial sum is an exact integer, so all of them give the oracle's
+    neighbourhoods, KNN votes and LOF scores."""
+    n, k = 48, 5
+    x = _near_bound(n, m, shape, seed=m)
+    want = _oracle_neighbourhoods(x, x, k, True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        want_lof = _lof_np(x.astype(np.float64), k)
+    for n_bytes in _block_sizes(n):
+        with _block_bytes(n_bytes):
+            indptr, indices, dist2, kth2 = _k_nearest_with_ties(x, x, k, True)
+            got_lof = lof_scores(x, k)
+        for i, (kth, members, d2) in enumerate(want):
+            lo, hi = indptr[i], indptr[i + 1]
+            assert kth2[i] == kth
+            assert np.array_equal(indices[lo:hi], members)
+            assert np.array_equal(dist2[lo:hi], d2)
+        assert got_lof.tobytes() == want_lof.tobytes()
+
+    train, test = x[:36], x[36:]
+    labels = np.arange(36) % 3
+    want_knn = _oracle_knn(train, labels, test, k)
+    for n_bytes in _block_sizes(train.shape[0]):
+        with _block_bytes(n_bytes):
+            assert np.array_equal(knn_classify(train, labels, test, k=k), want_knn)
+
+
 class TestExactnessBound:
     """4·m·max|x|² must stay below 2**53; at the bound the learners raise."""
 

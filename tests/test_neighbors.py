@@ -7,6 +7,7 @@ import pytest
 
 from scalefree.errors import (
     DimensionMismatch,
+    EmptyDataset,
     KExceedsTrainSize,
     NonFiniteValue,
     TooFewRows,
@@ -96,6 +97,11 @@ class TestKnnContracts:
         with pytest.raises(DimensionMismatch):
             knn_classify(np.zeros((3, 2)), [0, 1, 0], np.zeros((1, 3)), k=1)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    def test_no_feature_columns(self, dtype):
+        with pytest.raises(EmptyDataset, match="no columns"):
+            knn_classify(np.empty((3, 0), dtype), [0, 1, 0], np.empty((2, 0), dtype), k=1)
+
     def test_k_exceeds_train(self):
         with pytest.raises(KExceedsTrainSize):
             knn_classify(np.zeros((2, 1)), [0, 1], np.zeros((1, 1)), k=3)
@@ -169,6 +175,11 @@ class TestLofProperties:
         base = lof_scores(x, 7)
         assert np.allclose(lof_scores(2.0 * x, 7), base, rtol=1e-12)
         assert np.allclose(lof_scores(0.37 * x + 11.0, 7), base, rtol=1e-9)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    def test_no_feature_columns(self, dtype):
+        with pytest.raises(EmptyDataset, match="no columns"):
+            lof_scores(np.empty((5, 0), dtype), 2)
 
     def test_too_few_rows(self):
         with pytest.raises(TooFewRows):

@@ -12,7 +12,6 @@ from scalefree.errors import PsiNonPositive, PsiTooLarge
 from scalefree.sampling import (
     cv_fit_seed,
     derive_seed,
-    draw_subsample,
     fold_seed,
     subsample_indices,
     subsample_seed,
@@ -20,6 +19,7 @@ from scalefree.sampling import (
 from scalefree.transforms import fit_ares
 
 import reference_kernels as ref
+from reference_kernels import draw_subsample
 
 
 class TestDeriveSeed:

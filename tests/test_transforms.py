@@ -24,8 +24,9 @@ from scalefree.transforms import (
     fit_minmax,
     fit_rank,
     fit_transformer,
-    rank_in_subsample,
 )
+
+from reference_kernels import rank_in_subsample
 
 
 class TestMinMax:

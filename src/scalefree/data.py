@@ -152,9 +152,11 @@ def load_csv(path, label_column=None) -> Dataset:
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            rows = list(reader)
         except StopIteration:
             raise EmptyFile(f"{path}: no header row") from None
-        rows = list(reader)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not valid UTF-8 ({exc})") from None
 
     if not header or all(h.strip() == "" for h in header):
         raise EmptyFile(f"{path}: empty header row")

@@ -57,7 +57,7 @@ def load_model(path) -> FittedTransformer:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise CorruptModel(f"{path}: not valid JSON ({exc})") from None
 
     if not isinstance(doc, dict):
@@ -95,7 +95,7 @@ def load_model(path) -> FittedTransformer:
             header = (int(doc["psi"]), int(doc["t"]))
             if header != (transformer.subsample_size, transformer.n_subsamples):
                 raise ValueError("sub-sample block shape disagrees with psi/t")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CorruptModel(f"{path}: malformed column parameters ({exc})") from None
 
     if doc.get("fingerprint") != _fingerprint(transformer.n_features):

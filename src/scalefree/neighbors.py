@@ -53,9 +53,11 @@ other threads of the process run single-threaded too. Without those
 OpenBLAS symbols (another BLAS) the pin does nothing and the results are
 the same.
 
-Each per-row LOF sum runs over a dense length-N row, so every output is
-bitwise independent of the block size and equal to that of a full sort or
-a dense N x N pass over the same distances.
+Each LOF sum is one `np.bincount` over the CSR entries, which adds a row's
+neighbours one at a time, left to right in ascending index order: the
+textbook sum over the neighbourhood. So every output is bitwise independent
+of the block size, and the work after the search is O(N·k′), for k′ the
+mean neighbourhood size.
 """
 
 import contextlib
@@ -235,30 +237,6 @@ def _k_nearest_with_ties(
     return indptr, np.concatenate(indices), np.concatenate(dist2), kth2
 
 
-def _dense_row_sums(
-    indptr: np.ndarray, indices: np.ndarray, values: np.ndarray, n_cols: int
-) -> np.ndarray:
-    """Row sums of a CSR matrix, each summed over its dense length-n_cols row.
-
-    numpy sums a row pairwise, so where the zeros sit changes the rounding;
-    scattering into dense rows reproduces a dense matrix's ``sum(axis=1)``.
-    """
-    n_rows = indptr.shape[0] - 1
-    rows = _block_rows(n_cols)
-    buf = np.zeros((min(rows, n_rows), n_cols))
-    out = np.empty(n_rows)
-    owner = np.repeat(np.arange(n_rows), np.diff(indptr))
-    for start in range(0, n_rows, rows):
-        stop = min(start + rows, n_rows)
-        block = buf[: stop - start]
-        lo, hi = indptr[start], indptr[stop]
-        at = (owner[lo:hi] - start, indices[lo:hi])
-        block[at] = values[lo:hi]
-        block.sum(axis=1, out=out[start:stop])
-        block[at] = 0.0
-    return out
-
-
 def _knn_predict(
     train_x: np.ndarray,
     train_codes: np.ndarray,
@@ -285,13 +263,15 @@ def _lof_raw(x: np.ndarray, k: int) -> np.ndarray:
     n = x.shape[0]
     indptr, indices, dist2, kdist2 = _k_nearest_with_ties(x, x, k, skip_self=True)
     counts = np.diff(indptr)
+    # bincount adds each row's entries one at a time, in ascending index order
+    owner = np.repeat(np.arange(n), counts)
 
     reach = np.sqrt(np.maximum(kdist2[indices], dist2))
-    reach_sum = _dense_row_sums(indptr, indices, reach, n)
+    reach_sum = np.bincount(owner, weights=reach, minlength=n)
     with np.errstate(divide="ignore"):
         lrd = np.where(reach_sum > 0.0, counts / reach_sum, np.inf)
 
-    lrd_sum = _dense_row_sums(indptr, indices, lrd[indices], n)
+    lrd_sum = np.bincount(owner, weights=lrd[indices], minlength=n)
     # a point whose whole neighborhood sits at distance zero has infinite
     # density, and so do all of its neighbors: its outlier ratio is 1
     with np.errstate(invalid="ignore"):

@@ -111,11 +111,13 @@ class _CountBelow:
         return _apply(values, lambda arr: self.counts(arr) / self.t)
 
     def sample_collisions(self, values) -> np.ndarray:
-        """Per query, how many sampled values equal it exactly. Order-reversing
+        """Per query, how many sampled values equal it exactly, as an array
+        also for a scalar; queries are checked as by `transform`. Order-reversing
         rescalings map the transform to (psi - value), off by collisions / t."""
-        arr = np.atleast_1d(np.asarray(values, dtype=np.float64))
-        lo = np.searchsorted(self.pool, arr, side="left")
-        return np.searchsorted(self.pool, arr, side="right") - lo
+        return _apply(
+            np.atleast_1d(values),
+            lambda arr: np.searchsorted(self.pool, arr, side="right") - self.counts(arr),
+        )
 
 
 @dataclass(frozen=True, eq=False)

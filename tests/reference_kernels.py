@@ -9,14 +9,20 @@ the package fits and counts whole columns at once instead.
 
 `_knn_predict_np` and `_lof_np` are the straightforward numpy kernels (one
 full sort, or one dense N x N pass) that the blocked neighbour search in
-`scalefree.neighbors` replaced, kept verbatim so the differential tests can
-require bitwise-equal outputs from it.
+`scalefree.neighbors` replaced, so the differential tests can require
+bitwise-equal outputs from it. `_knn_predict_np` is kept verbatim. `_lof_np`
+keeps its dense distance pass and membership test, but sums each
+neighbourhood left to right in ascending index order, the order of the
+package's CSR sums, instead of over a dense row padded with zeros.
 
 `_mix`, `derive_seed` and `subsample_indices` are the scalar splitmix64
 stream and the set-based Floyd draw on Python ints that `scalefree.sampling`
 replaced with one uint64 array pass over all seeds, kept verbatim so the
 differential tests can require the same seeds and draws, lane by lane.
 """
+
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -134,11 +140,13 @@ def _lof_np(x: np.ndarray, k: int) -> np.ndarray:
     counts = member.sum(axis=1)
 
     reach = np.sqrt(np.maximum(kdist2[None, :], d2))
-    reach_sum = np.where(member, reach, 0.0).sum(axis=1)
+    # each neighbourhood summed left to right in ascending index order, the
+    # literal Breunig sum (reduce, not sum: Python 3.12+ compensates float sums)
+    reach_sum = np.array([reduce(add, reach[i, member[i]].tolist()) for i in range(n)])
     with np.errstate(divide="ignore"):
         lrd = np.where(reach_sum > 0.0, counts / reach_sum, np.inf)
 
-    lrd_sum = np.where(member, lrd[None, :], 0.0).sum(axis=1)
+    lrd_sum = np.array([reduce(add, lrd[member[i]].tolist()) for i in range(n)])
     # a point whose whole neighborhood sits at distance zero has infinite
     # density, and so do all of its neighbors: its outlier ratio is 1
     with np.errstate(invalid="ignore"):

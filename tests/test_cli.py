@@ -91,6 +91,36 @@ class TestTransform:
         assert capsys.readouterr().err.startswith("error:")
 
 
+    def test_undecodable_model_is_named(self, class_csv, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_bytes(b'{"format_version": 1, "kind": "\xff"}')
+        rc = main(["transform", "--model", str(model), "--input", str(class_csv),
+                   "--label-col", "label", "--output", str(tmp_path / "x.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: CorruptModel: ")
+
+    def test_overflowing_seed_is_named(self, class_csv, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        main(["fit", "--input", str(class_csv), "--label-col", "label",
+              "--kind", "ares", "--seed", "7", "--output", str(model)])
+        model.write_text(model.read_text().replace('"seed": 7', '"seed": 1e400'))
+        rc = main(["transform", "--model", str(model), "--input", str(class_csv),
+                   "--label-col", "label", "--output", str(tmp_path / "x.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: CorruptModel: ")
+
+
+@pytest.mark.parametrize("command", [["perturb", "--perturb", "log"], ["fit", "--kind", "rank"]])
+def test_undecodable_csv_is_named(command, tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"a,b\n1,\xff\n")
+    out = tmp_path / "out"
+    rc = main([*command, "--input", str(bad), "--output", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ParseError: ")
+    assert not out.exists()
+
+
 class TestPerturb:
     def test_matches_library_output(self, class_csv, tmp_path):
         out = tmp_path / "perturbed.csv"

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scalefree.errors import NonFiniteValue
 from scalefree.transforms import AresModel, fit_ares, fit_rank
 
 from reference_kernels import ares_batch
@@ -73,3 +74,20 @@ def test_full_size_single_subsample_is_rank(atoms, seed, n):
     assert ares.transform(q).tobytes() == expected
     assert ares_batch(ares.subsamples, q).tobytes() == expected
     assert fit_rank(col).transform(q).tobytes() == expected
+
+
+@pytest.mark.parametrize("model", [fit_rank([1.0, 2.0, 2.0]), AresModel([[1.0, 2.0]], seed=0)])
+def test_sample_collisions_checks_queries_like_transform(model):
+    for bad in (np.nan, np.inf, -np.inf, [1.0, np.nan]):
+        with pytest.raises(NonFiniteValue):
+            model.transform(bad)
+        with pytest.raises(NonFiniteValue):
+            model.sample_collisions(bad)
+    for wrong in ([[1.0, 2.0]], np.ones((2, 2))):
+        with pytest.raises(ValueError, match="1-D"):
+            model.transform(wrong)
+        with pytest.raises(ValueError, match="1-D"):
+            model.sample_collisions(wrong)
+    got = model.sample_collisions(2.0)
+    assert isinstance(got, np.ndarray) and got.shape == (1,)
+    assert got[0] == np.count_nonzero(model.pool == 2.0)

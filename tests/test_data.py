@@ -56,6 +56,13 @@ class TestLoadCsv:
         assert exc_info.value.column == "b"
         assert "abc" in str(exc_info.value)
 
+    @pytest.mark.parametrize("raw", [b"a,b\n1,\xff\n", b"a,\xff\n1,2\n"])
+    def test_invalid_utf8_is_a_parse_error(self, raw, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(raw)
+        with pytest.raises(ParseError, match="not valid UTF-8"):
+            load_csv(path)
+
     def test_missing_cell_rejected(self, tmp_path):
         path = _write(tmp_path, "a,b\n1,\n")
         with pytest.raises(ParseError):

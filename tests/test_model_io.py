@@ -81,6 +81,27 @@ def test_truncated_file(features, tmp_path):
         load_model(path)
 
 
+def test_invalid_utf8_rejected(features, tmp_path):
+    ft = fit_transformer(features, "minmax")
+    path = tmp_path / "model.json"
+    save_model(ft, path)
+    path.write_bytes(path.read_bytes().replace(b'"minmax"', b'"minm\xffax"'))
+    with pytest.raises(CorruptModel, match="not valid JSON"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("key", ["seed", "psi", "t"])
+def test_overflowing_header_integer_rejected(key, features, tmp_path):
+    ft = fit_transformer(features, "ares", seed=7)
+    path = tmp_path / "model.json"
+    save_model(ft, path)
+    doc = json.loads(path.read_text())
+    # 1e400 parses as float infinity, which no int holds
+    path.write_text(json.dumps(doc).replace(f'"{key}": {doc[key]}', f'"{key}": 1e400'))
+    with pytest.raises(CorruptModel, match="infinity"):
+        load_model(path)
+
+
 def test_unsupported_version(features, tmp_path):
     ft = fit_transformer(features, "minmax")
     path = tmp_path / "model.json"

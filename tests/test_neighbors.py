@@ -149,6 +149,14 @@ class TestLofExamples:
         assert np.array_equal(lof_scores(x, 2), np.ones(6))
         assert np.array_equal(_lof_bruteforce(x, 2), np.ones(6))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    def test_infinite_density_neighbours_give_infinite_score(self, dtype):
+        # the far row's neighbours all have infinite density, and inf enters its sum
+        x = np.array([[0, 0], [0, 0], [0, 0], [1, 0]], dtype=dtype)
+        want = np.array([1.0, 1.0, 1.0, np.inf])
+        assert np.array_equal(lof_scores(x, 2), want)
+        assert np.array_equal(_lof_bruteforce(x, 2), want)
+
 
 class TestLofProperties:
     def test_matches_bruteforce_random(self):

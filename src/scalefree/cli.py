@@ -8,6 +8,7 @@ success exits 0.
 """
 
 import argparse
+import math
 import os
 import sys
 
@@ -38,6 +39,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
     return value
 
 
@@ -79,13 +87,13 @@ def _add_perturb_args(parser):
     )
     parser.add_argument(
         "--perturb-a",
-        type=float,
+        type=_positive_float,
         default=DEFAULT_SHIFT,
         help="positive shift added to unit-scaled values (default %(default)s)",
     )
     parser.add_argument(
         "--perturb-b",
-        type=float,
+        type=_positive_float,
         default=DEFAULT_SCALE,
         help="positive scale applied after the shift (default %(default)s)",
     )
@@ -185,13 +193,12 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    if args.folds < 2:
-        raise ScaleFreeError(f"--folds must be >= 2, got {args.folds}")
-    dataset = load_csv(args.input, label_column=args.label_col)
-
     task_kwargs = {"subsample_size": args.psi, "n_subsamples": args.t}
     if args.task == "classify":
+        if args.folds < 2:
+            raise ScaleFreeError(f"--folds must be >= 2, got {args.folds}")
         task_kwargs.update(knn_k=args.k, n_folds=args.folds)
+    dataset = load_csv(args.input, label_column=args.label_col)
 
     reports = evaluation_grid(
         dataset,

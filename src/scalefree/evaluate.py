@@ -1,17 +1,22 @@
 """Replication harness: cross-validated KNN accuracy and whole-set LOF AUC.
 
-Protocol per run:
+Every run is one cell of the preprocessor x perturbation grid, and
+`_run_cell` holds the steps all cells share:
 
-* the perturbation is applied to every feature column of the full dataset
-  first (it simulates how the data were measured, not a modelling step);
-* classification: rows split into k random folds, the preprocessor is fit on
-  the training folds only, KNN predicts the held-out fold, reported number
-  is the mean fold accuracy;
-* anomaly detection: the preprocessor is fit on all rows (unsupervised), LOF
-  scores every row with n_neighbors = ceil(sqrt(N)), reported number is the
-  AUC of the scores against the binary flags;
-* rank and ARES reach KNN and LOF as their integer counts (the transform
-  times t), whose squared distances are exact; min-max as its floats.
+* `perturb_matrix` rescales every feature column of the full dataset first
+  (it simulates how the data were measured, not a modelling step);
+* the task's scoring step calls the cell's `fit_map`, which fits the
+  preprocessor (`fit_transformer`) on the rows it is given and maps every
+  row to what the learners see: rank and ARES as their integer counts (the
+  transform times t), whose squared distances are exact; min-max as its
+  floats;
+* `_run_cell` times these steps and builds the `EvaluationReport`.
+
+Only the scoring differs. `run_classification` splits the rows into k random
+folds, fits on the training folds only, predicts each held-out fold by KNN
+and reports the mean fold accuracy. `run_anomaly` fits on all rows
+(unsupervised), scores every row by LOF with n_neighbors = ceil(sqrt(N)) and
+reports the AUC of the scores against the binary flags.
 
 All randomness (fold permutation, per-fold sub-sample draws) expands from
 the single seed via the derivations in `sampling`.
@@ -76,12 +81,34 @@ def kfold_split(n: int, k: int = DEFAULT_FOLDS, seed: int = 0) -> FoldAssignment
     return FoldAssignment(fold_of_row=fold_of_row, n_folds=k)
 
 
-def _neighbor_features(transformer, features) -> np.ndarray:
-    """What the neighbour learners see. The common factor t between counts
-    and transform changes neither KNN order nor LOF ratios."""
-    if transformer.kind == "minmax":
-        return transformer.transform(features)
-    return transformer.counts(features)
+def _run_cell(dataset, preprocessor, perturbation, metric, score, *, seed, **fit_kwargs):
+    """One grid cell; `score(fit_map)` returns the aggregate and the per-fold
+    list. Each row maps on its own, so fitting on some rows and mapping all
+    equals mapping each subset. The common factor t between counts and
+    transform changes neither KNN order nor LOF ratios."""
+    spec = perturbation if perturbation is not None else PerturbationSpec("identity")
+    start = time.perf_counter()
+    features = perturb_matrix(dataset.features, spec)
+
+    def fit_map(rows, fit_seed):
+        transformer = fit_transformer(features[rows], preprocessor, seed=fit_seed, **fit_kwargs)
+        if transformer.kind == "minmax":
+            return transformer.transform(features)
+        return transformer.counts(features)
+
+    aggregate, per_fold = score(fit_map)
+    elapsed_ms = (time.perf_counter() - start) * 1000.0
+
+    return EvaluationReport(
+        dataset=dataset.name,
+        preprocessor=preprocessor,
+        perturbation=spec.kind,
+        metric=metric,
+        aggregate=aggregate,
+        wall_time_ms=elapsed_ms,
+        seed=seed,
+        per_fold=per_fold,
+    )
 
 
 def run_classification(
@@ -96,41 +123,26 @@ def run_classification(
     n_subsamples: int = DEFAULT_N_SUBSAMPLES,
 ) -> EvaluationReport:
     """10-fold cross-validated KNN accuracy under one preprocessing setup."""
-    if dataset.labels is None:
-        raise MissingLabelColumn("classification needs a dataset with labels")
-    spec = perturbation if perturbation is not None else PerturbationSpec("identity")
-
-    start = time.perf_counter()
-    features = perturb_matrix(dataset.features, spec)
     labels = dataset.labels
-    folds = kfold_split(dataset.n_rows, n_folds, seed=fold_seed(seed))
+    if labels is None:
+        raise MissingLabelColumn("classification needs a dataset with labels")
 
-    per_fold = []
-    for f in range(n_folds):
-        train_idx = folds.train_indices(f)
-        test_idx = folds.test_indices(f)
-        transformer = fit_transformer(
-            features[train_idx],
-            preprocessor,
-            subsample_size=subsample_size,
-            n_subsamples=n_subsamples,
-            seed=cv_fit_seed(seed, f),
-        )
-        neighbor = _neighbor_features(transformer, features)  # each row maps on its own
-        predicted = knn_classify(neighbor[train_idx], labels[train_idx], neighbor[test_idx], knn_k)
-        per_fold.append(accuracy(predicted, labels[test_idx]))
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
+    def score(fit_map):
+        folds = kfold_split(dataset.n_rows, n_folds, seed=fold_seed(seed))
+        per_fold = []
+        for f in range(n_folds):
+            train_idx = folds.train_indices(f)
+            test_idx = folds.test_indices(f)
+            neighbor = fit_map(train_idx, cv_fit_seed(seed, f))
+            train, test = neighbor[train_idx], neighbor[test_idx]
+            predicted = knn_classify(train, labels[train_idx], test, knn_k)
+            per_fold.append(accuracy(predicted, labels[test_idx]))
+        return float(np.mean(per_fold)), per_fold
 
-    return EvaluationReport(
-        dataset=dataset.name,
-        preprocessor=preprocessor,
-        perturbation=spec.kind,
-        metric="accuracy",
-        aggregate=float(np.mean(per_fold)),
-        wall_time_ms=elapsed_ms,
-        seed=seed,
-        per_fold=per_fold,
-    )
+    return _run_cell(
+        dataset, preprocessor, perturbation, "accuracy", score,
+        seed=seed, subsample_size=subsample_size, n_subsamples=n_subsamples,
+    )  # fmt: skip
 
 
 def _binary_flags(labels) -> np.ndarray:
@@ -166,32 +178,15 @@ def run_anomaly(
     if dataset.labels is None:
         raise MissingLabelColumn("anomaly evaluation needs a dataset with 0/1 labels")
     flags = _binary_flags(dataset.labels)
-    spec = perturbation if perturbation is not None else PerturbationSpec("identity")
 
-    start = time.perf_counter()
-    features = perturb_matrix(dataset.features, spec)
-    transformer = fit_transformer(
-        features,
-        preprocessor,
-        subsample_size=subsample_size,
-        n_subsamples=n_subsamples,
-        seed=seed,
-    )
-    transformed = _neighbor_features(transformer, features)
-    scores = lof_scores(transformed, lof_neighbor_count(dataset.n_rows))
-    value = auc(scores, flags)
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
+    def score(fit_map):
+        scores = lof_scores(fit_map(slice(None), seed), lof_neighbor_count(dataset.n_rows))
+        return auc(scores, flags), []
 
-    return EvaluationReport(
-        dataset=dataset.name,
-        preprocessor=preprocessor,
-        perturbation=spec.kind,
-        metric="auc",
-        aggregate=value,
-        wall_time_ms=elapsed_ms,
-        seed=seed,
-        per_fold=[],
-    )
+    return _run_cell(
+        dataset, preprocessor, perturbation, "auc", score,
+        seed=seed, subsample_size=subsample_size, n_subsamples=n_subsamples,
+    )  # fmt: skip
 
 
 def evaluation_grid(

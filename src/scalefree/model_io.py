@@ -8,6 +8,7 @@ produces bitwise-identical outputs on every input.
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,26 @@ FORMAT_VERSION = 1
 
 def _fingerprint(n_features: int) -> str:
     return hashlib.sha256(f"columns:{n_features}".encode()).hexdigest()
+
+
+def _header_int(value, key: str) -> int:
+    """A header integer, which must be a JSON integer: not a fraction, a
+    boolean or a string, and not 1e400, which parses as infinity."""
+    if type(value) is not int:
+        got = "infinity" if value in (math.inf, -math.inf) else repr(value)
+        raise ValueError(f"{key} must be a JSON integer, got {got}")
+    return value
+
+
+def _numbers(values, ndim: int) -> np.ndarray:
+    """Column parameters as a float64 array of `ndim` dimensions; each must
+    be a JSON number, not a string, a boolean or null."""
+    arr = np.asarray(values, dtype=object)
+    if arr.ndim != ndim:
+        raise ValueError(f"expected parameters nested {ndim} deep")
+    if not set(map(type, arr.flat)) <= {int, float}:
+        raise ValueError("parameters must be JSON numbers")
+    return arr.astype(np.float64)
 
 
 def save_model(transformer: FittedTransformer, path) -> None:
@@ -63,7 +84,7 @@ def load_model(path) -> FittedTransformer:
     if not isinstance(doc, dict):
         raise CorruptModel(f"{path}: expected a JSON object at top level")
     version = doc.get("format_version")
-    if not isinstance(version, int):
+    if type(version) is not int:
         raise CorruptModel(f"{path}: missing or invalid format_version")
     if version != FORMAT_VERSION:
         raise UnsupportedVersion(
@@ -79,20 +100,17 @@ def load_model(path) -> FittedTransformer:
 
     try:
         if kind == "minmax":
-            columns = [MinMaxParams(float(b["min"]), float(b["max"])) for b in raw_columns]
+            columns = [
+                MinMaxParams(*_numbers([b["min"], b["max"]], 1).tolist()) for b in raw_columns
+            ]
         elif kind == "rank":
-            columns = [
-                RankModel(np.asarray(b["sorted_train"], dtype=np.float64)) for b in raw_columns
-            ]
+            columns = [RankModel(_numbers(b["sorted_train"], 1)) for b in raw_columns]
         else:
-            seed = int(doc["seed"])
-            columns = [
-                AresModel(np.asarray(b["subsamples"], dtype=np.float64), seed)
-                for b in raw_columns
-            ]
+            seed = _header_int(doc["seed"], "seed")
+            columns = [AresModel(_numbers(b["subsamples"], 2), seed) for b in raw_columns]
         transformer = FittedTransformer(kind, columns)
         if kind == "ares":
-            header = (int(doc["psi"]), int(doc["t"]))
+            header = (_header_int(doc["psi"], "psi"), _header_int(doc["t"], "t"))
             if header != (transformer.subsample_size, transformer.n_subsamples):
                 raise ValueError("sub-sample block shape disagrees with psi/t")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -160,6 +160,25 @@ def test_unwritable_output_is_named(command, target, reason, class_csv, tmp_path
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a_dir", class_csv.name]
 
 
+@pytest.mark.parametrize("command", [["perturb"], ["evaluate", "--folds", "2"]])
+@pytest.mark.parametrize("flag", ["--perturb-a", "--perturb-b"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_bad_perturbation_constant_is_a_usage_error(
+    command, flag, value, class_csv, tmp_path, capsys
+):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc_info:
+        main([*command, "--input", str(class_csv), "--label-col", "label",
+              flag, value, "--output", str(out)])
+    assert exc_info.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+    assert errors == [
+        f"scalefree {command[0]}: error: argument {flag}: "
+        f"must be a positive finite number, got {value}"
+    ]
+    assert not out.exists()
+
+
 class TestEvaluate:
     def test_log_and_identity_agree_for_ares(self, class_csv, tmp_path):
         rows = {}
@@ -222,6 +241,19 @@ class TestEvaluate:
                    "--folds", "1", "--output", str(tmp_path / "r.csv")])
         assert rc == 1
         assert "folds" in capsys.readouterr().err
+
+    def test_folds_unused_by_the_anomaly_task(self, anomaly_csv, tmp_path):
+        payloads = []
+        for folds in ([], ["--folds", "1"]):
+            out = tmp_path / f"anom{len(folds)}.json"
+            rc = main(["evaluate", "--input", str(anomaly_csv), "--label-col", "label",
+                       "--task", "anomaly", "--preproc", "rank", "--seed", "3",
+                       *folds, "--output", str(out)])
+            assert rc == 0
+            payloads.append(json.loads(out.read_text()))
+        for payload in payloads:
+            del payload[0]["wall_time_ms"]
+        assert payloads[0] == payloads[1]
 
 
 class TestSeedResolution:

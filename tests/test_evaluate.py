@@ -1,5 +1,7 @@
 """Cross-validation split and the classification/anomaly runners."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from scalefree.perturb import PerturbationSpec, perturb_matrix
 from scalefree.sampling import cv_fit_seed, fold_seed
 from scalefree.transforms import fit_transformer
 
+import reference_harness
 from conftest import gaussian_classification
 
 
@@ -235,6 +238,39 @@ class TestEvaluationGrid:
         assert len(reports) == 15
         combos = {(r.preprocessor, r.perturbation) for r in reports}
         assert len(combos) == 15
+
+    @pytest.mark.parametrize(
+        "task, fixture, task_kwargs",
+        [
+            ("classify", "glass_shaped", {}),
+            (
+                "classify",
+                "glass_shaped",
+                {"knn_k": 3, "n_folds": 4, "subsample_size": 5, "n_subsamples": 3},
+            ),
+            ("anomaly", "ionosphere_shaped", {}),
+            ("anomaly", "breastw_shaped", {"subsample_size": 11, "n_subsamples": 4}),
+        ],
+    )
+    def test_cells_equal_the_reference_runners(self, task, fixture, task_kwargs, request):
+        """Every field but the wall time, so the per-fold fit seeds and rows
+        and the learner inputs are those of the straight-line runners."""
+        dataset = request.getfixturevalue(fixture)
+        reference = {
+            "classify": reference_harness.run_classification,
+            "anomaly": reference_harness.run_anomaly,
+        }[task]
+        constants = {"shift": 0.25, "scale": 3.0}
+        reports = evaluation_grid(dataset, task, seed=19, **constants, **task_kwargs)
+        got = [asdict(r) for r in reports]
+        for report in got:
+            del report["wall_time_ms"]
+        want = [
+            reference(dataset, preproc, PerturbationSpec(kind, **constants), seed=19, **task_kwargs)
+            for preproc in ("minmax", "rank", "ares")
+            for kind in ("identity", "log", "square", "sqrt", "inverse")
+        ]
+        assert got == want
 
     def test_unknown_task(self):
         ds = gaussian_classification("grid", 60, 3, 2, seed=74)

@@ -102,6 +102,42 @@ def test_overflowing_header_integer_rejected(key, features, tmp_path):
         load_model(path)
 
 
+SORTED_TRAIN = ("columns", 0, "sorted_train")
+SUBSAMPLES = ("columns", 0, "subsamples")
+# (kind, path to the value, replacement): each holds the value a lenient
+# reader would coerce it to, and binary features keep arrays of booleans sorted.
+WRONG_TYPED = [
+    pytest.param("ares", ("seed",), lambda v: 42.7, id="seed-fraction"),
+    pytest.param("ares", ("seed",), lambda v: True, id="seed-boolean"),
+    pytest.param("ares", ("seed",), str, id="seed-string"),
+    pytest.param("ares", ("psi",), lambda v: v + 0.9, id="psi-fraction"),
+    pytest.param("ares", ("t",), str, id="t-string"),
+    pytest.param("minmax", ("format_version",), lambda v: True, id="version-boolean"),
+    pytest.param("minmax", ("columns", 0, "min"), str, id="min-string"),
+    pytest.param("minmax", ("columns", 0, "max"), bool, id="max-boolean"),
+    pytest.param("rank", SORTED_TRAIN, lambda v: list(map(str, v)), id="rank-strings"),
+    pytest.param("rank", SORTED_TRAIN, lambda v: list(map(bool, v)), id="rank-booleans"),
+    pytest.param("ares", SUBSAMPLES, lambda v: [list(map(str, r)) for r in v], id="ares-strings"),
+    pytest.param("ares", SUBSAMPLES, lambda v: [list(map(bool, r)) for r in v], id="ares-booleans"),
+]
+
+
+@pytest.mark.parametrize("kind, keys, retype", WRONG_TYPED)
+def test_wrong_typed_json_number_rejected(kind, keys, retype, tmp_path):
+    binary = np.random.default_rng(93).integers(0, 2, size=(40, 2)).astype(np.float64)
+    path = tmp_path / "model.json"
+    save_model(fit_transformer(binary, kind, seed=7), path)
+    doc = json.loads(path.read_text())
+    *parents, last = keys
+    holder = doc
+    for key in parents:
+        holder = holder[key]
+    holder[last] = retype(holder[last])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorruptModel):
+        load_model(path)
+
+
 def test_unsupported_version(features, tmp_path):
     ft = fit_transformer(features, "minmax")
     path = tmp_path / "model.json"

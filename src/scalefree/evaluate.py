@@ -5,11 +5,13 @@ Every run is one cell of the preprocessor x perturbation grid, and
 
 * `perturb_matrix` rescales every feature column of the full dataset first
   (it simulates how the data were measured, not a modelling step);
-* the task's scoring step calls the cell's `fit_map`, which fits the
-  preprocessor (`fit_transformer`) on the rows it is given and maps every
-  row to what the learners see: rank and ARES as their integer counts (the
-  transform times t), whose squared distances are exact; min-max as its
-  floats;
+* the task's scoring step calls the cell's `fit_maps` with the rows and
+  seed of each fit, and gets, fit by fit, every row mapped to what the
+  learners see. Rank and ARES map to their integer counts (the transform
+  times t), whose squared distances are exact; every column is sorted once
+  per cell, and each fit's counts are a cumulative sum of its per-row
+  sample weights in that order (`transforms._in_sample_counter`). Min-max
+  maps through `fit_transformer` and `transform`, as floats;
 * `_run_cell` times these steps and builds the `EvaluationReport`.
 
 Only the scoring differs. `run_classification` splits the rows into k random
@@ -45,6 +47,7 @@ from .transforms import (
     DEFAULT_N_SUBSAMPLES,
     DEFAULT_SUBSAMPLE_SIZE,
     KINDS,
+    _in_sample_counter,
     fit_transformer,
 )
 
@@ -82,7 +85,7 @@ def kfold_split(n: int, k: int = DEFAULT_FOLDS, seed: int = 0) -> FoldAssignment
 
 
 def _run_cell(dataset, preprocessor, perturbation, metric, score, *, seed, **fit_kwargs):
-    """One grid cell; `score(fit_map)` returns the aggregate and the per-fold
+    """One grid cell; `score(fit_maps)` returns the aggregate and the per-fold
     list. Each row maps on its own, so fitting on some rows and mapping all
     equals mapping each subset. The common factor t between counts and
     transform changes neither KNN order nor LOF ratios."""
@@ -90,13 +93,22 @@ def _run_cell(dataset, preprocessor, perturbation, metric, score, *, seed, **fit
     start = time.perf_counter()
     features = perturb_matrix(dataset.features, spec)
 
-    def fit_map(rows, fit_seed):
-        transformer = fit_transformer(features[rows], preprocessor, seed=fit_seed, **fit_kwargs)
-        if transformer.kind == "minmax":
-            return transformer.transform(features)
-        return transformer.counts(features)
+    def fit_maps(fits):
+        """Per (rows, fit_seed) of `fits` in turn, the fit on those rows
+        mapping every row. The column sort lives only while this generator
+        runs, so a caller that drains it frees the sort before its learner.
+        An empty matrix goes through `fit_transformer`, which names what is
+        missing."""
+        if preprocessor in ("rank", "ares") and features.size:
+            counts = _in_sample_counter(features)
+            for rows, fit_seed in fits:
+                yield counts(preprocessor, rows, seed=fit_seed, **fit_kwargs)
+            return
+        for rows, fit_seed in fits:
+            transformer = fit_transformer(features[rows], preprocessor, seed=fit_seed, **fit_kwargs)
+            yield transformer.transform(features)
 
-    aggregate, per_fold = score(fit_map)
+    aggregate, per_fold = score(fit_maps)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
 
     return EvaluationReport(
@@ -127,13 +139,13 @@ def run_classification(
     if labels is None:
         raise MissingLabelColumn("classification needs a dataset with labels")
 
-    def score(fit_map):
+    def score(fit_maps):
         folds = kfold_split(dataset.n_rows, n_folds, seed=fold_seed(seed))
+        trains = [folds.train_indices(f) for f in range(n_folds)]
+        mapped = fit_maps((rows, cv_fit_seed(seed, f)) for f, rows in enumerate(trains))
         per_fold = []
-        for f in range(n_folds):
-            train_idx = folds.train_indices(f)
-            test_idx = folds.test_indices(f)
-            neighbor = fit_map(train_idx, cv_fit_seed(seed, f))
+        for f, neighbor in enumerate(mapped):
+            train_idx, test_idx = trains[f], folds.test_indices(f)
             train, test = neighbor[train_idx], neighbor[test_idx]
             predicted = knn_classify(train, labels[train_idx], test, knn_k)
             per_fold.append(accuracy(predicted, labels[test_idx]))
@@ -179,8 +191,9 @@ def run_anomaly(
         raise MissingLabelColumn("anomaly evaluation needs a dataset with 0/1 labels")
     flags = _binary_flags(dataset.labels)
 
-    def score(fit_map):
-        scores = lof_scores(fit_map(slice(None), seed), lof_neighbor_count(dataset.n_rows))
+    def score(fit_maps):
+        (neighbor,) = fit_maps([(slice(None), seed)])
+        scores = lof_scores(neighbor, lof_neighbor_count(dataset.n_rows))
         return auc(scores, flags), []
 
     return _run_cell(

@@ -36,8 +36,8 @@ DEFAULT_SCALE = 100.0
 class PerturbationSpec:
     """Which rescaling to apply, with the shift/scale constants.
 
-    shift > 0 and scale > 0 guarantee strictly positive inputs to the
-    monotone map; scale defaults large enough to change inter-point
+    Finite shift > 0 and scale > 0 guarantee strictly positive inputs to
+    the monotone map; scale defaults large enough to change inter-point
     distances substantially.
     """
 
@@ -50,10 +50,10 @@ class PerturbationSpec:
             raise ValueError(
                 f"unknown perturbation {self.kind!r}; expected one of {PERTURBATION_KINDS}"
             )
-        if not self.shift > 0:
-            raise ValueError(f"shift must be > 0, got {self.shift}")
-        if not self.scale > 0:
-            raise ValueError(f"scale must be > 0, got {self.scale}")
+        if not 0 < self.shift < np.inf:
+            raise ValueError(f"shift must be finite and > 0, got {self.shift}")
+        if not 0 < self.scale < np.inf:
+            raise ValueError(f"scale must be finite and > 0, got {self.scale}")
 
 
 def rescale_unit(values) -> np.ndarray:
@@ -68,9 +68,12 @@ def shift_scale(values, spec: PerturbationSpec):
 
 
 def _perturbed(unit: np.ndarray, spec: PerturbationSpec) -> np.ndarray:
-    """The perturbation of unit-scaled values, unchecked."""
-    x = shift_scale(unit, spec)
-    return _MAPS[spec.kind](x, out=x)
+    """The perturbation of unit-scaled values, whose result the caller checks.
+    The shift-scaled values are checked before the map, which could hide
+    their overflow (inverse maps inf to 0); overflow raises, never warns."""
+    with np.errstate(over="ignore"):
+        x = _require_finite_result(shift_scale(unit, spec), spec)
+        return _MAPS[spec.kind](x, out=x)
 
 
 def _require_finite_result(out: np.ndarray, spec: PerturbationSpec) -> np.ndarray:

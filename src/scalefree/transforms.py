@@ -162,22 +162,68 @@ _PARAMS = {"minmax": MinMaxParams, "rank": RankModel, "ares": AresModel}
 KINDS = tuple(_PARAMS)
 
 
+def _ares_draw(n_rows: int, psi: int, t: int, seed: int, column_index) -> np.ndarray:
+    """The row indices ARES draws, shape (m, t, psi): draw j of column c takes
+    the seed of column column_index[c] (an (m, 1) array, or an int for one
+    column), and all m·t draws are one `subsample_indices` call. A t below 1
+    raises as an empty sub-sample array does; a negative psi acts as 0."""
+    if t < 1:
+        raise ValueError("need a 2-D array of at least one nonempty sub-sample")
+    seeds = subsample_seed(seed, column_index, np.arange(t)).reshape(-1, t)
+    return subsample_indices(n_rows, max(psi, 0), seeds)
+
+
 def _fit_rows(kind: str, xt, psi: int = 0, t: int = 0, seed: int = 0, column_index=0) -> list:
-    """The parameters of each finite row of `xt`, one column per row. ARES
-    row c draws with the seeds of column column_index[c] (an (m, 1) array, or
-    an int for one row), and all m·t draws are one `subsample_indices` call."""
+    """The parameters of each finite row of `xt`, one column per row; ARES
+    draws as `_ares_draw` with column_index."""
     if kind == "minmax":
         return list(map(MinMaxParams, xt.min(axis=1).tolist(), xt.max(axis=1).tolist()))
     if kind == "rank":
         return [RankModel(sorted_train=row) for row in np.sort(xt, axis=1)]
-    psi, t = max(psi, 0), max(t, 0)  # a negative size acts as 0
-    subs = np.empty((xt.shape[0], t, psi))
-    if subs.shape[0] and t:  # a draw, so psi is checked, only if there is one
-        seeds = subsample_seed(seed, column_index, np.arange(t)).reshape(-1, t)
-        idx = subsample_indices(xt.shape[1], psi, seeds)
-        subs = np.take_along_axis(xt[:, None, :], idx, axis=2)
-        subs.sort()
+    if not len(xt):
+        return []
+    idx = _ares_draw(xt.shape[1], psi, t, seed, column_index)
+    subs = np.take_along_axis(xt[:, None, :], idx, axis=2)
+    subs.sort()
     return [AresModel(subsamples=s, seed=seed) for s in subs]
+
+
+def _in_sample_counter(x: np.ndarray):
+    """Rank and ARES counts of every row of a finite N×m matrix, for fits on
+    any of its rows, from one sort of each column.
+
+    A fit weights each row by how often it was sampled: rank by 1 per fitted
+    row, ARES by how many of a column's t draws took it. A row's count is
+    then the summed weight of the rows strictly below it, one cumulative sum
+    read at the row's group start in sorted order. The returned
+    `counts(kind, rows, psi, t, seed)` equals
+    `fit_transformer(x[rows], kind, psi, t, seed=seed).counts(x)` bitwise
+    and raises as it does for a bad psi or t."""
+    n, m = x.shape
+    order = np.argsort(x, axis=0)
+    ranked = np.take_along_axis(x, order, axis=0)
+    # The first sorted position of each value; != keeps -0.0 with 0.0.
+    starts = np.zeros((n, m), dtype=np.intp)
+    starts[1:] = np.where(ranked[1:] != ranked[:-1], np.arange(1, n)[:, None], 0)
+    np.maximum.accumulate(starts, axis=0, out=starts)
+    below = np.empty_like(order)
+    np.put_along_axis(below, order, starts, axis=0)
+
+    def counts(kind, rows, subsample_size, n_subsamples, seed):
+        rows = np.arange(n)[rows]
+        if kind == "rank":
+            weights = np.bincount(rows, minlength=n)[order]
+        else:
+            idx = _ares_draw(len(rows), subsample_size, n_subsamples, seed, np.arange(m)[:, None])
+            taken = rows[idx]
+            taken += n * np.arange(m)[:, None, None]  # column c counts in bins c·n to c·n + n - 1
+            per_column = np.bincount(taken.ravel(), minlength=n * m).reshape(m, n).T
+            weights = np.take_along_axis(per_column, order, axis=0)
+        cum = np.zeros((n + 1, m), dtype=np.int64)
+        np.cumsum(weights, axis=0, out=cum[1:])
+        return np.take_along_axis(cum, below, axis=0)
+
+    return counts
 
 
 def fit_minmax(values) -> MinMaxParams:

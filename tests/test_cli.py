@@ -179,6 +179,21 @@ def test_bad_perturbation_constant_is_a_usage_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command", [["perturb", "--perturb", "inverse"], ["evaluate", "--perturb", "inverse", "--folds", "2"]]
+)
+def test_overflowing_perturbation_is_named(command, class_csv, tmp_path, capsys):
+    """10 * (u + 1e308) overflows; inverse would map it to 0 in silence."""
+    out = tmp_path / "out.csv"
+    rc = main([*command, "--input", str(class_csv), "--label-col", "label",
+               "--perturb-a", "1e308", "--perturb-b", "10", "--output", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: NonFiniteResult: perturbation 'inverse' produced non-finite values\n"
+    )
+    assert not out.exists()
+
+
 class TestEvaluate:
     def test_log_and_identity_agree_for_ares(self, class_csv, tmp_path):
         rows = {}

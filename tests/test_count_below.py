@@ -6,6 +6,8 @@ the mean over sub-samples of per-sub-sample strictly-below counts (the
 reference kernel `ares_batch` in `tests/reference_kernels.py`), for rank the
 strictly-below count over the column. Values are drawn from small adversarial sets, so ties, signed zeros,
 subnormals, extreme magnitudes and queries equal to sampled values all occur.
+The last property checks the in-sample access to the same identity, the
+one-sort counter `evaluate` uses, against the model path.
 """
 
 import numpy as np
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scalefree.errors import NonFiniteValue
-from scalefree.transforms import AresModel, fit_ares, fit_rank
+from scalefree.transforms import AresModel, _in_sample_counter, fit_ares, fit_rank, fit_transformer
 
 from reference_kernels import ares_batch
 
@@ -91,3 +93,37 @@ def test_sample_collisions_checks_queries_like_transform(model):
     got = model.sample_collisions(2.0)
     assert isinstance(got, np.ndarray) and got.shape == (1,)
     assert got[0] == np.count_nonzero(model.pool == 2.0)
+
+
+def _column(rng, style, n, atoms):
+    if style == "integer":  # many ties, as in perfbench's integer columns
+        return np.floor(4.0 * rng.lognormal(size=n))
+    if style == "signed zeros":
+        return rng.choice([0.0, -0.0, 1.0, -1.0], size=n)
+    return rng.choice(np.asarray(atoms, dtype=np.float64), size=n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    atoms=ATOMS,
+    seed=SEEDS,
+    n=st.integers(1, 40),
+    styles=st.lists(st.sampled_from(["integer", "signed zeros", "atoms"]), min_size=1, max_size=4),
+    whole=st.booleans(),
+    psi_choice=st.sampled_from(["one", "all", "some"]),
+    t=st.sampled_from([1, 2, 10]),
+)
+def test_in_sample_counts_equal_the_fitted_model(atoms, seed, n, styles, whole, psi_choice, t):
+    """The one-sort counter of `evaluate` is the model path bitwise: rank and
+    ARES counts of every row, for a fit on all rows or on a subset."""
+    rng = np.random.default_rng(seed)
+    x = np.column_stack([_column(rng, style, n, atoms) for style in styles])
+    rows = slice(None) if whole else rng.choice(n, rng.integers(1, n + 1), replace=False)
+    n_fit = len(np.arange(n)[rows])
+    psi = {"one": 1, "all": n_fit, "some": int(rng.integers(1, n_fit + 1))}[psi_choice]
+    counts = _in_sample_counter(x)
+    for kind in ("rank", "ares"):
+        got = counts(kind, rows, psi, t, seed)
+        want = fit_transformer(x[rows], kind, psi, t, seed=seed).counts(x)
+        assert got.dtype == want.dtype == np.int64
+        assert got.tobytes() == want.tobytes(), kind

@@ -7,7 +7,13 @@ import pytest
 
 from scalefree import evaluate
 from scalefree.data import Dataset
-from scalefree.errors import MissingLabelColumn, NonBinaryLabels, TooFewRows
+from scalefree.errors import (
+    MissingLabelColumn,
+    NonBinaryLabels,
+    PsiNonPositive,
+    PsiTooLarge,
+    TooFewRows,
+)
 from scalefree.evaluate import (
     evaluation_grid,
     kfold_split,
@@ -15,9 +21,9 @@ from scalefree.evaluate import (
     run_anomaly,
     run_classification,
 )
-from scalefree.perturb import PerturbationSpec, perturb_matrix
+from scalefree.perturb import PERTURBATION_KINDS, PerturbationSpec, perturb_matrix
 from scalefree.sampling import cv_fit_seed, fold_seed
-from scalefree.transforms import fit_transformer
+from scalefree.transforms import KINDS, fit_transformer
 
 import reference_harness
 from conftest import gaussian_classification
@@ -35,6 +41,32 @@ def anomaly_dataset():
     outliers = rng.uniform(-7, 7, size=(12, 3))
     flags = np.concatenate([np.zeros(140, dtype=int), np.ones(12, dtype=int)])
     return Dataset("anom", np.vstack([inliers, outliers]), labels=flags)
+
+
+def _tied(rng, offsets):
+    """Log-normal columns, the last half floored to integers as
+    floor(4·lognormal), so ties and ARES sample collisions occur."""
+    n, m = offsets.shape
+    x = np.exp(rng.uniform(0.5, 1.5, m) * rng.standard_normal((n, m)) + offsets)
+    x[:, m // 2 :] = np.floor(4.0 * x[:, m // 2 :])
+    return x
+
+
+@pytest.fixture(scope="module")
+def tied_class_dataset():
+    rng = np.random.default_rng(75)
+    labels = rng.integers(0, 3, 200)
+    return Dataset("tied", _tied(rng, rng.normal(0.0, 0.6, (3, 6))[labels]), labels=labels)
+
+
+@pytest.fixture(scope="module")
+def tied_anomaly_dataset():
+    rng = np.random.default_rng(76)
+    offsets = np.zeros((180, 6))
+    flags = np.zeros(180, dtype=int)
+    flags[rng.choice(180, 6, replace=False)] = 1
+    offsets[flags == 1, :3] = 3.0
+    return Dataset("tied_anom", _tied(rng, offsets), labels=flags)
 
 
 class TestKfoldSplit:
@@ -203,6 +235,45 @@ class TestRunAnomaly:
             run_anomaly(ds, "minmax", seed=1)
 
 
+@pytest.mark.parametrize("task", ["classify", "anomaly"])
+@pytest.mark.parametrize("psi, t", [(0, 10), (-3, 10), ("n_fit + 1", 10), (7, 0), (7, -1), (0, 0)])
+def test_bad_psi_or_t_raises_the_fit_error(task, psi, t, class_dataset, anomaly_dataset):
+    """ARES raises the class and message `fit_transformer` raises on the
+    first fit's rows; rank ignores psi and t."""
+    dataset, run = {
+        "classify": (class_dataset, run_classification),
+        "anomaly": (anomaly_dataset, run_anomaly),
+    }[task]
+    rows = kfold_split(dataset.n_rows, 10, seed=fold_seed(5)).train_indices(0)
+    n_fit = len(rows) if task == "classify" else dataset.n_rows
+    psi = n_fit + 1 if psi == "n_fit + 1" else psi
+    if t < 1:
+        error, message = ValueError, "need a 2-D array of at least one nonempty sub-sample"
+    elif psi < 1:
+        error, message = PsiNonPositive, "sub-sample size must be >= 1, got 0"
+    else:
+        error, message = PsiTooLarge, f"sub-sample size {psi} exceeds column length {n_fit}"
+    with pytest.raises(error) as from_fit:
+        fit_transformer(dataset.features[rows] if task == "classify" else dataset.features,
+                        "ares", psi, t, seed=5)  # fmt: skip
+    with pytest.raises(error) as from_run:
+        run(dataset, "ares", seed=5, subsample_size=psi, n_subsamples=t)
+    assert str(from_run.value) == str(from_fit.value) == message
+
+    rank = asdict(run(dataset, "rank", seed=5, subsample_size=psi, n_subsamples=t))
+    default = asdict(run(dataset, "rank", seed=5))
+    del rank["wall_time_ms"], default["wall_time_ms"]
+    assert rank == default
+
+
+@pytest.mark.parametrize("preproc", KINDS)
+def test_zero_columns_raise_the_fit_error(preproc):
+    dataset = Dataset("no_columns", np.zeros((30, 0)), labels=np.arange(30) % 2)
+    for run in (run_classification, run_anomaly):
+        with pytest.raises(ValueError, match="^a fitted transformer needs at least one column$"):
+            run(dataset, preproc, seed=5)
+
+
 @pytest.mark.parametrize("preproc", ["minmax", "rank", "ares"])
 def test_learners_see_counts_for_rank_and_ares(
     monkeypatch, class_dataset, anomaly_dataset, preproc
@@ -271,6 +342,57 @@ class TestEvaluationGrid:
             for kind in ("identity", "log", "square", "sqrt", "inverse")
         ]
         assert got == want
+
+    @pytest.mark.parametrize("task", ["classify", "anomaly"])
+    def test_tied_cells_equal_the_reference_runners(self, task, monkeypatch, request):
+        """On integer-tied columns, every report field but the wall time
+        equals the reference runners', and every learner input, each fold's
+        train and test rows, equals the reference model's counts bitwise."""
+        dataset = request.getfixturevalue(f"tied_{'class' if task == 'classify' else 'anomaly'}_dataset")
+        seen = []
+
+        def spy(fn, *positions):
+            def wrapper(*args, **kwargs):
+                seen.append([args[i] for i in positions])
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(evaluate, "knn_classify", spy(evaluate.knn_classify, 0, 2))
+        monkeypatch.setattr(evaluate, "lof_scores", spy(evaluate.lof_scores, 0))
+        reports = evaluation_grid(dataset, task, seed=19)
+        monkeypatch.undo()
+
+        reference = {
+            "classify": reference_harness.run_classification,
+            "anomaly": reference_harness.run_anomaly,
+        }[task]
+        got = [asdict(r) for r in reports]
+        for report in got:
+            del report["wall_time_ms"]
+        cells = [(preproc, kind) for preproc in KINDS for kind in PERTURBATION_KINDS]
+        assert got == [reference(dataset, p, PerturbationSpec(k), seed=19) for p, k in cells]
+
+        want = []
+        for preproc, kind in cells:
+            features = perturb_matrix(dataset.features, PerturbationSpec(kind))
+            if task == "anomaly":
+                fits = [(np.arange(dataset.n_rows), 19, [slice(None)])]
+            else:
+                folds = kfold_split(dataset.n_rows, 10, seed=fold_seed(19))
+                fits = [
+                    (folds.train_indices(f), cv_fit_seed(19, f),
+                     [folds.train_indices(f), folds.test_indices(f)])
+                    for f in range(10)
+                ]  # fmt: skip
+            for rows, fit_seed, parts in fits:
+                ft = fit_transformer(features[rows], preproc, seed=fit_seed)
+                mapped = ft.transform(features) if preproc == "minmax" else ft.counts(features)
+                want.append([mapped[part] for part in parts])
+        assert len(seen) == len(want)
+        for inputs, expected in zip(seen, want):
+            for x, y in zip(inputs, expected):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
     def test_unknown_task(self):
         ds = gaussian_classification("grid", 60, 3, 2, seed=74)

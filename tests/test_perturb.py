@@ -55,6 +55,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             PerturbationSpec("log", **bad)
 
+    @pytest.mark.parametrize("bad", [{"shift": np.inf}, {"scale": np.inf}])
+    def test_non_finite_constants(self, bad):
+        with pytest.raises(ValueError, match="must be finite and > 0, got inf"):
+            PerturbationSpec("inverse", **bad)
+
 
 class TestApplyPerturbation:
     def test_inverse_of_small_value(self):
@@ -134,6 +139,24 @@ class TestPerturbMatrix:
         with pytest.raises(NonFiniteResult, match="^perturbation 'square' produced non-finite values$"):
             with np.errstate(over="ignore"):
                 perturb_matrix([[0.0, 0.0], [1.0, 1.0]], PerturbationSpec("square", scale=1e200))
+
+    @pytest.mark.parametrize("kind", PERTURBATION_KINDS)
+    @pytest.mark.parametrize("shift, scale", [(10.0, 1e308), (1e308, 10.0)])
+    def test_shift_scale_overflow_raises_before_the_map(self, kind, shift, scale):
+        """scale * (u + shift) overflows to inf, which inverse would map to 0
+        and so hide. It raises, and with no numpy warning, which pytest
+        would raise instead."""
+        spec = PerturbationSpec(kind, shift=shift, scale=scale)
+        message = f"^perturbation {kind!r} produced non-finite values$"
+        with pytest.raises(NonFiniteResult, match=message):
+            perturb_matrix([[0.0], [1.0]], spec)
+        with pytest.raises(NonFiniteResult, match=message):
+            apply_perturbation([0.0, 1.0], spec)
+
+    def test_overflowing_map_raises_without_a_warning(self):
+        spec = PerturbationSpec("square", scale=1e200)
+        with pytest.raises(NonFiniteResult, match="^perturbation 'square' produced non-finite values$"):
+            perturb_matrix([[0.0], [1.0]], spec)
 
     def test_rank_of_perturbed_matches_original(self):
         """Composition law: rank transforms see through increasing perturbations."""

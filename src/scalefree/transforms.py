@@ -8,8 +8,16 @@ per column.
 
 Rank counting uses the strictly-less rule everywhere (y < x). Summed over the
 t sub-samples, the counts equal one strictly-below count in the pooled multiset
-of all t * psi sampled values, an integer identity. So rank and ARES share one
-exact path: a search in the sorted pool, divided once by t.
+of all t * psi sampled values, an integer identity. It has two access
+patterns, both exact and bitwise equal:
+
+* a fitted model searches its sorted pool, for any queries (`_CountBelow`);
+* for the rows of one matrix, the pool is a per-row sample weight (how often
+  the draws took the row; 1 per fitted row for rank), and a row's count is
+  the cumulative weight below it in the column's sorted order
+  (`_in_sample_counter`, one sort per matrix for any number of fits).
+
+Both draw ARES sub-samples through `_ares_draw`.
 """
 
 from dataclasses import dataclass
@@ -167,6 +175,8 @@ def _ares_draw(n_rows: int, psi: int, t: int, seed: int, column_index) -> np.nda
     the seed of column column_index[c] (an (m, 1) array, or an int for one
     column), and all m·t draws are one `subsample_indices` call. A t below 1
     raises as an empty sub-sample array does; a negative psi acts as 0."""
+    if seed is None:
+        raise ValueError("ares requires a seed")
     if t < 1:
         raise ValueError("need a 2-D array of at least one nonempty sub-sample")
     seeds = subsample_seed(seed, column_index, np.arange(t)).reshape(-1, t)

@@ -266,6 +266,13 @@ def test_bad_psi_or_t_raises_the_fit_error(task, psi, t, class_dataset, anomaly_
     assert rank == default
 
 
+def test_ares_without_a_seed_raises_the_fit_error(anomaly_dataset):
+    with pytest.raises(ValueError, match="^ares requires a seed$"):
+        fit_transformer(anomaly_dataset.features, "ares", seed=None)
+    with pytest.raises(ValueError, match="^ares requires a seed$"):
+        run_anomaly(anomaly_dataset, "ares", seed=None)
+
+
 @pytest.mark.parametrize("preproc", KINDS)
 def test_zero_columns_raise_the_fit_error(preproc):
     dataset = Dataset("no_columns", np.zeros((30, 0)), labels=np.arange(30) % 2)

@@ -210,28 +210,31 @@ def _in_sample_counter(x: np.ndarray):
     `fit_transformer(x[rows], kind, psi, t, seed=seed).counts(x)` bitwise
     and raises as it does for a bad psi or t."""
     n, m = x.shape
-    order = np.argsort(x, axis=0)
-    ranked = np.take_along_axis(x, order, axis=0)
+    xt = np.ascontiguousarray(x.T)
+    order = np.argsort(xt, axis=1)
+    ranked = np.take_along_axis(xt, order, axis=1)
     # The first sorted position of each value; != keeps -0.0 with 0.0.
-    starts = np.zeros((n, m), dtype=np.intp)
-    starts[1:] = np.where(ranked[1:] != ranked[:-1], np.arange(1, n)[:, None], 0)
-    np.maximum.accumulate(starts, axis=0, out=starts)
+    starts = np.zeros((m, n), dtype=np.intp)
+    starts[:, 1:] = np.where(ranked[:, 1:] != ranked[:, :-1], np.arange(1, n), 0)
+    np.maximum.accumulate(starts, axis=1, out=starts)
     below = np.empty_like(order)
-    np.put_along_axis(below, order, starts, axis=0)
+    np.put_along_axis(below, order, starts, axis=1)
+    # Flat positions, so that each fit does two 1-D takes: column c's weights
+    # are w[c·n:(c + 1)·n] and its cumulative sums cum[c·(n + 1):(c + 1)·(n + 1)].
+    order += n * np.arange(m)[:, None]
+    below = np.ascontiguousarray(below.T + (n + 1) * np.arange(m))  # row r, column c
 
     def counts(kind, rows, subsample_size, n_subsamples, seed):
         rows = np.arange(n)[rows]
         if kind == "rank":
-            weights = np.bincount(rows, minlength=n)[order]
+            weights = np.tile(np.bincount(rows, minlength=n), m)
         else:
             idx = _ares_draw(len(rows), subsample_size, n_subsamples, seed, np.arange(m)[:, None])
-            taken = rows[idx]
-            taken += n * np.arange(m)[:, None, None]  # column c counts in bins c·n to c·n + n - 1
-            per_column = np.bincount(taken.ravel(), minlength=n * m).reshape(m, n).T
-            weights = np.take_along_axis(per_column, order, axis=0)
-        cum = np.zeros((n + 1, m), dtype=np.int64)
-        np.cumsum(weights, axis=0, out=cum[1:])
-        return np.take_along_axis(cum, below, axis=0)
+            taken = rows[idx] + n * np.arange(m)[:, None, None]
+            weights = np.bincount(taken.ravel(), minlength=n * m)
+        cum = np.zeros((m, n + 1), dtype=np.int64)
+        np.cumsum(weights.take(order), axis=1, out=cum[:, 1:])
+        return cum.take(below)
 
     return counts
 

@@ -244,8 +244,11 @@ def test_bad_psi_or_t_raises_the_fit_error(task, psi, t, class_dataset, anomaly_
         "classify": (class_dataset, run_classification),
         "anomaly": (anomaly_dataset, run_anomaly),
     }[task]
-    rows = kfold_split(dataset.n_rows, 10, seed=fold_seed(5)).train_indices(0)
-    n_fit = len(rows) if task == "classify" else dataset.n_rows
+    if task == "classify":
+        rows = kfold_split(dataset.n_rows, 10, seed=fold_seed(5)).train_indices(0)
+    else:
+        rows = np.arange(dataset.n_rows)
+    n_fit = len(rows)
     psi = n_fit + 1 if psi == "n_fit + 1" else psi
     if t < 1:
         error, message = ValueError, "need a 2-D array of at least one nonempty sub-sample"
@@ -254,8 +257,7 @@ def test_bad_psi_or_t_raises_the_fit_error(task, psi, t, class_dataset, anomaly_
     else:
         error, message = PsiTooLarge, f"sub-sample size {psi} exceeds column length {n_fit}"
     with pytest.raises(error) as from_fit:
-        fit_transformer(dataset.features[rows] if task == "classify" else dataset.features,
-                        "ares", psi, t, seed=5)  # fmt: skip
+        fit_transformer(dataset.features[rows], "ares", psi, t, seed=5)
     with pytest.raises(error) as from_run:
         run(dataset, "ares", seed=5, subsample_size=psi, n_subsamples=t)
     assert str(from_run.value) == str(from_fit.value) == message
@@ -350,12 +352,14 @@ class TestEvaluationGrid:
         ]
         assert got == want
 
-    @pytest.mark.parametrize("task", ["classify", "anomaly"])
-    def test_tied_cells_equal_the_reference_runners(self, task, monkeypatch, request):
+    @pytest.mark.parametrize(
+        "task, fixture", [("classify", "tied_class_dataset"), ("anomaly", "tied_anomaly_dataset")]
+    )
+    def test_tied_cells_equal_the_reference_runners(self, task, fixture, monkeypatch, request):
         """On integer-tied columns, every report field but the wall time
         equals the reference runners', and every learner input, each fold's
         train and test rows, equals the reference model's counts bitwise."""
-        dataset = request.getfixturevalue(f"tied_{'class' if task == 'classify' else 'anomaly'}_dataset")
+        dataset = request.getfixturevalue(fixture)
         seen = []
 
         def spy(fn, *positions):

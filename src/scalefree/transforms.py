@@ -173,8 +173,9 @@ KINDS = tuple(_PARAMS)
 def _ares_draw(n_rows: int, psi: int, t: int, seed: int, column_index) -> np.ndarray:
     """The row indices ARES draws, shape (m, t, psi): draw j of column c takes
     the seed of column column_index[c] (an (m, 1) array, or an int for one
-    column), and all m·t draws are one `subsample_indices` call. A t below 1
-    raises as an empty sub-sample array does; a negative psi acts as 0."""
+    column), and all m·t draws are one `subsample_indices` call. A missing
+    seed raises as `fit_transformer` does, a t below 1 as an empty
+    sub-sample array does; a negative psi acts as 0."""
     if seed is None:
         raise ValueError("ares requires a seed")
     if t < 1:
@@ -208,7 +209,7 @@ def _in_sample_counter(x: np.ndarray):
     read at the row's group start in sorted order. The returned
     `counts(kind, rows, psi, t, seed)` equals
     `fit_transformer(x[rows], kind, psi, t, seed=seed).counts(x)` bitwise
-    and raises as it does for a bad psi or t."""
+    and raises as it does for a bad psi, t or seed."""
     n, m = x.shape
     xt = np.ascontiguousarray(x.T)
     order = np.argsort(xt, axis=1)

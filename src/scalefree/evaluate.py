@@ -89,6 +89,8 @@ def _run_cell(dataset, preprocessor, perturbation, metric, score, *, seed, **fit
     list. Each row maps on its own, so fitting on some rows and mapping all
     equals mapping each subset. The common factor t between counts and
     transform changes neither KNN order nor LOF ratios."""
+    if seed is None:
+        raise ValueError(f"{preprocessor} requires a seed")
     spec = perturbation if perturbation is not None else PerturbationSpec("identity")
     start = time.perf_counter()
     features = perturb_matrix(dataset.features, spec)

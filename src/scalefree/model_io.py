@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import replacing
 from .errors import CorruptModel, UnsupportedVersion
-from .transforms import KINDS, AresModel, FittedTransformer, MinMaxParams, RankModel
+from .transforms import KINDS, FittedTransformer
 
 FORMAT_VERSION = 1
 
@@ -34,8 +34,9 @@ def _header_int(value, key: str) -> int:
 
 
 def _numbers(values, ndim: int) -> np.ndarray:
-    """Column parameters as a float64 array of `ndim` dimensions; each must
-    be a JSON number, not a string, a boolean or null."""
+    """The parameters of all columns as one float64 array of `ndim`
+    dimensions, so every column block must have the same shape; each value
+    must be a JSON number, not a string, a boolean or null."""
     arr = np.asarray(values, dtype=object)
     if arr.ndim != ndim:
         raise ValueError(f"expected parameters nested {ndim} deep")
@@ -62,13 +63,14 @@ def save_model(transformer: FittedTransformer, path) -> None:
 
     with replacing(path, encoding="utf-8") as fh:
         fh.write(json.dumps(head)[:-1] + ', "columns": [')
-        for c, params in enumerate(transformer.columns):
+        for c, params in enumerate(transformer.params):
+            params = params.tolist()
             if transformer.kind == "minmax":
-                block = {"min": params.min, "max": params.max}
+                block = {"min": params[0], "max": params[1]}
             elif transformer.kind == "rank":
-                block = {"sorted_train": params.sorted_train.tolist()}
+                block = {"sorted_train": params[0]}
             else:
-                block = {"subsamples": params.subsamples.tolist()}
+                block = {"subsamples": params}
             fh.write((", " if c else "") + json.dumps(block))
         fh.write("]}\n")
 
@@ -99,16 +101,15 @@ def load_model(path) -> FittedTransformer:
         raise CorruptModel(f"{path}: missing or empty columns")
 
     try:
+        seed = None
         if kind == "minmax":
-            columns = [
-                MinMaxParams(*_numbers([b["min"], b["max"]], 1).tolist()) for b in raw_columns
-            ]
+            params = _numbers([[b["min"], b["max"]] for b in raw_columns], 2)
         elif kind == "rank":
-            columns = [RankModel(_numbers(b["sorted_train"], 1)) for b in raw_columns]
+            params = _numbers([b["sorted_train"] for b in raw_columns], 2)[:, None]
         else:
             seed = _header_int(doc["seed"], "seed")
-            columns = [AresModel(_numbers(b["subsamples"], 2), seed) for b in raw_columns]
-        transformer = FittedTransformer(kind, columns)
+            params = _numbers([b["subsamples"] for b in raw_columns], 3)
+        transformer = FittedTransformer(kind, params, seed)
         if kind == "ares":
             header = (_header_int(doc["psi"], "psi"), _header_int(doc["t"], "t"))
             if header != (transformer.subsample_size, transformer.n_subsamples):

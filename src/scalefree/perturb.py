@@ -1,10 +1,13 @@
 """Monotone scale perturbations simulating different units of measurement.
 
-A perturbation re-expresses a column on a different measurement scale:
-unit-rescale to [0,1], shift-scale to x' = scale * (u + shift) so x' > 0,
-then apply one of identity, log (natural), square, sqrt, or inverse.
-The first four are strictly increasing on x' > 0; inverse is strictly
-decreasing. The shift keeps log and inverse defined at u = 0.
+A perturbation re-expresses every column of a matrix on a different
+measurement scale: unit-rescale each column to [0,1] by its own min and max
+(the min-max map `transforms._unit`), shift-scale to x' = scale * (u + shift)
+so x' > 0, then apply one of identity, log (natural), square, sqrt, or
+inverse. The first four are strictly increasing on x' > 0; inverse is
+strictly decreasing. The shift keeps log and inverse defined at u = 0. Every
+step runs on the whole matrix at once, and each column comes out as it would
+alone.
 
 Perturbation is a data-generation step: it models the world having been
 measured differently, so it is applied to whole columns before any
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyColumn, NonFiniteResult, NonFiniteValue
-from .transforms import MinMaxParams, fit_minmax
+from .transforms import _unit
 
 # The monotone map of each perturbation, applied to shift-scaled values.
 _MAPS = {
@@ -56,42 +59,18 @@ class PerturbationSpec:
             raise ValueError(f"scale must be finite and > 0, got {self.scale}")
 
 
-def rescale_unit(values) -> np.ndarray:
-    """Min-max rescale a column onto [0,1]; a constant column maps to zeros."""
-    col = np.asarray(values, dtype=np.float64)
-    return fit_minmax(col)._unit(col)
-
-
-def shift_scale(values, spec: PerturbationSpec):
-    """x' = scale * (x + shift); strictly positive for x >= 0."""
-    return spec.scale * (np.asarray(values, dtype=np.float64) + spec.shift)
-
-
-def _perturbed(unit: np.ndarray, spec: PerturbationSpec) -> np.ndarray:
-    """The perturbation of unit-scaled values, whose result the caller checks.
-    The shift-scaled values are checked before the map, which could hide
-    their overflow (inverse maps inf to 0); overflow raises, never warns."""
-    with np.errstate(over="ignore"):
-        x = _require_finite_result(shift_scale(unit, spec), spec)
-        return _MAPS[spec.kind](x, out=x)
-
-
 def _require_finite_result(out: np.ndarray, spec: PerturbationSpec) -> np.ndarray:
     if not np.isfinite(out).all():
         raise NonFiniteResult(f"perturbation {spec.kind!r} produced non-finite values")
     return out
 
 
-def apply_perturbation(values, spec: PerturbationSpec) -> np.ndarray:
-    """Re-express one column on the perturbed scale."""
-    return _require_finite_result(_perturbed(rescale_unit(values), spec), spec)
-
-
 def perturb_matrix(features: np.ndarray, spec: PerturbationSpec) -> np.ndarray:
     """Apply one perturbation to every column of a feature matrix.
 
-    The matrix is checked once on the way in and once on the way out; each
-    column runs the unchecked kernel of `apply_perturbation`."""
+    The matrix is checked once on the way in, the shift-scaled values before
+    the map, which could hide their overflow (inverse maps inf to 0), and the
+    result on the way out; overflow raises, never warns."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("expected a 2-D feature matrix")
@@ -99,9 +78,10 @@ def perturb_matrix(features: np.ndarray, spec: PerturbationSpec) -> np.ndarray:
         raise EmptyColumn("cannot fit a transform on an empty column")
     if not np.isfinite(x).all():
         raise NonFiniteValue("column contains NaN or infinite values")
-    out = np.empty_like(x)
-    for c in range(x.shape[1]):
-        col = np.ascontiguousarray(x[:, c])
-        unit = MinMaxParams(float(col.min()), float(col.max()))._unit(col)
-        out[:, c] = _perturbed(unit, spec)
-    return _require_finite_result(out, spec)
+    # `initial` gives a matrix with no rows and no columns empty extrema
+    out = _unit(x, x.min(axis=0, initial=np.inf), x.max(axis=0, initial=-np.inf))
+    with np.errstate(over="ignore"):
+        out += spec.shift
+        out *= spec.scale
+        _require_finite_result(out, spec)
+        return _require_finite_result(_MAPS[spec.kind](out, out=out), spec)

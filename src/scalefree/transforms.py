@@ -3,15 +3,18 @@
 ARES (average rank over an ensemble of sub-samples) replaces each value x by
 the mean, over t independently drawn sub-samples of size psi, of the number
 of sub-sample values strictly below x. The traditional rank transform is the
-degenerate case psi = N, t = 1. All three transforms fit per column and apply
-per column.
+degenerate case psi = N, t = 1, and a fitted rank model is that ensemble. All
+three transforms fit each column on its own, and a fitted transformer holds
+one parameter array for all its columns: each column's min and max, or its
+t sorted sub-samples of psi values (`FittedTransformer`).
 
 Rank counting uses the strictly-less rule everywhere (y < x). Summed over the
 t sub-samples, the counts equal one strictly-below count in the pooled multiset
 of all t * psi sampled values, an integer identity. It has two access
 patterns, both exact and bitwise equal:
 
-* a fitted model searches its sorted pool, for any queries (`_CountBelow`);
+* a fitted model searches each column's sorted pool, for any queries
+  (`FittedTransformer.counts`);
 * for the rows of one matrix, the pool is a per-row sample weight (how often
   the draws took the row; 1 per fitted row for rank), and a row's count is
   the cumulative weight below it in the column's sorted order
@@ -20,154 +23,41 @@ patterns, both exact and bitwise equal:
 Both draw ARES sub-samples through `_ares_draw`.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
-from .errors import ColumnCountMismatch, EmptyColumn, EmptyDataset, NonFiniteValue
+from .errors import ColumnCountMismatch, EmptyDataset, NonFiniteValue
 from .sampling import subsample_indices, subsample_seed
 
 DEFAULT_SUBSAMPLE_SIZE = 7
 DEFAULT_N_SUBSAMPLES = 10
 
-
-def _as_column(values) -> np.ndarray:
-    col = np.asarray(values, dtype=np.float64)
-    if col.ndim != 1:
-        raise ValueError("expected a 1-D column of values")
-    col = np.ascontiguousarray(col)
-    if col.shape[0] == 0:
-        raise EmptyColumn("cannot fit a transform on an empty column")
-    if not np.isfinite(col).all():
-        raise NonFiniteValue("column contains NaN or infinite values")
-    return col
+KINDS = ("minmax", "rank", "ares")
 
 
-def _apply(values, batch_fn):
-    """Run a batch kernel over an array, or over a scalar returning float."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim > 1:
-        raise ValueError("expected a scalar or 1-D array of query values")
-    if not np.isfinite(arr).all():
-        raise NonFiniteValue("query values contain NaN or infinite values")
-    if arr.ndim == 0:
-        return float(batch_fn(arr.reshape(1))[0])
-    return batch_fn(np.ascontiguousarray(arr))
-
-
-@dataclass(frozen=True)
-class MinMaxParams:
-    """Training minimum and maximum of one column."""
-
-    min: float
-    max: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.min) and np.isfinite(self.max)):
-            raise ValueError("min/max must be finite")
-        if self.min > self.max:
-            raise ValueError(f"min {self.min} exceeds max {self.max}")
-
-    def transform(self, values):
-        """Affine map to [0,1] on training data; out-of-range values are NOT
-        clamped, and a constant training column maps everything to 0.0."""
-        return _apply(values, self._unit)
-
-    def _unit(self, arr: np.ndarray) -> np.ndarray:
-        """The map of `transform` on a finite 1-D float64 array, unchecked."""
-        if self.max == self.min:
-            return np.zeros_like(arr)
-        with np.errstate(over="ignore"):
-            span = self.max - self.min
-            shifted = arr - self.min
-        if np.isfinite(span) and np.isfinite(shifted).all():
-            return shifted / span
-        # A difference with min overflows only when min and the other
-        # operand both have magnitudes of at least 2**970. Halving is
-        # then exact, but for a subnormal, which is negligible next to
-        # min either way.
-        return (arr / 2 - self.min / 2) / (self.max / 2 - self.min / 2)
-
-
-class _CountBelow:
-    """Mean strictly-below count over t sorted sub-samples of one column.
-
-    ``pool`` holds all t * psi sampled values, sorted; rank is t = 1, psi = N."""
-
-    def _set_pool(self, subsamples: np.ndarray) -> np.ndarray:
-        """Validate t sorted sub-samples (one per row) and pool them."""
-        subs = np.ascontiguousarray(subsamples, dtype=np.float64)
-        if subs.ndim != 2 or subs.size == 0:
-            raise ValueError("need a 2-D array of at least one nonempty sub-sample")
-        if not np.isfinite(subs).all():
-            raise ValueError("model parameters must be finite")
-        if np.any(subs[:, 1:] < subs[:, :-1]):
-            raise ValueError("every sub-sample must be sorted nondecreasing")
-        t = subs.shape[0]
-        object.__setattr__(self, "pool", subs[0] if t == 1 else np.sort(subs, axis=None))
-        object.__setattr__(self, "t", t)
-        return subs
-
-    def counts(self, arr: np.ndarray) -> np.ndarray:
-        """Summed strictly-below count over the sub-samples, as int64, of a
-        finite 1-D float64 array, unchecked."""
-        return np.searchsorted(self.pool, arr, side="left")
-
-    def transform(self, values):
-        """Mean strictly-below count over the sub-samples, in [0, psi]."""
-        return _apply(values, lambda arr: self.counts(arr) / self.t)
-
-    def sample_collisions(self, values) -> np.ndarray:
-        """Per query, how many sampled values equal it exactly, as an array
-        also for a scalar; queries are checked as by `transform`. Order-reversing
-        rescalings map the transform to (psi - value), off by collisions / t."""
-        return _apply(
-            np.atleast_1d(values),
-            lambda arr: np.searchsorted(self.pool, arr, side="right") - self.counts(arr),
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class RankModel(_CountBelow):
-    """All N training values of one column, sorted ascending."""
-
-    sorted_train: np.ndarray
-
-    def __post_init__(self):
-        if np.ndim(self.sorted_train) != 1:
-            raise ValueError("sorted_train must be a 1-D array")
-        (sorted_train,) = self._set_pool(np.reshape(self.sorted_train, (1, -1)))
-        object.__setattr__(self, "sorted_train", sorted_train)
-
-
-@dataclass(frozen=True, eq=False)
-class AresModel(_CountBelow):
-    """Ensemble of sorted sub-samples of one column.
-
-    subsamples has shape (n_subsamples, subsample_size); each row is one
-    sub-sample, sorted ascending. seed is the base seed the draws derived
-    from, kept for provenance and serialization.
-    """
-
-    subsamples: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "subsamples", self._set_pool(self.subsamples))
-
-    @property
-    def n_subsamples(self) -> int:
-        return self.subsamples.shape[0]
-
-    @property
-    def subsample_size(self) -> int:
-        return self.subsamples.shape[1]
-
-
-# The parameter class of each transformer kind; one per column.
-_PARAMS = {"minmax": MinMaxParams, "rank": RankModel, "ares": AresModel}
-KINDS = tuple(_PARAMS)
+def _unit(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The affine map of each column of a finite N×m float64 matrix from
+    [lo, hi] onto [0, 1], unchecked and unclamped; a constant column (lo ==
+    hi) maps to zeros. Each column decides its own overflow fallback, so a
+    column maps as it would alone."""
+    const = lo == hi
+    with np.errstate(over="ignore"):
+        span = hi - lo
+        out = x - lo
+    direct = np.isfinite(span) & np.isfinite(out).all(axis=0)
+    np.divide(out, span, out=out, where=direct & ~const)
+    # A difference with lo overflows only when lo and the other operand both
+    # have magnitudes of at least 2**970. Halving is then exact, but for a
+    # subnormal, which is negligible next to lo either way.
+    halve = ~(direct | const)
+    if halve.any():
+        lo, hi = lo[halve], hi[halve]
+        out[:, halve] = (x[:, halve] / 2 - lo / 2) / (hi / 2 - lo / 2)
+    out[:, const] = 0.0
+    return out
 
 
 def _ares_draw(n_rows: int, psi: int, t: int, seed: int, column_index) -> np.ndarray:
@@ -182,21 +72,6 @@ def _ares_draw(n_rows: int, psi: int, t: int, seed: int, column_index) -> np.nda
         raise ValueError("need a 2-D array of at least one nonempty sub-sample")
     seeds = subsample_seed(seed, column_index, np.arange(t)).reshape(-1, t)
     return subsample_indices(n_rows, max(psi, 0), seeds)
-
-
-def _fit_rows(kind: str, xt, psi: int = 0, t: int = 0, seed: int = 0, column_index=0) -> list:
-    """The parameters of each finite row of `xt`, one column per row; ARES
-    draws as `_ares_draw` with column_index."""
-    if kind == "minmax":
-        return list(map(MinMaxParams, xt.min(axis=1).tolist(), xt.max(axis=1).tolist()))
-    if kind == "rank":
-        return [RankModel(sorted_train=row) for row in np.sort(xt, axis=1)]
-    if not len(xt):
-        return []
-    idx = _ares_draw(xt.shape[1], psi, t, seed, column_index)
-    subs = np.take_along_axis(xt[:, None, :], idx, axis=2)
-    subs.sort()
-    return [AresModel(subsamples=s, seed=seed) for s in subs]
 
 
 def _in_sample_counter(x: np.ndarray):
@@ -240,77 +115,75 @@ def _in_sample_counter(x: np.ndarray):
     return counts
 
 
-def fit_minmax(values) -> MinMaxParams:
-    return _fit_rows("minmax", _as_column(values)[None])[0]
-
-
-def fit_rank(values) -> RankModel:
-    return _fit_rows("rank", _as_column(values)[None])[0]
-
-
-def fit_ares(
-    values,
-    subsample_size: int = DEFAULT_SUBSAMPLE_SIZE,
-    n_subsamples: int = DEFAULT_N_SUBSAMPLES,
-    *,
-    seed: int,
-    column_index: int = 0,
-) -> AresModel:
-    """Draw and sort n_subsamples sub-samples of subsample_size rows each.
-    Sub-sample j draws rows by index, without replacement, with the stream
-    seed derived from (seed, column_index, j)."""
-    col = _as_column(values)[None]
-    return _fit_rows("ares", col, subsample_size, n_subsamples, seed, column_index)[0]
-
-
 @dataclass(frozen=True, eq=False)
 class FittedTransformer:
-    """One fitted parameter object per feature column, plus the kind tag.
+    """A transform fitted on m feature columns: the kind tag, one read-only
+    float64 parameter array, and the base seed of the ARES draws.
 
-    Every column holds the kind's parameter class; ARES columns share one
-    psi, t and seed, which the transformer reports as its own. Immutable
-    after fit, with the columns held as a tuple; transform rejects matrices
-    whose column count differs from fit time.
+    `params` has shape (m, 2) for min-max, each column's min and max, and
+    (m, t, psi) for rank and ARES, each column's t sorted sub-samples; rank
+    is the ensemble t = 1, psi = N. `seed` is set for ARES only. Immutable;
+    transform rejects matrices whose column count differs from fit time.
     """
 
     kind: str
-    columns: tuple
+    params: np.ndarray
+    seed: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "columns", tuple(self.columns))
         if self.kind not in KINDS:
             raise ValueError(f"unknown transformer kind {self.kind!r}; expected one of {KINDS}")
-        if not self.columns:
+        params = np.array(self.params, dtype=np.float64)
+        if params.shape[:1] == (0,):
             raise ValueError("a fitted transformer needs at least one column")
-        cls = _PARAMS[self.kind]
-        if not all(isinstance(params, cls) for params in self.columns):
-            raise ValueError(f"{self.kind} columns must all be {cls.__name__}")
+        if self.kind == "minmax":
+            if params.ndim != 2 or params.shape[1] != 2:
+                raise ValueError("min-max parameters must have shape (m, 2)")
+        elif params.ndim != 3:
+            raise ValueError(f"{self.kind} parameters must have shape (m, t, psi)")
+        elif 0 in params.shape:
+            raise ValueError("need a 2-D array of at least one nonempty sub-sample")
+        elif self.kind == "rank" and params.shape[1] != 1:
+            raise ValueError("rank parameters must hold one sub-sample per column")
+        if not np.isfinite(params).all():
+            raise ValueError("model parameters must be finite")
+        if self.kind == "minmax":
+            if np.any(params[:, 0] > params[:, 1]):
+                raise ValueError("a column's min exceeds its max")
+        elif np.any(params[..., 1:] < params[..., :-1]):
+            raise ValueError("every sub-sample must be sorted nondecreasing")
+        if self.kind != "ares" and self.seed is not None:
+            raise ValueError(f"{self.kind} takes no seed")
         if self.kind == "ares":
-            if len({(p.subsample_size, p.n_subsamples, p.seed) for p in self.columns}) > 1:
-                raise ValueError("ares columns disagree on psi, t or seed")
+            if self.seed is None:
+                raise ValueError("ares requires a seed")
+            # an int, so that a numpy integer seed saves as a JSON number
+            object.__setattr__(self, "seed", operator.index(self.seed))
+        params.flags.writeable = False
+        object.__setattr__(self, "params", params)
+        if self.kind != "minmax":
+            # Summed over the t sub-samples, the counts are one search of
+            # the pooled t·psi sampled values of each column.
+            m, t = params.shape[:2]
+            pool = params[:, 0] if t == 1 else np.sort(params.reshape(m, -1), axis=1)
+            object.__setattr__(self, "_pool", pool)
 
     @property
     def n_features(self) -> int:
-        return len(self.columns)
+        return len(self.params)
 
     @property
     def subsample_size(self) -> int | None:
-        """The ARES columns' psi; None for other kinds."""
-        return getattr(self.columns[0], "subsample_size", None)
+        """The ARES psi; None for other kinds."""
+        return self.params.shape[2] if self.kind == "ares" else None
 
     @property
     def n_subsamples(self) -> int | None:
-        """The ARES columns' t; None for other kinds."""
-        return getattr(self.columns[0], "n_subsamples", None)
+        """The ARES t; None for other kinds."""
+        return self.params.shape[1] if self.kind == "ares" else None
 
-    @property
-    def seed(self) -> int | None:
-        """The ARES columns' base seed; None for other kinds."""
-        return getattr(self.columns[0], "seed", None)
-
-    def _per_column(self, features, kernel, dtype) -> np.ndarray:
-        """Validate a feature matrix once, then run an unchecked per-column
-        kernel on each of its columns."""
+    def _checked(self, features) -> np.ndarray:
+        """A feature matrix as float64, validated once for every column."""
         x = np.asarray(features, dtype=np.float64)
         if x.ndim != 2:
             raise ValueError("expected a 2-D feature matrix")
@@ -320,22 +193,25 @@ class FittedTransformer:
             )
         if not np.isfinite(x).all():
             raise NonFiniteValue("query values contain NaN or infinite values")
-        out = np.empty(x.shape, dtype=dtype)
-        for c, params in enumerate(self.columns):
-            out[:, c] = kernel(params, np.ascontiguousarray(x[:, c]))
-        return out
+        return x
 
     def counts(self, features: np.ndarray) -> np.ndarray:
         """Rank and ARES: per column, the strictly-below count summed over the
         t sub-samples, as an int64 matrix. `transform` is this divided by t."""
         if self.kind == "minmax":
             raise ValueError("min-max has no integer counts; use transform")
-        return self._per_column(features, _CountBelow.counts, np.int64)
+        x = self._checked(features)
+        out = np.empty(x.shape, dtype=np.int64)
+        for c, pool in enumerate(self._pool):  # numpy's search is 1-D
+            out[:, c] = np.searchsorted(pool, x[:, c], side="left")
+        return out
 
     def transform(self, features: np.ndarray) -> np.ndarray:
+        """Min-max: the affine map of `_unit`, unclamped. Rank and ARES: the
+        mean strictly-below count over the t sub-samples, in [0, psi]."""
         if self.kind == "minmax":
-            return self._per_column(features, MinMaxParams._unit, np.float64)
-        return self.counts(features) / self.columns[0].t
+            return _unit(self._checked(features), self.params[:, 0], self.params[:, 1])
+        return self.counts(features) / self.params.shape[1]
 
     def transform_dataset(self, dataset: Dataset) -> Dataset:
         """Transform the feature matrix; labels pass through untouched."""
@@ -349,7 +225,11 @@ def fit_transformer(
     n_subsamples: int = DEFAULT_N_SUBSAMPLES,
     seed: int | None = None,
 ) -> FittedTransformer:
-    """Fit the chosen transform independently on every column of a matrix."""
+    """Fit the chosen transform independently on every column of a matrix.
+
+    ARES draws, without replacement, t sub-samples of psi rows for each
+    column, draw j of column c by `_ares_draw` from (seed, c, j); other
+    kinds ignore psi, t and seed."""
     if kind not in KINDS:
         raise ValueError(f"unknown transformer kind {kind!r}; expected one of {KINDS}")
     x = np.asarray(features, dtype=np.float64)
@@ -361,6 +241,12 @@ def fit_transformer(
         raise ValueError("ares requires a seed")
     if not np.isfinite(x).all():
         raise NonFiniteValue("column contains NaN or infinite values")
-    xt = np.ascontiguousarray(x.T)  # per column, the same values a 1-D fit sees
-    params = _fit_rows(kind, xt, subsample_size, n_subsamples, seed, np.arange(len(xt))[:, None])
-    return FittedTransformer(kind, params)
+    xt = np.ascontiguousarray(x.T)  # one row per column
+    if kind == "minmax":
+        return FittedTransformer(kind, np.stack([xt.min(axis=1), xt.max(axis=1)], axis=1))
+    if kind == "rank":
+        return FittedTransformer(kind, np.sort(xt, axis=1)[:, None])
+    idx = _ares_draw(xt.shape[1], subsample_size, n_subsamples, seed, np.arange(len(xt))[:, None])
+    subsamples = np.take_along_axis(xt[:, None, :], idx, axis=2)
+    subsamples.sort()
+    return FittedTransformer(kind, subsamples, seed)

@@ -1,10 +1,43 @@
 """Shared synthetic dataset builders and fixtures."""
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
 from scalefree import neighbors
 from scalefree.data import Dataset
+from scalefree.perturb import perturb_matrix
+from scalefree.transforms import FittedTransformer, fit_transformer
+
+
+class OneColumn(NamedTuple):
+    """A transformer fitted on one column, queried with a 1-D array or a
+    scalar, which maps to a float."""
+
+    transformer: FittedTransformer
+
+    @property
+    def subsamples(self) -> np.ndarray:
+        """Rank and ARES: the column's t sorted sub-samples, shape (t, psi)."""
+        return self.transformer.params[0]
+
+    def transform(self, values):
+        q = np.asarray(values, dtype=np.float64)
+        out = self.transformer.transform(q.reshape(1, 1) if q.ndim == 0 else q[..., None])
+        return float(out[0, 0]) if q.ndim == 0 else out[:, 0]
+
+
+def fit_column(values, kind, *args, **kwargs) -> OneColumn:
+    """`fit_transformer` on one column as a one-column matrix, so anything
+    but a 1-D column fails its 2-D check; ARES draws with column 0's seeds."""
+    col = np.asarray(values, dtype=np.float64)
+    return OneColumn(fit_transformer(col[..., None], kind, *args, **kwargs))
+
+
+def perturb_column(values, spec) -> np.ndarray:
+    """`perturb_matrix` on one column as a one-column matrix."""
+    return perturb_matrix(np.asarray(values, dtype=np.float64)[..., None], spec)[:, 0]
 
 
 def gaussian_classification(name, n_rows, n_features, n_classes, seed):

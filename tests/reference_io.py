@@ -1,8 +1,9 @@
 """Reference CSV and model writers: one `repr` per cell, one `json.dump` call.
 
 These are the straightforward writers that the streamed ones in
-`scalefree.data` and `scalefree.model_io` replaced, kept verbatim so the
-byte-identity tests can require the same file bytes from both.
+`scalefree.data` and `scalefree.model_io` replaced, kept verbatim, but for
+reading a model's one parameter array, so the byte-identity tests can
+require the same file bytes from both.
 """
 
 import csv
@@ -37,13 +38,13 @@ def save_model(transformer, path) -> None:
         doc["seed"] = transformer.seed
 
     columns = []
-    for params in transformer.columns:
+    for params in transformer.params.tolist():
         if transformer.kind == "minmax":
-            columns.append({"min": params.min, "max": params.max})
+            columns.append({"min": params[0], "max": params[1]})
         elif transformer.kind == "rank":
-            columns.append({"sorted_train": params.sorted_train.tolist()})
+            columns.append({"sorted_train": params[0]})
         else:
-            columns.append({"subsamples": params.subsamples.tolist()})
+            columns.append({"subsamples": params})
     doc["columns"] = columns
 
     with open(path, "w", encoding="utf-8") as fh:

@@ -5,7 +5,9 @@ sub-sample, averaged. The transforms search one pooled sort of all sampled
 values instead, which must be bitwise equal to it; the acceptance suite also
 times it. `rank_in_subsample` is the paper's rank of one value in one sorted
 sub-sample, and `draw_subsample` the paper's draw of one sorted sub-sample;
-the package fits and counts whole columns at once instead.
+the package fits and counts whole columns at once instead. `sample_collisions`
+counts the sampled values equal to each query: the size of the strict rule's
+defect under an order-reversing rescaling.
 
 `_knn_predict_np` and `_lof_np` are the straightforward numpy kernels (one
 full sort, or one dense N x N pass) that the blocked neighbour search in
@@ -100,6 +102,14 @@ def rank_in_subsample(sample, x: float) -> int:
     """
     sample = np.ascontiguousarray(sample, dtype=np.float64)
     return int(np.searchsorted(sample, x, side="left"))
+
+
+def sample_collisions(subsamples: np.ndarray, queries) -> np.ndarray:
+    """Per query, how many sampled values equal it exactly. Order-reversing
+    rescalings map the transform to (psi - value), off by collisions / t."""
+    pool = np.sort(np.asarray(subsamples, dtype=np.float64), axis=None)
+    queries = np.atleast_1d(np.asarray(queries, dtype=np.float64))
+    return np.searchsorted(pool, queries, side="right") - np.searchsorted(pool, queries, side="left")
 
 
 def ares_batch(subsamples: np.ndarray, queries: np.ndarray) -> np.ndarray:

@@ -11,10 +11,9 @@ import time
 import numpy as np
 
 from scalefree.evaluate import run_anomaly, run_classification
-from scalefree.perturb import PerturbationSpec, apply_perturbation
-from scalefree.transforms import fit_ares, fit_rank
+from scalefree.perturb import PerturbationSpec
 
-from conftest import minmax_sensitive_classification
+from conftest import fit_column, minmax_sensitive_classification, perturb_column
 from reference_kernels import ares_batch, rank_in_subsample
 from timing_utils import best_call_time
 
@@ -64,10 +63,10 @@ def test_c2_inverse_rescaling_reverses_average_ranks():
         col = _distinct_column(rng, 40)
         psi = int(rng.integers(3, 9))
         t = int(rng.integers(4, 13))
-        identity = apply_perturbation(col, PerturbationSpec("identity"))
-        inverted = apply_perturbation(col, PerturbationSpec("inverse"))
-        m_fwd = fit_ares(identity, subsample_size=psi, n_subsamples=t, seed=i)
-        m_rev = fit_ares(inverted, subsample_size=psi, n_subsamples=t, seed=i)
+        identity = perturb_column(col, PerturbationSpec("identity"))
+        inverted = perturb_column(col, PerturbationSpec("inverse"))
+        m_fwd = fit_column(identity, "ares", subsample_size=psi, n_subsamples=t, seed=i)
+        m_rev = fit_column(inverted, "ares", subsample_size=psi, n_subsamples=t, seed=i)
 
         # queries strictly between consecutive data values never collide
         ordered = np.sort(identity)
@@ -124,8 +123,8 @@ def test_c4_full_size_single_subsample_equals_rank_transform():
         else:
             col = rng.normal(size=n)
         queries = np.concatenate([col, col - 0.25, col + 0.25, [col.min() - 1, col.max() + 1]])
-        ares = fit_ares(col, subsample_size=n, n_subsamples=1, seed=n)
-        rank = fit_rank(col)
+        ares = fit_column(col, "ares", subsample_size=n, n_subsamples=1, seed=n)
+        rank = fit_column(col, "rank")
         assert np.array_equal(ares.transform(queries), rank.transform(queries)), n
     print("criterion 4 PASS: ensemble(size=N, count=1) equals rank on N=1..200")
 
@@ -170,11 +169,11 @@ def test_c6_rank_uniformizes_while_ensemble_preserves_shape():
     rng = np.random.default_rng(424242)
     col = rng.lognormal(mean=10.0, sigma=0.8, size=500)
 
-    rank_out = fit_rank(col).transform(col) / 500.0
+    rank_out = fit_column(col, "rank").transform(col) / 500.0
     rank_ks = _ks_distance_from_uniform(rank_out)
     assert rank_ks <= 0.02, f"rank KS {rank_ks:.4f} exceeds 0.02"
 
-    ares_out = fit_ares(col, seed=42).transform(col) / 7.0
+    ares_out = fit_column(col, "ares", seed=42).transform(col) / 7.0
     ares_ks = _ks_distance_from_uniform(ares_out)
     margin = ares_ks - rank_ks
     assert margin >= 0.07, f"measured margin {margin:.4f} fell below the 0.07 baseline"
@@ -215,7 +214,7 @@ def test_c8_batch_transform_time_scales_linearly_in_queries_and_ensemble():
 
     ratios = []
 
-    base_model = fit_ares(train, subsample_size=7, n_subsamples=10, seed=1)
+    base_model = fit_column(train, "ares", subsample_size=7, n_subsamples=10, seed=1)
     query_times = []
     for n in (10_000, 20_000, 40_000):
         chunk = np.ascontiguousarray(queries[:n])
@@ -228,7 +227,7 @@ def test_c8_batch_transform_time_scales_linearly_in_queries_and_ensemble():
     fixed_queries = np.ascontiguousarray(queries[:20_000])
     ensemble_times = []
     for t in (10, 20, 40):
-        model = fit_ares(train, subsample_size=7, n_subsamples=t, seed=1)
+        model = fit_column(train, "ares", subsample_size=7, n_subsamples=t, seed=1)
         subs = model.subsamples
         ensemble_times.append(
             best_call_time(lambda: ares_batch(subs, fixed_queries))

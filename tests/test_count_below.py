@@ -15,10 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scalefree.errors import NonFiniteValue
-from scalefree.transforms import AresModel, _in_sample_counter, fit_ares, fit_rank, fit_transformer
+from scalefree.transforms import FittedTransformer, _in_sample_counter, fit_transformer
 
-from reference_kernels import ares_batch
+from conftest import OneColumn, fit_column
+from reference_kernels import ares_batch, sample_collisions
 
 TINY = np.finfo(np.float64).smallest_normal
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2 * 5e-324, TINY, -TINY, 1.0, -1.0,
@@ -50,11 +50,11 @@ def _strictly_below(values, queries):
 @given(atoms=ATOMS, seed=SEEDS)
 def test_ares_equals_paper_literal_kernel(psi, t, atoms, seed):
     rows = np.sort(np.random.default_rng(seed).choice(atoms, size=(t, psi)), axis=1)
-    model = AresModel(rows, seed=0)
+    model = OneColumn(FittedTransformer("ares", rows[None], seed=0))
     q = _queries(atoms, rows)
     assert model.transform(q).tobytes() == ares_batch(model.subsamples, q).tobytes()
     collisions = [np.count_nonzero(rows == x) for x in q]
-    assert np.array_equal(model.sample_collisions(q), collisions)
+    assert np.array_equal(sample_collisions(model.subsamples, q), collisions)
 
 
 @settings(max_examples=100, deadline=None)
@@ -62,7 +62,7 @@ def test_ares_equals_paper_literal_kernel(psi, t, atoms, seed):
 def test_rank_is_strictly_below_count(atoms, seed, n):
     col = np.random.default_rng(seed).choice(atoms, size=n)
     q = _queries(atoms, col)
-    assert fit_rank(col).transform(q).tobytes() == _strictly_below(col, q).tobytes()
+    assert fit_column(col, "rank").transform(q).tobytes() == _strictly_below(col, q).tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -70,29 +70,12 @@ def test_rank_is_strictly_below_count(atoms, seed, n):
 def test_full_size_single_subsample_is_rank(atoms, seed, n):
     """t = 1, psi = N: fitted ARES, the reference kernel and rank all agree."""
     col = np.random.default_rng(seed).choice(atoms, size=n)
-    ares = fit_ares(col, subsample_size=n, n_subsamples=1, seed=seed)
+    ares = fit_column(col, "ares", subsample_size=n, n_subsamples=1, seed=seed)
     q = _queries(atoms, col)
     expected = _strictly_below(col, q).tobytes()
     assert ares.transform(q).tobytes() == expected
     assert ares_batch(ares.subsamples, q).tobytes() == expected
-    assert fit_rank(col).transform(q).tobytes() == expected
-
-
-@pytest.mark.parametrize("model", [fit_rank([1.0, 2.0, 2.0]), AresModel([[1.0, 2.0]], seed=0)])
-def test_sample_collisions_checks_queries_like_transform(model):
-    for bad in (np.nan, np.inf, -np.inf, [1.0, np.nan]):
-        with pytest.raises(NonFiniteValue):
-            model.transform(bad)
-        with pytest.raises(NonFiniteValue):
-            model.sample_collisions(bad)
-    for wrong in ([[1.0, 2.0]], np.ones((2, 2))):
-        with pytest.raises(ValueError, match="1-D"):
-            model.transform(wrong)
-        with pytest.raises(ValueError, match="1-D"):
-            model.sample_collisions(wrong)
-    got = model.sample_collisions(2.0)
-    assert isinstance(got, np.ndarray) and got.shape == (1,)
-    assert got[0] == np.count_nonzero(model.pool == 2.0)
+    assert fit_column(col, "rank").transform(q).tobytes() == expected
 
 
 def _column(rng, style, n, atoms):

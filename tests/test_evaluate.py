@@ -27,6 +27,7 @@ from scalefree.transforms import KINDS, fit_transformer
 
 import reference_harness
 from conftest import gaussian_classification
+from reference_kernels import sample_collisions
 
 
 @pytest.fixture(scope="module")
@@ -167,9 +168,9 @@ class TestRunClassification:
             train = features[folds.train_indices(f)]
             test = features[folds.test_indices(f)]
             ft = fit_transformer(train, "ares", seed=cv_fit_seed(seed, f))
-            for c, params in enumerate(ft.columns):
-                assert params.sample_collisions(test[:, c]).sum() == 0
-                assert params.sample_collisions(train[:, c]).sum() >= 7 * 10
+            for c, subsamples in enumerate(ft.params):
+                assert sample_collisions(subsamples, test[:, c]).sum() == 0
+                assert sample_collisions(subsamples, train[:, c]).sum() >= 7 * 10
 
     def test_missing_labels(self):
         ds = Dataset("nolabel", np.random.default_rng(0).normal(size=(30, 2)))
@@ -273,6 +274,14 @@ def test_ares_without_a_seed_raises_the_fit_error(anomaly_dataset):
         fit_transformer(anomaly_dataset.features, "ares", seed=None)
     with pytest.raises(ValueError, match="^ares requires a seed$"):
         run_anomaly(anomaly_dataset, "ares", seed=None)
+
+
+@pytest.mark.parametrize("preproc", KINDS)
+def test_both_runners_reject_a_missing_seed(preproc, class_dataset, anomaly_dataset):
+    """A report must name the seed that reproduces it, for every kind."""
+    for run, dataset in ((run_classification, class_dataset), (run_anomaly, anomaly_dataset)):
+        with pytest.raises(ValueError, match=f"^{preproc} requires a seed$"):
+            run(dataset, preproc, seed=None)
 
 
 @pytest.mark.parametrize("preproc", KINDS)

@@ -9,7 +9,7 @@ import pytest
 
 from scalefree.errors import CorruptModel, UnsupportedVersion
 from scalefree.model_io import load_model, save_model
-from scalefree.transforms import FittedTransformer, MinMaxParams, fit_ares, fit_transformer
+from scalefree.transforms import FittedTransformer, fit_transformer
 
 
 @pytest.fixture
@@ -43,13 +43,23 @@ def test_ares_metadata_round_trip(features, tmp_path):
 
 
 def test_ares_built_from_columns_round_trip(features, tmp_path):
-    columns = [fit_ares(features[:, c], 6, 4, seed=31, column_index=c) for c in range(3)]
-    ft = FittedTransformer("ares", columns)
+    columns = fit_transformer(features, "ares", 6, 4, seed=31).params
+    ft = FittedTransformer("ares", columns, seed=31)
     path = tmp_path / "model.json"
     save_model(ft, path)
     back = load_model(path)
     assert (back.subsample_size, back.n_subsamples, back.seed) == (6, 4, 31)
     assert back.transform(features).tobytes() == ft.transform(features).tobytes()
+
+
+def test_numpy_integer_seed_saves_as_a_json_integer(features, tmp_path):
+    ft = fit_transformer(features, "ares", seed=np.uint64(2**64 - 1))
+    assert type(ft.seed) is int
+    path = tmp_path / "model.json"
+    save_model(ft, path)
+    assert load_model(path).seed == 2**64 - 1
+    with pytest.raises(TypeError):
+        FittedTransformer("ares", ft.params, seed=2.5)
 
 
 def test_save_is_deterministic(features, tmp_path):
@@ -221,14 +231,24 @@ def test_non_finite_subsample_value_rejected(bad, features, tmp_path):
         load_model(path)
 
 
-def test_failed_write_keeps_previous_file(features, tmp_path):
+def test_failed_write_keeps_previous_file(features, tmp_path, monkeypatch):
     path = tmp_path / "model.json"
     save_model(fit_transformer(features, "rank"), path)
     before = path.read_bytes()
-    # json cannot encode a float32, so the write fails on the second column
-    columns = [MinMaxParams(0.0, 1.0), MinMaxParams(0.0, np.float32(1.0))]
-    with pytest.raises(TypeError):
-        save_model(FittedTransformer(kind="minmax", columns=columns), path)
+    # the encoder fails on the second column block, after the header and
+    # the first block are written
+    encoded, dumps = [], json.dumps
+
+    def failing_dumps(obj, *args, **kwargs):
+        encoded.append(obj)
+        if len(encoded) == 3:
+            raise TypeError("cannot encode the second column")
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", failing_dumps)
+    with pytest.raises(TypeError, match="second column"):
+        save_model(fit_transformer(features, "minmax"), path)
+    monkeypatch.undo()
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
@@ -247,3 +267,30 @@ def test_fifo_is_written_in_place(features, tmp_path):
     assert stat.S_ISFIFO(fifo.lstat().st_mode)
     assert got == (tmp_path / "ref.json").read_bytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "ref.json"]
+
+
+def test_rank_columns_of_different_lengths_rejected(features, tmp_path):
+    """One parameter array holds every rank column, so all have N values."""
+    path = tmp_path / "model.json"
+    save_model(fit_transformer(features, "rank"), path)
+    doc = json.loads(path.read_text())
+    del doc["columns"][1]["sorted_train"][0]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorruptModel, match="malformed column parameters"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("axis", ["psi", "t"])
+def test_ares_blocks_of_different_shapes_rejected(axis, features, tmp_path):
+    path = tmp_path / "model.json"
+    save_model(fit_transformer(features, "ares", seed=7), path)
+    doc = json.loads(path.read_text())
+    block = doc["columns"][2]["subsamples"]
+    if axis == "psi":
+        for row in block:
+            del row[0]
+    else:
+        del block[0]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorruptModel, match="malformed column parameters"):
+        load_model(path)

@@ -8,8 +8,7 @@ logarithmic search factor, so doubling it must increase time sublinearly.
 
 import numpy as np
 
-from scalefree.transforms import fit_ares
-
+from conftest import fit_column
 from reference_kernels import ares_batch
 from timing_utils import best_call_time
 
@@ -21,7 +20,7 @@ def test_subsample_size_cost_grows_sublinearly():
 
     times = []
     for size in (64, 256, 1024):
-        model = fit_ares(train, subsample_size=size, n_subsamples=4, seed=1)
+        model = fit_column(train, "ares", subsample_size=size, n_subsamples=4, seed=1)
         subs = model.subsamples
         times.append(best_call_time(lambda: ares_batch(subs, queries)))
 

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from scalefree.errors import EmptyColumn, NonFiniteResult, NonFiniteValue
-from scalefree.perturb import (
-    PERTURBATION_KINDS,
-    PerturbationSpec,
-    apply_perturbation,
-    perturb_matrix,
-    rescale_unit,
-    shift_scale,
-)
+from scalefree.perturb import PERTURBATION_KINDS, PerturbationSpec, perturb_matrix
+from scalefree.transforms import _unit
+
+from conftest import fit_column, perturb_column
+
+
+def rescale_unit(values) -> np.ndarray:
+    """The unit rescale `perturb_matrix` applies, of one column."""
+    col = np.asarray(values, dtype=np.float64)[:, None]
+    return _unit(col, col.min(axis=0), col.max(axis=0))[:, 0]
 
 
 class TestRescaleUnit:
@@ -26,23 +28,25 @@ class TestRescaleUnit:
 
     def test_empty(self):
         with pytest.raises(EmptyColumn):
-            rescale_unit([])
+            perturb_column([], PerturbationSpec("identity"))
 
     def test_bare_scalar(self):
-        with pytest.raises(ValueError, match="1-D column"):
-            rescale_unit(5.0)
+        with pytest.raises(ValueError, match="2-D feature matrix"):
+            perturb_column(5.0, PerturbationSpec("identity"))
 
 
 class TestShiftScale:
+    """The identity perturbation is the shift-scale of the unit values."""
+
     def test_default_constants(self):
-        spec = PerturbationSpec("identity")
-        assert shift_scale(0.0, spec) == pytest.approx(0.01, rel=1e-12)
-        assert shift_scale(1.0, spec) == pytest.approx(100.01, rel=1e-12)
-        assert shift_scale(0.5, spec) == pytest.approx(50.01, rel=1e-12)
+        out = perturb_column([0.0, 1.0, 0.5], PerturbationSpec("identity"))
+        assert out[0] == pytest.approx(0.01, rel=1e-12)
+        assert out[1] == pytest.approx(100.01, rel=1e-12)
+        assert out[2] == pytest.approx(50.01, rel=1e-12)
 
     def test_strictly_positive_on_unit_interval(self):
         spec = PerturbationSpec("identity")
-        assert np.all(shift_scale(np.linspace(0, 1, 101), spec) > 0)
+        assert np.all(perturb_column(np.linspace(0, 1, 101), spec) > 0)
 
 
 class TestSpecValidation:
@@ -64,19 +68,19 @@ class TestSpecValidation:
 class TestApplyPerturbation:
     def test_inverse_of_small_value(self):
         # column min maps to x' = 0.01, whose inverse is 100
-        out = apply_perturbation([0.0, 1.0], PerturbationSpec("inverse"))
+        out = perturb_column([0.0, 1.0], PerturbationSpec("inverse"))
         assert out[0] == pytest.approx(100.0, rel=1e-9)
 
     def test_log_recovers_unit_at_e(self):
         u_e = np.e / 100.0 - 0.0001  # the unit value whose shift-scale image is e
-        out = apply_perturbation([0.0, u_e, 1.0], PerturbationSpec("log"))
+        out = perturb_column([0.0, u_e, 1.0], PerturbationSpec("log"))
         assert out[1] == pytest.approx(1.0, rel=1e-12)
 
     def test_square_distorts_gaps(self):
         # equally spaced inputs stop being equally spaced after squaring
         x, y, z = 1.0, 2.0, 3.0
         assert (y - x) == (z - y)
-        out = apply_perturbation([x, y, z], PerturbationSpec("square"))
+        out = perturb_column([x, y, z], PerturbationSpec("square"))
         assert (out[1] - out[0]) < (out[2] - out[1])
 
     @pytest.mark.parametrize("kind", ["identity", "log", "square", "sqrt"])
@@ -84,30 +88,30 @@ class TestApplyPerturbation:
         rng = np.random.default_rng(31)
         col = rng.uniform(-50, 50, size=400)
         col = np.unique(col)  # strictly increasing input
-        out = apply_perturbation(col, PerturbationSpec(kind))
+        out = perturb_column(col, PerturbationSpec(kind))
         assert np.all(np.diff(out) > 0)
 
     def test_inverse_reverses_order(self):
         rng = np.random.default_rng(32)
         col = np.unique(rng.uniform(-50, 50, size=400))
-        out = apply_perturbation(col, PerturbationSpec("inverse"))
+        out = perturb_column(col, PerturbationSpec("inverse"))
         assert np.all(np.diff(out) < 0)
 
     @pytest.mark.parametrize("kind", PERTURBATION_KINDS)
     def test_outputs_finite(self, kind):
         rng = np.random.default_rng(33)
         col = rng.normal(scale=1e6, size=300)
-        out = apply_perturbation(col, PerturbationSpec(kind))
+        out = perturb_column(col, PerturbationSpec(kind))
         assert np.isfinite(out).all()
 
     def test_overflowing_scale_raises(self):
         with pytest.raises(NonFiniteResult):
             with np.errstate(over="ignore"):
-                apply_perturbation([0.0, 1.0], PerturbationSpec("square", scale=1e200))
+                perturb_column([0.0, 1.0], PerturbationSpec("square", scale=1e200))
 
     @pytest.mark.parametrize("kind", PERTURBATION_KINDS)
     def test_constant_column_stays_constant(self, kind):
-        out = apply_perturbation([4.0, 4.0, 4.0], PerturbationSpec(kind))
+        out = perturb_column([4.0, 4.0, 4.0], PerturbationSpec(kind))
         assert np.all(out == out[0])
         assert np.isfinite(out).all()
 
@@ -119,13 +123,31 @@ class TestPerturbMatrix:
         spec = PerturbationSpec("sqrt")
         out = perturb_matrix(x, spec)
         for c in range(3):
-            assert np.array_equal(out[:, c], apply_perturbation(x[:, c], spec))
+            assert np.array_equal(out[:, c], perturb_column(x[:, c], spec))
+
+    @pytest.mark.parametrize("kind", ["identity", "log", "sqrt"])
+    def test_matrix_perturbs_each_column_as_alone(self, kind):
+        """Each column decides its own overflow fallback. A shift of 5e-324
+        keeps the third column's unit value 5e-324 apart from 0.0, which
+        halving the whole matrix for its first column would make it."""
+        x = np.array([
+            [-1e308, 3.0, 0.0],
+            [1e308, 3.0, 5e-324],
+            [5e307, 3.0, 1.0],
+            [0.0, 3.0, 0.25],
+        ])  # fmt: skip
+        spec = PerturbationSpec(kind, shift=5e-324, scale=1.0)
+        out = perturb_matrix(x, spec)
+        alone = np.column_stack([perturb_column(col, spec) for col in x.T])
+        assert out.tobytes() == alone.tobytes()
+        if kind == "identity":
+            assert out[:, 2].tolist() == [5e-324, 1e-323, 1.0, 0.25]
 
     def test_range_beyond_float_max(self):
         """A finite column whose range overflows float64 still unit-scales."""
         spec = PerturbationSpec("identity")
         out = perturb_matrix([[-1e308], [0.0], [1e308]], spec)
-        assert out[:, 0].tolist() == shift_scale([0.0, 0.5, 1.0], spec).tolist()
+        assert out[:, 0].tolist() == (spec.scale * (np.array([0.0, 0.5, 1.0]) + spec.shift)).tolist()
 
     def test_checks_the_matrix_once_with_the_column_errors(self):
         """One check of the input and one of the output raise what the
@@ -150,8 +172,6 @@ class TestPerturbMatrix:
         message = f"^perturbation {kind!r} produced non-finite values$"
         with pytest.raises(NonFiniteResult, match=message):
             perturb_matrix([[0.0], [1.0]], spec)
-        with pytest.raises(NonFiniteResult, match=message):
-            apply_perturbation([0.0, 1.0], spec)
 
     def test_overflowing_map_raises_without_a_warning(self):
         spec = PerturbationSpec("square", scale=1e200)
@@ -160,11 +180,9 @@ class TestPerturbMatrix:
 
     def test_rank_of_perturbed_matches_original(self):
         """Composition law: rank transforms see through increasing perturbations."""
-        from scalefree.transforms import fit_rank
-
         rng = np.random.default_rng(35)
         col = np.unique(rng.normal(size=200))
-        base = fit_rank(col).transform(col)
+        base = fit_column(col, "rank").transform(col)
         for kind in ("identity", "log", "square", "sqrt"):
-            pert = apply_perturbation(col, PerturbationSpec(kind))
-            assert np.array_equal(fit_rank(pert).transform(pert), base)
+            pert = perturb_column(col, PerturbationSpec(kind))
+            assert np.array_equal(fit_column(pert, "rank").transform(pert), base)

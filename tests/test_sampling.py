@@ -16,7 +16,7 @@ from scalefree.sampling import (
     subsample_indices,
     subsample_seed,
 )
-from scalefree.transforms import fit_ares
+from scalefree.transforms import fit_transformer
 
 import reference_kernels as ref
 from reference_kernels import draw_subsample
@@ -116,9 +116,11 @@ class TestGoldenStream:
         ],
     )
     def test_fit_ares(self, seed, column, psi, t, digest):
+        """Column `column` of a fit whose every column holds the same values."""
         col = np.random.default_rng(5).normal(size=500)
-        model = fit_ares(col, psi, t, seed=seed, column_index=column)
-        assert _digest(model.subsamples) == digest
+        x = np.repeat(col[:, None], column + 1, axis=1)
+        model = fit_transformer(x, "ares", psi, t, seed=seed)
+        assert _digest(model.params[column]) == digest
 
 
 class TestDrawSubsample:

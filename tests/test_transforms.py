@@ -9,39 +9,48 @@ import pytest
 from scalefree.data import Dataset
 from scalefree.errors import (
     ColumnCountMismatch,
-    EmptyColumn,
     EmptyDataset,
     NonFiniteValue,
     PsiNonPositive,
     PsiTooLarge,
 )
-from scalefree.transforms import (
-    AresModel,
-    FittedTransformer,
-    MinMaxParams,
-    RankModel,
-    fit_ares,
-    fit_minmax,
-    fit_rank,
-    fit_transformer,
-)
+from scalefree.transforms import FittedTransformer, fit_transformer
 
+from conftest import OneColumn, fit_column
 from reference_kernels import rank_in_subsample
+
+
+def fit_minmax(values) -> OneColumn:
+    return fit_column(values, "minmax")
+
+
+def fit_rank(values) -> OneColumn:
+    return fit_column(values, "rank")
+
+
+def fit_ares(values, subsample_size=7, n_subsamples=10, *, seed) -> OneColumn:
+    return fit_column(values, "ares", subsample_size, n_subsamples, seed=seed)
+
+
+def _model(kind, params, seed=None) -> OneColumn:
+    """One column's model, built from its parameter block."""
+    return OneColumn(FittedTransformer(kind, [params], seed))
+
+
+def _extrema(model: OneColumn) -> tuple:
+    return tuple(model.transformer.params[0].tolist())
 
 
 class TestMinMax:
     def test_fit_extrema(self):
-        p = fit_minmax([2.0, 10.0, 6.0])
-        assert (p.min, p.max) == (2.0, 10.0)
-        p = fit_minmax([-1.0, 0.0, 3.0])
-        assert (p.min, p.max) == (-1.0, 3.0)
+        assert _extrema(fit_minmax([2.0, 10.0, 6.0])) == (2.0, 10.0)
+        assert _extrema(fit_minmax([-1.0, 0.0, 3.0])) == (-1.0, 3.0)
 
     def test_fit_constant_column(self):
-        p = fit_minmax([5.0, 5.0, 5.0])
-        assert (p.min, p.max) == (5.0, 5.0)
+        assert _extrema(fit_minmax([5.0, 5.0, 5.0])) == (5.0, 5.0)
 
     def test_fit_empty_column(self):
-        with pytest.raises(EmptyColumn):
+        with pytest.raises(EmptyDataset):
             fit_minmax([])
 
     def test_fit_rejects_nan(self):
@@ -52,79 +61,96 @@ class TestMinMax:
         "fit", [fit_minmax, fit_rank, lambda v: fit_ares(v, 1, 1, seed=0)]
     )
     def test_fit_rejects_bare_scalar(self, fit):
-        with pytest.raises(ValueError, match="1-D column"):
+        with pytest.raises(ValueError, match="2-D feature matrix"):
             fit(5.0)
 
     def test_transform_endpoints(self):
-        p = MinMaxParams(2.0, 10.0)
+        p = _model("minmax", [2.0, 10.0])
         assert p.transform(2.0) == 0.0
         assert p.transform(10.0) == 1.0
 
     def test_transform_does_not_clamp(self):
-        p = MinMaxParams(2.0, 10.0)
+        p = _model("minmax", [2.0, 10.0])
         assert p.transform(12.0) == (12.0 - 2.0) / (10.0 - 2.0)
         assert p.transform(0.0) < 0.0
 
     def test_degenerate_range_maps_to_zero(self):
-        p = MinMaxParams(5.0, 5.0)
+        p = _model("minmax", [5.0, 5.0])
         assert np.array_equal(p.transform([4.0, 5.0, 99.0]), np.zeros(3))
 
     def test_monotone(self):
-        p = MinMaxParams(-3.0, 7.0)
+        p = _model("minmax", [-3.0, 7.0])
         queries = np.sort(np.random.default_rng(0).uniform(-10, 10, size=200))
         assert np.all(np.diff(p.transform(queries)) >= 0)
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
-            MinMaxParams(2.0, 1.0)
+            FittedTransformer("minmax", [[2.0, 1.0]])
 
     def test_range_beyond_float_max(self):
         col = [-1e308, 0.0, 1e308]
         out = fit_minmax(col).transform(col)
         assert out.tolist() == [0.0, 0.5, 1.0]
-        p = MinMaxParams(-sys.float_info.max, sys.float_info.max)
-        assert p.transform([p.min, 0.0, p.max]).tolist() == [0.0, 0.5, 1.0]
+        top = sys.float_info.max
+        p = _model("minmax", [-top, top])
+        assert p.transform([-top, 0.0, top]).tolist() == [0.0, 0.5, 1.0]
 
     def test_query_far_beyond_finite_range(self):
-        p = MinMaxParams(-1e308, 0.0)
+        p = _model("minmax", [-1e308, 0.0])
         assert p.transform(1e308) == 2.0
         assert p.transform([-1e308, 5e-324, 1e308]).tolist() == [0.0, 1.0, 2.0]
-        assert MinMaxParams(1e308, 1.5e308).transform(-1e308) == -4.0
+        assert _model("minmax", [1e308, 1.5e308]).transform(-1e308) == -4.0
 
     def test_each_value_maps_on_its_own(self):
         """Whether one value's shift overflows never changes another value's
         result, so transforming all rows at once equals transforming any
         subset of them, bit for bit."""
-        p = MinMaxParams(-1e308, -1e307)
+        p = _model("minmax", [-1e308, -1e307])
         queries = np.array([1e308, 0.3, 5e-324, -1e308, 1.7e308, 2.5e-320, -0.0, -5e307])
         each = np.array([p.transform(q) for q in queries])
         assert p.transform(queries).tobytes() == each.tobytes()
+
+    def test_matrix_maps_each_column_as_alone(self):
+        """Each column decides its own overflow fallback: halving the whole
+        matrix for its first column would map the third's 5e-324 to 0.0."""
+        x = np.array([
+            [-1e308, 3.0, 0.0],
+            [1e308, 3.0, 5e-324],
+            [5e307, 3.0, 1.0],
+            [0.0, 3.0, 0.25],
+        ])  # fmt: skip
+        out = fit_transformer(x, "minmax").transform(x)
+        alone = np.column_stack([fit_minmax(col).transform(col) for col in x.T])
+        assert out.tobytes() == alone.tobytes()
+        assert out[:, 1].tolist() == [0.0] * 4
+        assert out[1, 2] == 5e-324
 
     def test_finite_range_unchanged_bitwise(self):
         rng = np.random.default_rng(7)
         for scale in (1e-300, 1e-5, 1.0, 1e5, 1e300):
             col = rng.normal(scale=scale, size=300)
             p = fit_minmax(col)
+            lo, hi = _extrema(p)
             queries = np.concatenate([col, rng.normal(scale=2 * scale, size=100), [-0.0]])
-            expected = (queries - p.min) / (p.max - p.min)
+            expected = (queries - lo) / (hi - lo)
             assert p.transform(queries).tobytes() == expected.tobytes()
 
 
 class TestRank:
     def test_fit_sorts(self):
         m = fit_rank([5.0, 1.0, 3.0])
-        assert np.array_equal(m.sorted_train, [1.0, 3.0, 5.0])
+        assert np.array_equal(m.subsamples, [[1.0, 3.0, 5.0]])
 
     def test_fit_keeps_duplicates(self):
         m = fit_rank([2.0, 2.0, 2.0])
-        assert np.array_equal(m.sorted_train, [2.0, 2.0, 2.0])
+        assert np.array_equal(m.subsamples, [[2.0, 2.0, 2.0]])
 
     def test_fit_singleton(self):
         m = fit_rank([7.0])
-        assert np.array_equal(m.sorted_train, [7.0])
+        assert np.array_equal(m.subsamples, [[7.0]])
 
     def test_strictly_less_counting(self):
-        m = RankModel(np.array([1.0, 3.0, 5.0]))
+        m = _model("rank", [[1.0, 3.0, 5.0]])
         assert m.transform(0.0) == 0.0
         assert m.transform(3.0) == 1.0  # counts only {1}, strict <
         assert m.transform(9.0) == 3.0
@@ -219,15 +245,15 @@ class TestAresFit:
 
     def test_column_index_changes_draws(self):
         col = np.random.default_rng(6).normal(size=120)
-        a = fit_ares(col, seed=77, column_index=0)
-        b = fit_ares(col, seed=77, column_index=1)
-        assert not np.array_equal(a.subsamples, b.subsamples)
+        ft = fit_transformer(np.column_stack([col, col]), "ares", seed=77)
+        assert np.array_equal(ft.params[0], fit_ares(col, seed=77).subsamples)
+        assert not np.array_equal(ft.params[0], ft.params[1])
 
 
 class TestAresTransform:
     def test_hand_example(self):
         # x=4: one of [1,5] below it, one of [3,9] below it -> (1+1)/2
-        m = AresModel(np.array([[1.0, 5.0], [3.0, 9.0]]), seed=0)
+        m = _model("ares", [[1.0, 5.0], [3.0, 9.0]], seed=0)
         assert m.transform(4.0) == 1.0
         assert m.transform(0.0) == 0.0
         assert m.transform(10.0) == 2.0  # equals the sub-sample size
@@ -358,7 +384,7 @@ class TestFittedTransformer:
         with pytest.raises(NonFiniteValue):
             ft.transform(x)
         with pytest.raises(NonFiniteValue):
-            ft.columns[0].transform(bad)
+            ft.transform([[bad, 0.0]])
 
     def test_ares_requires_seed(self):
         with pytest.raises(ValueError):
@@ -379,8 +405,8 @@ class TestFittedTransformer:
         rng = np.random.default_rng(16)
         x = rng.normal(size=(50, 3))
         ft = fit_transformer(x, "ares", seed=4)
-        solo = fit_ares(x[:, 2], seed=4, column_index=2)
-        assert np.array_equal(ft.columns[2].subsamples, solo.subsamples)
+        other = np.column_stack([rng.lognormal(size=(50, 2)), x[:, 2]])
+        assert np.array_equal(ft.params[2], fit_transformer(other, "ares", seed=4).params[2])
 
     def test_labels_pass_through(self):
         rng = np.random.default_rng(17)
@@ -392,16 +418,17 @@ class TestFittedTransformer:
 
 
 class TestFittedTransformerColumns:
-    """Columns carry the model: their class must match the kind, and ARES
-    columns must share one psi, t and seed."""
+    """One float64 array holds every column's parameters: (m, 2) for min-max
+    and (m, t, psi) for rank (t = 1) and ARES, which alone carries a seed."""
 
     col = np.arange(30.0)
 
     def test_ensemble_read_from_columns(self):
-        columns = [fit_ares(self.col, 6, 4, seed=8, column_index=c) for c in range(3)]
-        ft = FittedTransformer("ares", columns)
+        ft = fit_transformer(np.column_stack([self.col] * 3), "ares", 6, 4, seed=8)
+        assert ft.params.shape == (3, 4, 6)
         assert (ft.subsample_size, ft.n_subsamples, ft.seed) == (6, 4, 8)
-        rank = FittedTransformer("rank", [fit_rank(self.col)])
+        rank = fit_transformer(self.col[:, None], "rank", seed=8)
+        assert rank.params.shape == (1, 1, 30)
         assert (rank.subsample_size, rank.n_subsamples, rank.seed) == (None, None, None)
 
     @pytest.mark.parametrize(
@@ -409,16 +436,36 @@ class TestFittedTransformerColumns:
     )
     def test_kind_rejects_other_columns(self, kind, fit):
         with pytest.raises(ValueError):
-            FittedTransformer(kind, [fit(self.col)])
+            FittedTransformer(kind, fit(self.col).transformer.params)
 
     @pytest.mark.parametrize(
-        "other", [{"subsample_size": 5}, {"n_subsamples": 3}, {"seed": 2}]
+        "kind, params, seed",
+        [
+            ("minmax", [[0.0, 1.0, 2.0]], None),
+            ("minmax", [0.0, 1.0], None),
+            ("minmax", [[0.0, np.inf]], None),
+            ("rank", [[1.0, 2.0]], None),
+            ("rank", [[[1.0, np.nan]]], None),
+            ("rank", [[[2.0, 1.0]]], None),
+            ("rank", [[[]]], None),
+            ("ares", [[[1.0, 2.0], [0.0, -1.0]]], 0),
+            ("ares", [[[1.0, 2.0]]], None),
+            ("rank", [[[1.0, 2.0]]], 0),
+            ("minmax", [[0.0, 1.0]], 0),
+            ("ares", np.zeros((0, 1, 1)), 0),
+        ],
     )
-    def test_ares_columns_must_share_ensemble(self, other):
-        first = fit_ares(self.col, seed=1)
-        second = fit_ares(self.col, **{"seed": 1, **other}, column_index=1)
+    def test_invalid_params_rejected(self, kind, params, seed):
         with pytest.raises(ValueError):
-            FittedTransformer("ares", [first, second])
+            FittedTransformer(kind, params, seed)
+
+    def test_params_are_a_read_only_copy(self):
+        params = np.array([[[1.0, 2.0, 4.0]]])
+        ft = FittedTransformer("rank", params)
+        params[0, 0, 0] = 3.0
+        assert ft.params.tolist() == [[[1.0, 2.0, 4.0]]]
+        with pytest.raises(ValueError):
+            ft.params[0, 0, 0] = 0.0
 
 
 class TestFittedTransformerFrozen:
@@ -427,8 +474,10 @@ class TestFittedTransformerFrozen:
         with pytest.raises(dataclasses.FrozenInstanceError):
             ft.kind = "minmax"
         with pytest.raises(dataclasses.FrozenInstanceError):
-            ft.columns = ()
-        assert isinstance(ft.columns, tuple)
+            ft.params = np.zeros((2, 1, 6))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ft.seed = 1
+        assert ft.params.dtype == np.float64 and not ft.params.flags.writeable
         assert ft.kind == "rank"
 
 
@@ -446,8 +495,11 @@ class TestCounts:
         queries = np.vstack([self.x, -self.x[:20], self.x[:20] * 2.0])
         counts = ft.counts(queries)
         assert counts.dtype == np.int64
-        assert (counts / ft.columns[0].t).tobytes() == ft.transform(queries).tobytes()
-        per_column = np.column_stack([p.transform(queries[:, c]) for c, p in enumerate(ft.columns)])
+        t = ft.params.shape[1]
+        assert (counts / t).tobytes() == ft.transform(queries).tobytes()
+        per_column = np.column_stack(
+            [_model(kind, p, ft.seed).transform(queries[:, c]) for c, p in enumerate(ft.params)]
+        )
         assert per_column.tobytes() == ft.transform(queries).tobytes()
 
     def test_minmax_has_no_counts(self):

@@ -181,7 +181,7 @@ def cmd_fit(args) -> int:
 def cmd_transform(args) -> int:
     transformer = load_model(args.model)
     dataset = load_csv(args.input, label_column=args.label_col)
-    save_csv(transformer.transform_dataset(dataset), args.output)
+    save_csv(dataset.with_features(transformer.transform(dataset.features)), args.output)
     return 0
 
 

@@ -10,10 +10,6 @@ class ScaleFreeError(Exception):
     """Base class for all data/contract errors raised by this package."""
 
 
-class EmptyColumn(ScaleFreeError):
-    """A transform was fitted on a zero-length column."""
-
-
 class EmptyDataset(ScaleFreeError):
     """A matrix-level operation received a dataset with no rows or no feature columns."""
 

@@ -4,7 +4,8 @@ Every run is one cell of the preprocessor x perturbation grid, and
 `_run_cell` holds the steps all cells share:
 
 * `perturb_matrix` rescales every feature column of the full dataset first
-  (it simulates how the data were measured, not a modelling step);
+  (it simulates how the data were measured, not a modelling step), and
+  rejects a matrix with no rows or no columns, so no fit sees one;
 * the task's scoring step calls the cell's `fit_maps` with the rows and
   seed of each fit, and gets, fit by fit, every row mapped to what the
   learners see. Rank and ARES map to their integer counts (the transform
@@ -98,10 +99,8 @@ def _run_cell(dataset, preprocessor, perturbation, metric, score, *, seed, **fit
     def fit_maps(fits):
         """Per (rows, fit_seed) of `fits` in turn, the fit on those rows
         mapping every row. The column sort lives only while this generator
-        runs, so a caller that drains it frees the sort before its learner.
-        An empty matrix goes through `fit_transformer`, which names what is
-        missing."""
-        if preprocessor in ("rank", "ares") and features.size:
+        runs, so a caller that drains it frees the sort before its learner."""
+        if preprocessor in ("rank", "ares"):
             counts = _in_sample_counter(features)
             for rows, fit_seed in fits:
                 yield counts(preprocessor, rows, seed=fit_seed, **fit_kwargs)

@@ -6,19 +6,19 @@ and LOF takes every row tied at the k-distance into the neighbourhood, so
 repeated runs (and runs on bitwise-equal feature matrices) give identical
 results.
 
-The public functions, `knn_classify` and `lof_scores`, reject matrices of
-no columns with `EmptyDataset`, then validate each input once, from its min
-and max: `NonFiniteValue` for NaN and infinite features, whose distances
-have no order to select neighbours by, then `InexactDistances` unless
-``4·m·max|x|²``, for m columns, is below 2**53 for integer input and
-finite for float input. That quantity bounds every Gram term and every
-squared distance. The private helpers they call only compute, on
-C-contiguous finite arrays. KNN and LOF share one neighbour
-primitive, `_k_nearest_with_ties`, which handles one block of queries at a
-time in a float64 distance buffer of at most `_BLOCK_BYTES`. For every
-dtype it fills the block with one Gram pass, ``|q|² + |r|² − 2·q·rᵀ`` in
-float64, and one rule, `_first_k`, picks a row's k nearest entries: by
-distance, then by lower index.
+The public functions, `knn_classify` and `lof_scores`, check, then search
+and score. They reject matrices of no columns with `EmptyDataset`, then
+validate each input once, from its min and max: `NonFiniteValue` for NaN
+and infinite features, whose distances have no order to select neighbours
+by, then `InexactDistances` unless ``4·m·max|x|²``, for m columns, is below
+2**53 for integer input and finite for float input. That quantity bounds
+every Gram term and every squared distance. Each then runs the one
+neighbour search, `_k_nearest_with_ties`, and its own vote or LOF sums. The
+private helpers only compute, on C-contiguous finite arrays. The search
+handles one block of queries at a time in a float64 distance buffer of at
+most `_BLOCK_BYTES`. For every dtype it fills the block with one Gram pass,
+``|q|² + |r|² − 2·q·rᵀ`` in float64, and one rule, `_first_k`, picks a
+row's k nearest entries: by distance, then by lower index.
 
 * Integer input (the rank and ARES counts) stays int64. Every product and
   partial sum of the Gram pass is an integer below 2**53, so each distance
@@ -237,48 +237,6 @@ def _k_nearest_with_ties(
     return indptr, np.concatenate(indices), np.concatenate(dist2), kth2
 
 
-def _knn_predict(
-    train_x: np.ndarray,
-    train_codes: np.ndarray,
-    test_x: np.ndarray,
-    k: int,
-    n_classes: int,
-) -> np.ndarray:
-    """Majority code among each query's k nearest training rows.
-
-    The voters are each query's first k rows by distance, then by lower
-    index (`_first_k`). Vote ties go to the smallest code.
-    """
-    indptr, indices, dist2, _ = _k_nearest_with_ties(train_x, test_x, k)
-    n_q = test_x.shape[0]
-    owner = np.repeat(np.arange(n_q), np.diff(indptr))
-    votes = train_codes[indices[_first_k(dist2, owner, k, n_q)]]
-    votes += np.arange(n_q)[:, None] * n_classes
-    tally = np.bincount(votes.ravel(), minlength=n_q * n_classes)
-    return tally.reshape(n_q, n_classes).argmax(axis=1)
-
-
-def _lof_raw(x: np.ndarray, k: int) -> np.ndarray:
-    """Local outlier factor of every row over tie-inclusive k-neighbourhoods."""
-    n = x.shape[0]
-    indptr, indices, dist2, kdist2 = _k_nearest_with_ties(x, x, k, skip_self=True)
-    counts = np.diff(indptr)
-    # bincount adds each row's entries one at a time, in ascending index order
-    owner = np.repeat(np.arange(n), counts)
-
-    reach = np.sqrt(np.maximum(kdist2[indices], dist2))
-    reach_sum = np.bincount(owner, weights=reach, minlength=n)
-    with np.errstate(divide="ignore"):
-        lrd = np.where(reach_sum > 0.0, counts / reach_sum, np.inf)
-
-    lrd_sum = np.bincount(owner, weights=lrd[indices], minlength=n)
-    # a point whose whole neighborhood sits at distance zero has infinite
-    # density, and so do all of its neighbors: its outlier ratio is 1
-    with np.errstate(invalid="ignore"):
-        scores = np.where(np.isinf(lrd), 1.0, lrd_sum / (counts * lrd))
-    return scores
-
-
 def _as_features(*matrices) -> list[np.ndarray]:
     """The matrices, C-contiguous: int64 when every one has an integer dtype
     that int64 holds exactly, float64 otherwise."""
@@ -341,11 +299,16 @@ def knn_classify(train_x, train_y, test_x, k: int = 5):
         raise KExceedsTrainSize(f"k={k} exceeds {train_x.shape[0]} training rows")
     _require_exact(train_x, test_x)
 
+    # the voters are each query's first k rows by distance, then by lower
+    # index (`_first_k`); a vote tie goes to the smallest code
     classes, codes = np.unique(train_y, return_inverse=True)
-    pred_codes = _knn_predict(
-        train_x, codes.astype(np.int64), test_x, k, len(classes)
-    )
-    return classes[pred_codes]
+    indptr, indices, dist2, _ = _k_nearest_with_ties(train_x, test_x, k)
+    n_q, n_classes = test_x.shape[0], len(classes)
+    owner = np.repeat(np.arange(n_q), np.diff(indptr))
+    votes = codes.astype(np.int64)[indices[_first_k(dist2, owner, k, n_q)]]
+    votes += np.arange(n_q)[:, None] * n_classes
+    tally = np.bincount(votes.ravel(), minlength=n_q * n_classes)
+    return classes[tally.reshape(n_q, n_classes).argmax(axis=1)]
 
 
 def lof_scores(x, n_neighbors: int) -> np.ndarray:
@@ -372,4 +335,19 @@ def lof_scores(x, n_neighbors: int) -> np.ndarray:
             f"need more than n_neighbors={n_neighbors} rows, got {x.shape[0]}"
         )
     _require_exact(x)
-    return _lof_raw(x, n_neighbors)
+    n = x.shape[0]
+    indptr, indices, dist2, kdist2 = _k_nearest_with_ties(x, x, n_neighbors, skip_self=True)
+    counts = np.diff(indptr)
+    # bincount adds each row's entries one at a time, in ascending index order
+    owner = np.repeat(np.arange(n), counts)
+
+    reach = np.sqrt(np.maximum(kdist2[indices], dist2))
+    reach_sum = np.bincount(owner, weights=reach, minlength=n)
+    with np.errstate(divide="ignore"):
+        lrd = np.where(reach_sum > 0.0, counts / reach_sum, np.inf)
+
+    lrd_sum = np.bincount(owner, weights=lrd[indices], minlength=n)
+    # a point whose whole neighborhood sits at distance zero has infinite
+    # density, and so do all of its neighbors: its outlier ratio is 1
+    with np.errstate(invalid="ignore"):
+        return np.where(np.isinf(lrd), 1.0, lrd_sum / (counts * lrd))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyColumn, NonFiniteResult, NonFiniteValue
+from .errors import EmptyDataset, NonFiniteResult, NonFiniteValue
 from .transforms import _unit
 
 # The monotone map of each perturbation, applied to shift-scaled values.
@@ -70,16 +70,16 @@ def perturb_matrix(features: np.ndarray, spec: PerturbationSpec) -> np.ndarray:
 
     The matrix is checked once on the way in, the shift-scaled values before
     the map, which could hide their overflow (inverse maps inf to 0), and the
-    result on the way out; overflow raises, never warns."""
+    result on the way out; overflow raises, never warns. A matrix with no
+    rows or no columns raises `EmptyDataset`, as `fit_transformer` does."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("expected a 2-D feature matrix")
-    if x.shape[0] == 0 and x.shape[1] > 0:
-        raise EmptyColumn("cannot fit a transform on an empty column")
+    if x.size == 0:
+        raise EmptyDataset(f"cannot perturb a feature matrix of shape {x.shape}, which is empty")
     if not np.isfinite(x).all():
         raise NonFiniteValue("column contains NaN or infinite values")
-    # `initial` gives a matrix with no rows and no columns empty extrema
-    out = _unit(x, x.min(axis=0, initial=np.inf), x.max(axis=0, initial=-np.inf))
+    out = _unit(x, x.min(axis=0), x.max(axis=0))
     with np.errstate(over="ignore"):
         out += spec.shift
         out *= spec.scale

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
 from .errors import ColumnCountMismatch, EmptyDataset, NonFiniteValue
 from .sampling import subsample_indices, subsample_seed
 
@@ -62,14 +61,13 @@ def _unit(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 def _ares_draw(n_rows: int, psi: int, t: int, seed: int, column_index) -> np.ndarray:
     """The row indices ARES draws, shape (m, t, psi): draw j of column c takes
-    the seed of column column_index[c] (an (m, 1) array, or an int for one
-    column), and all m·t draws are one `subsample_indices` call. A missing
-    seed raises as `fit_transformer` does, a t below 1 as an empty
-    sub-sample array does; a negative psi acts as 0."""
+    the seed of column column_index[c] (an (m, 1) array), and all m·t draws
+    are one `subsample_indices` call. Both access patterns check an ARES
+    fit's seed and t here alone; a negative t or psi acts as 0."""
     if seed is None:
         raise ValueError("ares requires a seed")
     if t < 1:
-        raise ValueError("need a 2-D array of at least one nonempty sub-sample")
+        raise ValueError(f"sub-sample count t must be >= 1, got {max(t, 0)}")
     seeds = subsample_seed(seed, column_index, np.arange(t)).reshape(-1, t)
     return subsample_indices(n_rows, max(psi, 0), seeds)
 
@@ -142,7 +140,8 @@ class FittedTransformer:
         elif params.ndim != 3:
             raise ValueError(f"{self.kind} parameters must have shape (m, t, psi)")
         elif 0 in params.shape:
-            raise ValueError("need a 2-D array of at least one nonempty sub-sample")
+            _, t, psi = params.shape
+            raise ValueError(f"{self.kind} parameters need t >= 1, psi >= 1; got t={t}, psi={psi}")
         elif self.kind == "rank" and params.shape[1] != 1:
             raise ValueError("rank parameters must hold one sub-sample per column")
         if not np.isfinite(params).all():
@@ -213,10 +212,6 @@ class FittedTransformer:
             return _unit(self._checked(features), self.params[:, 0], self.params[:, 1])
         return self.counts(features) / self.params.shape[1]
 
-    def transform_dataset(self, dataset: Dataset) -> Dataset:
-        """Transform the feature matrix; labels pass through untouched."""
-        return dataset.with_features(self.transform(dataset.features))
-
 
 def fit_transformer(
     features: np.ndarray,
@@ -228,17 +223,15 @@ def fit_transformer(
     """Fit the chosen transform independently on every column of a matrix.
 
     ARES draws, without replacement, t sub-samples of psi rows for each
-    column, draw j of column c by `_ares_draw` from (seed, c, j); other
-    kinds ignore psi, t and seed."""
+    column, draw j of column c by `_ares_draw` from (seed, c, j), which
+    raises for a missing seed; other kinds ignore psi, t and seed."""
     if kind not in KINDS:
         raise ValueError(f"unknown transformer kind {kind!r}; expected one of {KINDS}")
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("expected a 2-D feature matrix")
-    if x.shape[0] == 0:
-        raise EmptyDataset("cannot fit on a dataset with no rows")
-    if kind == "ares" and seed is None:
-        raise ValueError("ares requires a seed")
+    if x.size == 0:
+        raise EmptyDataset(f"cannot fit on a feature matrix of shape {x.shape}, which is empty")
     if not np.isfinite(x).all():
         raise NonFiniteValue("column contains NaN or infinite values")
     xt = np.ascontiguousarray(x.T)  # one row per column

@@ -71,6 +71,9 @@ class TestTransform:
         ds = load_csv(out, label_column="label")
         assert ds.n_features == 9
         assert ds.features.min() == 0.0 and ds.features.max() == 1.0
+        source = load_csv(class_csv, label_column="label")
+        assert np.array_equal(ds.labels, source.labels)
+        assert ds.feature_names == source.feature_names
 
     def test_column_mismatch_exits_one(self, class_csv, tmp_path, capsys):
         model = tmp_path / "model.json"

@@ -8,6 +8,7 @@ import pytest
 from scalefree import evaluate
 from scalefree.data import Dataset
 from scalefree.errors import (
+    EmptyDataset,
     MissingLabelColumn,
     NonBinaryLabels,
     PsiNonPositive,
@@ -252,7 +253,7 @@ def test_bad_psi_or_t_raises_the_fit_error(task, psi, t, class_dataset, anomaly_
     n_fit = len(rows)
     psi = n_fit + 1 if psi == "n_fit + 1" else psi
     if t < 1:
-        error, message = ValueError, "need a 2-D array of at least one nonempty sub-sample"
+        error, message = ValueError, f"sub-sample count t must be >= 1, got {max(t, 0)}"
     elif psi < 1:
         error, message = PsiNonPositive, "sub-sample size must be >= 1, got 0"
     else:
@@ -285,11 +286,29 @@ def test_both_runners_reject_a_missing_seed(preproc, class_dataset, anomaly_data
 
 
 @pytest.mark.parametrize("preproc", KINDS)
-def test_zero_columns_raise_the_fit_error(preproc):
+def test_zero_columns_raise_the_perturbation_error(preproc):
     dataset = Dataset("no_columns", np.zeros((30, 0)), labels=np.arange(30) % 2)
     for run in (run_classification, run_anomaly):
-        with pytest.raises(ValueError, match="^a fitted transformer needs at least one column$"):
+        with pytest.raises(EmptyDataset, match=r"^cannot perturb a feature matrix of shape \(30, 0\)"):
             run(dataset, preproc, seed=5)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (30, 0), (0, 0)], ids=["0x3", "30x0", "0x0"])
+@pytest.mark.parametrize(
+    "entry, kind", [("perturb", None)] + [(e, k) for e in ("fit", "classify", "anomaly") for k in KINDS]
+)
+def test_an_empty_matrix_raises_empty_dataset(shape, entry, kind):
+    """A matrix with no rows or no columns is one fault with one error,
+    wherever it enters."""
+    x = np.zeros(shape)
+    with pytest.raises(EmptyDataset):
+        if entry == "perturb":
+            perturb_matrix(x, PerturbationSpec("identity"))
+        elif entry == "fit":
+            fit_transformer(x, kind, seed=5)
+        else:
+            run = run_classification if entry == "classify" else run_anomaly
+            run(Dataset("empty", x, labels=np.arange(shape[0]) % 2), kind, seed=5)
 
 
 @pytest.mark.parametrize("preproc", ["minmax", "rank", "ares"])

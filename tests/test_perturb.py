@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from scalefree.errors import EmptyColumn, NonFiniteResult, NonFiniteValue
+from scalefree.errors import EmptyDataset, NonFiniteResult, NonFiniteValue
 from scalefree.perturb import PERTURBATION_KINDS, PerturbationSpec, perturb_matrix
 from scalefree.transforms import _unit
 
@@ -27,7 +27,7 @@ class TestRescaleUnit:
         assert np.array_equal(rescale_unit([0.0, 1.0]), [0.0, 1.0])
 
     def test_empty(self):
-        with pytest.raises(EmptyColumn):
+        with pytest.raises(EmptyDataset):
             perturb_column([], PerturbationSpec("identity"))
 
     def test_bare_scalar(self):
@@ -155,9 +155,10 @@ class TestPerturbMatrix:
         spec = PerturbationSpec("log")
         with pytest.raises(NonFiniteValue, match="^column contains NaN or infinite values$"):
             perturb_matrix([[1.0, 2.0], [3.0, np.nan]], spec)
-        with pytest.raises(EmptyColumn, match="^cannot fit a transform on an empty column$"):
+        with pytest.raises(EmptyDataset, match=r"^cannot perturb a feature matrix of shape \(0, 2\)"):
             perturb_matrix(np.zeros((0, 2)), spec)
-        assert perturb_matrix(np.zeros((0, 0)), spec).shape == (0, 0)
+        with pytest.raises(EmptyDataset, match=r"^cannot perturb a feature matrix of shape \(0, 0\)"):
+            perturb_matrix(np.zeros((0, 0)), spec)
         with pytest.raises(NonFiniteResult, match="^perturbation 'square' produced non-finite values$"):
             with np.errstate(over="ignore"):
                 perturb_matrix([[0.0, 0.0], [1.0, 1.0]], PerturbationSpec("square", scale=1e200))

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from scalefree.data import Dataset
 from scalefree.errors import (
     ColumnCountMismatch,
     EmptyDataset,
@@ -406,6 +407,16 @@ class TestFittedTransformer:
         ft = fit_transformer(x, "ares", seed=4)
         other = np.column_stack([rng.lognormal(size=(50, 2)), x[:, 2]])
         assert np.array_equal(ft.params[2], fit_transformer(other, "ares", seed=4).params[2])
+
+    def test_labels_pass_through(self):
+        # The CLI's transform step: swap in the transformed features, keep the rest.
+        rng = np.random.default_rng(17)
+        ds = Dataset("d", rng.normal(size=(20, 2)), labels=np.arange(20))
+        ft = fit_transformer(ds.features, "rank")
+        out = ds.with_features(ft.transform(ds.features))
+        assert np.array_equal(out.features, ft.transform(ds.features))
+        assert np.array_equal(out.labels, ds.labels)
+        assert out.feature_names == ds.feature_names
 
 
 class TestFittedTransformerColumns:

@@ -4,54 +4,63 @@ Three column-wise transforms (min-max, rank, ares: average rank over an
 ensemble of sub-samples), monotone scale perturbations that simulate
 different units of measurement, and a KNN/LOF harness that demonstrates the
 rank-based transforms' exact invariance to increasing changes of scale.
+
+The public names and the submodules resolve on first access (PEP 562), so
+``import scalefree`` loads no numpy. That lets the CLI choose numpy's BLAS
+thread count before numpy starts (see `scalefree.cli`).
 """
 
-from .data import Dataset, load_csv, save_csv
-from .errors import ScaleFreeError
-from .evaluate import (
-    FoldAssignment,
-    evaluation_grid,
-    kfold_split,
-    lof_neighbor_count,
-    run_anomaly,
-    run_classification,
-)
-from .metrics import accuracy, auc, average_ranks
-from .model_io import load_model, save_model
-from .neighbors import knn_classify, lof_scores
-from .perturb import PERTURBATION_KINDS, PerturbationSpec, perturb_matrix
-from .report import EvaluationReport, write_report
-from .sampling import derive_seed, subsample_indices, subsample_seed
-from .transforms import FittedTransformer, fit_transformer
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Dataset",
-    "EvaluationReport",
-    "FittedTransformer",
-    "FoldAssignment",
-    "PERTURBATION_KINDS",
-    "PerturbationSpec",
-    "ScaleFreeError",
-    "accuracy",
-    "auc",
-    "average_ranks",
-    "derive_seed",
-    "evaluation_grid",
-    "fit_transformer",
-    "kfold_split",
-    "knn_classify",
-    "load_csv",
-    "load_model",
-    "lof_neighbor_count",
-    "lof_scores",
-    "perturb_matrix",
-    "run_anomaly",
-    "run_classification",
-    "save_csv",
-    "save_model",
-    "subsample_indices",
-    "subsample_seed",
-    "write_report",
-]
+# public name -> the submodule that defines it
+_EXPORTS = {
+    "Dataset": "data",
+    "load_csv": "data",
+    "save_csv": "data",
+    "ScaleFreeError": "errors",
+    "FoldAssignment": "evaluate",
+    "evaluation_grid": "evaluate",
+    "kfold_split": "evaluate",
+    "lof_neighbor_count": "evaluate",
+    "run_anomaly": "evaluate",
+    "run_classification": "evaluate",
+    "accuracy": "metrics",
+    "auc": "metrics",
+    "average_ranks": "metrics",
+    "load_model": "model_io",
+    "save_model": "model_io",
+    "knn_classify": "neighbors",
+    "lof_scores": "neighbors",
+    "PERTURBATION_KINDS": "perturb",
+    "PerturbationSpec": "perturb",
+    "perturb_matrix": "perturb",
+    "EvaluationReport": "report",
+    "write_report": "report",
+    "derive_seed": "sampling",
+    "subsample_indices": "sampling",
+    "subsample_seed": "sampling",
+    "FittedTransformer": "transforms",
+    "fit_transformer": "transforms",
+}
+# every submodule defines a public name, except the command line
+_SUBMODULES = frozenset(_EXPORTS.values()) | {"cli"}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    """Import the submodule behind a public name or a submodule name on first
+    access; any other name raises `AttributeError`."""
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | _SUBMODULES)

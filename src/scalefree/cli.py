@@ -5,12 +5,22 @@ SCALEFREE_SEED environment variable, else the documented default 42.
 Usage errors, a malformed SCALEFREE_SEED among them, exit 2 (argparse);
 data/contract errors exit 1 with a diagnostic naming the failed contract;
 success exits 0.
+
+The package's one BLAS call, the neighbour search's distance fill, runs on
+one thread (`neighbors._one_blas_thread`), so a CLI process has no use for
+an OpenBLAS worker pool, which spins for about 0.1 s of CPU when numpy
+loads. Imported before numpy, this module sets OPENBLAS_NUM_THREADS to 1
+unless the variable is already set; once numpy is loaded the pool exists,
+and the environment is left alone.
 """
 
 import argparse
 import math
 import os
 import sys
+
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .data import load_csv, save_csv
 from .errors import ScaleFreeError

@@ -17,27 +17,33 @@ neighbour search, `_k_nearest_with_ties`, and its own vote or LOF sums. The
 private helpers only compute, on C-contiguous finite arrays. The search
 handles one block of queries at a time in a float64 distance buffer of at
 most `_BLOCK_BYTES`. For every dtype it fills the block with one Gram pass,
-``|q|² + |r|² − 2·q·rᵀ`` in float64, and one rule, `_first_k`, picks a
-row's k nearest entries: by distance, then by lower index.
+``|r|² − 2·q·rᵀ`` in float64, as one `np.matmul`: ``|r|²`` rides along as
+an extra row of the reference, against a column of ones beside ``−2q``.
+``|q|²`` is the same along a query's row, so it changes no selection and
+is left out of the fill. One rule, `_first_k`, picks a row's k nearest
+entries: by distance, then by lower index.
 
 * Integer input (the rank and ARES counts) stays int64. Every product and
-  partial sum of the Gram pass is an integer below 2**53, so each distance
-  is the exact integer, in any summation order and for any block size, and
-  the block is used as it is.
+  partial sum of the Gram pass is an integer of magnitude at most
+  ``3·m·max|x|²``, below ``4·m·max|x|²`` and so below 2**53: the fill is
+  the exact integer ``|r|² − 2·q·r``, in any summation order and for any
+  block size. ``|q|²`` goes back on the kept entries and the k-th value
+  alone, exactly, which gives the exact distances.
 * Float input (min-max) uses the block only as a filter. With unit roundoff
   ``u = 2**-53``, ``γ_n = n·u/(1 − n·u)`` and ``s = |q| + max_r |r|``, every
-  row's Gram value differs from the reference distance
-  ``((ref - q) ** 2).sum(axis=1)`` by a shift ``c_q`` shared by the whole
-  query row (the rounding of ``|q|²``) plus at most
-  ``ε_q = 2·γ_{m+3}·s² + 1.5·m·2**-1074``: ``γ_{m+2}·s²`` for the Gram
-  pass, the same for the reference sum, and half a subnormal step for each
-  of the 3·m products that can underflow. A row the reference keeps lies
-  within the k-th distance, so its Gram value is at most ``2·ε_q`` above
-  the block's k-th Gram value. The candidates are the rows within twice
-  that, ``4·ε_q``. On them alone the search recomputes
-  ``((ref[col] - q) ** 2).sum(axis=1)``; numpy sums each row on its own, so
-  every refined value is bitwise the reference's, and the k-th distance and
-  the neighbourhood are taken from the refined values.
+  row's fill plus the exact ``|q|²`` differs from the reference distance
+  ``((ref - q) ** 2).sum(axis=1)`` by at most
+  ``ε_q = 2·γ_{2m+1}·s² + 1.5·m·2**-1074``: ``γ_{2m+1}·s²`` for the fill,
+  whose ``|r|²`` term is itself a rounded sum of m squares that the product
+  may add first, ``γ_{m+2}·s²`` for the reference sum, and half a subnormal
+  step for each of the 3·m products that can underflow. The exact ``|q|²``
+  is shared by the whole row, so a row the reference keeps lies within the
+  k-th distance and its fill is at most ``2·ε_q`` above the block's k-th
+  fill. The candidates are the rows within twice that, ``4·ε_q``. On them
+  alone the search recomputes ``((ref[col] - q) ** 2).sum(axis=1)``; numpy
+  sums each row on its own, so every refined value is bitwise the
+  reference's, and the k-th distance and the neighbourhood are taken from
+  the refined values.
 
 The block product is one `np.matmul`, a BLAS call, and the search pins
 numpy's bundled OpenBLAS to one thread while it runs (`_one_blas_thread`).
@@ -134,30 +140,33 @@ def _block_rows(n_cols: int) -> int:
 
 
 def _distance_rows(ref: np.ndarray, queries: np.ndarray):
-    """The Gram pass: ``(fill, slack)``, where ``fill(start, stop, out)``
-    writes ``|q|² + |r|² − 2·q·rᵀ`` for ``queries[start:stop]`` against every
-    reference row into ``out``. ``slack`` is None for int64 input, whose fill
-    is exact; for float64 input it is, per query, how far above the k-th
-    filled value a row the reference would keep can lie (module docstring)."""
-    ref_t = np.ascontiguousarray(ref.T, dtype=np.float64)
-    q = queries.astype(np.float64)
-    rn = np.einsum("ji,ji->i", ref_t, ref_t)
-    qn = np.einsum("ij,ij->i", q, q)
-    q *= -2.0
+    """The Gram pass: ``(fill, qn, slack)``, where ``fill(start, stop, out)``
+    writes ``|r|² − 2·q·rᵀ`` for ``queries[start:stop]`` against every
+    reference row into ``out``, in one `np.matmul`, and ``qn`` is each
+    query's ``|q|²``, which the fill leaves out. ``slack`` is None for int64
+    input, whose fill is exact; for float64 input it is, per query, how far
+    above the k-th filled value a row the reference would keep can lie
+    (module docstring)."""
+    n_ref, m = ref.shape
+    ref_t = np.empty((m + 1, n_ref))
+    ref_t[:m] = ref.T
+    rn = np.einsum("ji,ji->i", ref_t[:m], ref_t[:m], out=ref_t[m])
+    q = np.empty((queries.shape[0], m + 1))
+    q[:, :m] = queries
+    qn = np.einsum("ij,ij->i", q[:, :m], q[:, :m])
+    q[:, :m] *= -2.0
+    q[:, m] = 1.0
 
     def fill(start, stop, out):
         np.matmul(q[start:stop], ref_t, out=out)
-        out += qn[start:stop, None]
-        out += rn
 
     if ref.dtype == np.int64:
-        return fill, None
-    m = ref.shape[1]
-    gamma = (m + 3) * _UNIT_ROUNDOFF / (1 - (m + 3) * _UNIT_ROUNDOFF)
-    # per row, |fill - reference - c_q| <= eps with c_q shared by the query's row
+        return fill, qn, None
+    gamma = (2 * m + 1) * _UNIT_ROUNDOFF / (1 - (2 * m + 1) * _UNIT_ROUNDOFF)
+    # per row, |fill + |q|² - reference| <= eps
     eps = 2 * gamma * (np.sqrt(qn) + np.sqrt(rn.max())) ** 2 + 1.5 * m * 2.0**-1074
     # a row kept and the k-th row can err in opposite directions; doubled for safety
-    return fill, 2 * (2 * eps)
+    return fill, qn, 2 * (2 * eps)
 
 
 def _refine(ref: np.ndarray, queries: np.ndarray, cols: np.ndarray, rows: np.ndarray):
@@ -200,7 +209,7 @@ def _k_nearest_with_ties(
     rows = _block_rows(n_ref)
     buf = np.empty((min(rows, n_q), n_ref))
     member_buf = np.empty(buf.shape, dtype=bool)
-    fill, slack = _distance_rows(ref, queries)
+    fill, qn, slack = _distance_rows(ref, queries)
     kth2 = np.empty(n_q)
     indptr = np.zeros(n_q + 1, dtype=np.int64)
     indices = [np.empty(0, dtype=np.int64)]
@@ -224,7 +233,10 @@ def _k_nearest_with_ties(
             flat = np.flatnonzero(member)
             owner, cols = np.divmod(flat, n_ref)
             if slack is None:
+                # exact integers: |q|² goes back on the kept entries alone
                 dist = block.reshape(-1)[flat]
+                dist += qn[owner + start]
+                kth += qn[start:stop]
             else:
                 dist = _refine(ref, queries, cols, owner + start)
                 kth[:] = dist[_first_k(dist, owner, k, stop - start)[:, -1]]

@@ -76,13 +76,13 @@ def test_every_block_fill_runs_on_one_thread(two_threads, monkeypatch):
     distance_rows = neighbors._distance_rows
 
     def spy(ref, queries):
-        fill, slack = distance_rows(ref, queries)
+        fill, qn, slack = distance_rows(ref, queries)
 
         def counted(start, stop, out):
             counts.append(two_threads())
             fill(start, stop, out)
 
-        return counted, slack
+        return counted, qn, slack
 
     monkeypatch.setattr(neighbors, "_distance_rows", spy)
     monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 8 * 3 * 40)

@@ -1,8 +1,8 @@
 """The float distance path against the reference kernels, bit for bit.
 
 Float features (min-max) take the same Gram pass as integer counts, but in
-float64 the Gram value ``|q|² + |r|² − 2·q·rᵀ`` only approximates the
-reference's ``((ref - q) ** 2).sum(axis=1)``. The search uses it as a
+float64 the Gram value ``|r|² − 2·q·rᵀ``, plus ``|q|²``, only approximates
+the reference's ``((ref - q) ** 2).sum(axis=1)``. The search uses it as a
 filter with a proven slack and recomputes the reference distance on the
 candidates. So KNN predictions, LOF scores, k-th distances and
 neighbourhoods must equal the reference kernels exactly, on data built to

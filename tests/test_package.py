@@ -45,10 +45,6 @@ def test_public_name_is_its_modules_attribute(name):
     assert getattr(scalefree, name) is getattr(module, name)
 
 
-def test_every_public_name_has_a_module():
-    assert sorted(scalefree._EXPORTS) == scalefree.__all__
-
-
 def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from scalefree import *", namespace)

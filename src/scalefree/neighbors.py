@@ -251,8 +251,11 @@ def _k_nearest_with_ties(
 
 def _as_features(*matrices) -> list[np.ndarray]:
     """The matrices, C-contiguous: int64 when every one has an integer dtype
-    that int64 holds exactly, float64 otherwise."""
+    that int64 holds exactly, float64 otherwise. Raises ValueError unless
+    every one is 2-D."""
     arrays = [np.asarray(x) for x in matrices]
+    if any(a.ndim != 2 for a in arrays):
+        raise ValueError("expected a 2-D feature matrix")
     exact = all(np.can_cast(a.dtype, np.int64) for a in arrays)
     dtype = np.int64 if exact else np.float64
     return [np.ascontiguousarray(a, dtype=dtype) for a in arrays]
@@ -297,8 +300,6 @@ def knn_classify(train_x, train_y, test_x, k: int = 5):
     """
     train_x, test_x = _as_features(train_x, test_x)
     train_y = np.asarray(train_y)
-    if train_x.ndim != 2 or test_x.ndim != 2:
-        raise ValueError("expected 2-D feature matrices")
     if train_x.shape[1] != test_x.shape[1]:
         raise DimensionMismatch(
             f"train has {train_x.shape[1]} columns, test has {test_x.shape[1]}"
@@ -338,8 +339,6 @@ def lof_scores(x, n_neighbors: int) -> np.ndarray:
     Memory is O(block * N + N * k'), with k' the mean neighborhood size.
     """
     (x,) = _as_features(x)
-    if x.ndim != 2:
-        raise ValueError("expected a 2-D feature matrix")
     if n_neighbors < 1:
         raise ValueError(f"n_neighbors must be >= 1, got {n_neighbors}")
     if x.shape[0] <= n_neighbors:

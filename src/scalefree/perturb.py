@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyDataset, NonFiniteResult, NonFiniteValue
-from .transforms import _unit
+from .errors import NonFiniteResult
+from .transforms import _check_matrix, _unit
 
 # The monotone map of each perturbation, applied to shift-scaled values.
 _MAPS = {
@@ -72,13 +72,7 @@ def perturb_matrix(features: np.ndarray, spec: PerturbationSpec) -> np.ndarray:
     the map, which could hide their overflow (inverse maps inf to 0), and the
     result on the way out; overflow raises, never warns. A matrix with no
     rows or no columns raises `EmptyDataset`, as `fit_transformer` does."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("expected a 2-D feature matrix")
-    if x.size == 0:
-        raise EmptyDataset(f"cannot perturb a feature matrix of shape {x.shape}, which is empty")
-    if not np.isfinite(x).all():
-        raise NonFiniteValue("column contains NaN or infinite values")
+    x = _check_matrix(features, "perturb")
     out = _unit(x, x.min(axis=0), x.max(axis=0))
     with np.errstate(over="ignore"):
         out += spec.shift

@@ -20,7 +20,9 @@ patterns, both exact and bitwise equal:
   the cumulative weight below it in the column's sorted order
   (`_in_sample_counter`, one sort per matrix for any number of fits).
 
-Both draw ARES sub-samples through `_ares_draw`.
+Both take the strict count from numpy's left binary search (the in-sample
+path searches each sorted column in itself) and draw ARES sub-samples
+through `_ares_draw`.
 """
 
 import operator
@@ -59,16 +61,29 @@ def _unit(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ares_draw(n_rows: int, psi: int, t: int, seed: int, column_index) -> np.ndarray:
-    """The row indices ARES draws, shape (m, t, psi): draw j of column c takes
-    the seed of column column_index[c] (an (m, 1) array), and all m·t draws
-    are one `subsample_indices` call. Both access patterns check an ARES
-    fit's seed and t here alone; a negative t or psi acts as 0."""
+def _check_matrix(features, verb: str) -> np.ndarray:
+    """A feature matrix as float64, checked to be 2-D, nonempty and finite;
+    `verb` names the caller's action in the `EmptyDataset` message."""
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError("expected a 2-D feature matrix")
+    if x.size == 0:
+        raise EmptyDataset(f"cannot {verb} a feature matrix of shape {x.shape}, which is empty")
+    if not np.isfinite(x).all():
+        raise NonFiniteValue("column contains NaN or infinite values")
+    return x
+
+
+def _ares_draw(n_rows: int, psi: int, t: int, seed: int, m: int) -> np.ndarray:
+    """The row indices ARES draws for m columns, shape (m, t, psi): draw j of
+    column c takes the seed (seed, c, j), and all m·t draws are one
+    `subsample_indices` call. Both access patterns check an ARES fit's seed
+    and t here alone; a negative t or psi acts as 0."""
     if seed is None:
         raise ValueError("ares requires a seed")
     if t < 1:
         raise ValueError(f"sub-sample count t must be >= 1, got {max(t, 0)}")
-    seeds = subsample_seed(seed, column_index, np.arange(t)).reshape(-1, t)
+    seeds = subsample_seed(seed, np.arange(m)[:, None], np.arange(t))
     return subsample_indices(n_rows, max(psi, 0), seeds)
 
 
@@ -79,7 +94,8 @@ def _in_sample_counter(x: np.ndarray):
     A fit weights each row by how often it was sampled: rank by 1 per fitted
     row, ARES by how many of a column's t draws took it. A row's count is
     then the summed weight of the rows strictly below it, one cumulative sum
-    read at the row's group start in sorted order. The returned
+    read at the row's group start in sorted order, which a left search of
+    the sorted column finds, as the model path searches its pool. The returned
     `counts(kind, rows, psi, t, seed)` equals
     `fit_transformer(x[rows], kind, psi, t, seed=seed).counts(x)` bitwise
     and raises as it does for a bad psi, t or seed."""
@@ -87,12 +103,9 @@ def _in_sample_counter(x: np.ndarray):
     xt = np.ascontiguousarray(x.T)
     order = np.argsort(xt, axis=1)
     ranked = np.take_along_axis(xt, order, axis=1)
-    # The first sorted position of each value; != keeps -0.0 with 0.0.
-    starts = np.zeros((m, n), dtype=np.intp)
-    starts[:, 1:] = np.where(ranked[:, 1:] != ranked[:, :-1], np.arange(1, n), 0)
-    np.maximum.accumulate(starts, axis=1, out=starts)
     below = np.empty_like(order)
-    np.put_along_axis(below, order, starts, axis=1)
+    for c in range(m):  # numpy's search is 1-D
+        below[c, order[c]] = np.searchsorted(ranked[c], ranked[c], side="left")
     # Flat positions, so that each fit does two 1-D takes: column c's weights
     # are w[c·n:(c + 1)·n] and its cumulative sums cum[c·(n + 1):(c + 1)·(n + 1)].
     order += n * np.arange(m)[:, None]
@@ -103,7 +116,7 @@ def _in_sample_counter(x: np.ndarray):
         if kind == "rank":
             weights = np.tile(np.bincount(rows, minlength=n), m)
         else:
-            idx = _ares_draw(len(rows), subsample_size, n_subsamples, seed, np.arange(m)[:, None])
+            idx = _ares_draw(len(rows), subsample_size, n_subsamples, seed, m)
             taken = rows[idx] + n * np.arange(m)[:, None, None]
             weights = np.bincount(taken.ravel(), minlength=n * m)
         cum = np.zeros((m, n + 1), dtype=np.int64)
@@ -227,19 +240,12 @@ def fit_transformer(
     raises for a missing seed; other kinds ignore psi, t and seed."""
     if kind not in KINDS:
         raise ValueError(f"unknown transformer kind {kind!r}; expected one of {KINDS}")
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("expected a 2-D feature matrix")
-    if x.size == 0:
-        raise EmptyDataset(f"cannot fit on a feature matrix of shape {x.shape}, which is empty")
-    if not np.isfinite(x).all():
-        raise NonFiniteValue("column contains NaN or infinite values")
-    xt = np.ascontiguousarray(x.T)  # one row per column
+    xt = np.ascontiguousarray(_check_matrix(features, "fit on").T)  # one row per column
     if kind == "minmax":
         return FittedTransformer(kind, np.stack([xt.min(axis=1), xt.max(axis=1)], axis=1))
     if kind == "rank":
         return FittedTransformer(kind, np.sort(xt, axis=1)[:, None])
-    idx = _ares_draw(xt.shape[1], subsample_size, n_subsamples, seed, np.arange(len(xt))[:, None])
+    idx = _ares_draw(xt.shape[1], subsample_size, n_subsamples, seed, len(xt))
     subsamples = np.take_along_axis(xt[:, None, :], idx, axis=2)
     subsamples.sort()
     return FittedTransformer(kind, subsamples, seed)

@@ -75,6 +75,18 @@ class TestTransform:
         assert np.array_equal(ds.labels, source.labels)
         assert ds.feature_names == source.feature_names
 
+    @pytest.mark.parametrize("kind", ["minmax", "rank", "ares"])
+    def test_header_only_input_writes_only_the_header(self, kind, class_csv, tmp_path):
+        model, out = tmp_path / "model.json", tmp_path / "out.csv"
+        main(["fit", "--input", str(class_csv), "--label-col", "label",
+              "--kind", kind, "--output", str(model)])
+        header = tmp_path / "header.csv"
+        header.write_text(class_csv.read_text().splitlines(keepends=True)[0])
+        rc = main(["transform", "--model", str(model), "--input", str(header),
+                   "--label-col", "label", "--output", str(out)])
+        assert rc == 0
+        assert out.read_text() == header.read_text()
+
     def test_column_mismatch_exits_one(self, class_csv, tmp_path, capsys):
         model = tmp_path / "model.json"
         main(["fit", "--input", str(class_csv), "--label-col", "label",

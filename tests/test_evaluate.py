@@ -1,5 +1,6 @@
 """Cross-validation split and the classification/anomaly runners."""
 
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -11,6 +12,7 @@ from scalefree.errors import (
     EmptyDataset,
     MissingLabelColumn,
     NonBinaryLabels,
+    NonFiniteValue,
     PsiNonPositive,
     PsiTooLarge,
     TooFewRows,
@@ -22,6 +24,7 @@ from scalefree.evaluate import (
     run_anomaly,
     run_classification,
 )
+from scalefree.neighbors import knn_classify, lof_scores
 from scalefree.perturb import PERTURBATION_KINDS, PerturbationSpec, perturb_matrix
 from scalefree.sampling import cv_fit_seed, fold_seed
 from scalefree.transforms import KINDS, fit_transformer
@@ -309,6 +312,42 @@ def test_an_empty_matrix_raises_empty_dataset(shape, entry, kind):
         else:
             run = run_classification if entry == "classify" else run_anomaly
             run(Dataset("empty", x, labels=np.arange(shape[0]) % 2), kind, seed=5)
+
+
+_NOT_FINITE = "column contains NaN or infinite values"
+
+
+@pytest.mark.parametrize(
+    "bad, error, message",
+    [
+        (np.arange(6.0), ValueError, "expected a 2-D feature matrix"),
+        ([[1.0, np.nan], [2.0, 3.0]], NonFiniteValue, _NOT_FINITE),
+        ([[1.0, 2.0], [np.inf, 3.0]], NonFiniteValue, _NOT_FINITE),
+    ],
+    ids=["1-D", "NaN", "+inf"],
+)
+@pytest.mark.parametrize("entry", ["perturb"] + [f"fit {k}" for k in KINDS])
+def test_a_malformed_matrix_raises_one_error(bad, error, message, entry):
+    """Perturb and fit share one matrix check: the same class and message."""
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as raised:
+        if entry == "perturb":
+            perturb_matrix(bad, PerturbationSpec("identity"))
+        else:
+            fit_transformer(bad, entry.split()[1], seed=5)
+    assert raised.type is error
+
+
+@pytest.mark.parametrize("learner", ["knn train", "knn test", "lof"])
+def test_a_1d_learner_input_raises_value_error(learner):
+    x, flat = np.arange(12.0).reshape(6, 2), np.arange(6.0)
+    with pytest.raises(ValueError, match="2-D") as raised:
+        if learner == "knn train":
+            knn_classify(flat, np.arange(6) % 2, x, k=1)
+        elif learner == "knn test":
+            knn_classify(x, np.arange(6) % 2, flat, k=1)
+        else:
+            lof_scores(flat, 2)
+    assert raised.type is ValueError
 
 
 @pytest.mark.parametrize("preproc", ["minmax", "rank", "ares"])

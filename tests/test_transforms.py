@@ -504,6 +504,15 @@ class TestCounts:
         )
         assert per_column.tobytes() == ft.transform(queries).tobytes()
 
+    @pytest.mark.parametrize("kind", ["minmax", "rank", "ares"])
+    def test_zero_row_queries(self, kind):
+        """A query of no rows maps to a C-contiguous (0, m) array."""
+        ft = fit_transformer(self.x, kind, seed=5)
+        maps = [ft.transform] if kind == "minmax" else [ft.transform, ft.counts]
+        for mapped in maps:
+            out = mapped(np.empty((0, 3)))
+            assert out.shape == (0, 3) and out.flags.c_contiguous
+
     def test_minmax_has_no_counts(self):
         ft = fit_transformer(self.x, "minmax")
         with pytest.raises(ValueError):

@@ -16,7 +16,8 @@ Every run is one cell of the preprocessor x perturbation grid, and
 * `_run_cell` times these steps and builds the `EvaluationReport`.
 
 Only the scoring differs. `run_classification` splits the rows into k random
-folds, fits on the training folds only, predicts each held-out fold by KNN
+folds (`kfold_split`: `sampling.permutation` of the rows under the fold
+seed, cut into k near-equal runs), fits on the training folds only, predicts each held-out fold by KNN
 and reports the mean fold accuracy. `run_anomaly` fits on all rows
 (unsupervised), scores every row by LOF with n_neighbors = ceil(sqrt(N)) and
 reports the AUC of the scores against the binary flags.
@@ -43,7 +44,7 @@ from .perturb import (
     perturb_matrix,
 )
 from .report import EvaluationReport
-from .sampling import cv_fit_seed, fold_seed
+from .sampling import cv_fit_seed, fold_seed, permutation
 from .transforms import (
     DEFAULT_N_SUBSAMPLES,
     DEFAULT_SUBSAMPLE_SIZE,
@@ -73,12 +74,14 @@ class FoldAssignment:
 
 
 def kfold_split(n: int, k: int = DEFAULT_FOLDS, seed: int = 0) -> FoldAssignment:
-    """Randomly partition n rows into k folds whose sizes differ by at most 1."""
+    """Randomly partition n rows into k folds whose sizes differ by at most 1:
+    fold f is the f-th of k near-equal runs of `sampling.permutation(n, seed)`,
+    so the folds depend on the seed alone, not on the numpy version."""
     if k < 2:
         raise ValueError(f"fold count must be >= 2, got {k}")
     if n < k:
         raise TooFewRows(f"cannot split {n} rows into {k} folds")
-    perm = np.random.default_rng(seed).permutation(n)
+    perm = permutation(n, seed)
     fold_of_row = np.empty(n, dtype=np.int64)
     for f, part in enumerate(np.array_split(perm, k)):
         fold_of_row[part] = f

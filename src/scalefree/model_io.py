@@ -6,7 +6,6 @@ with shortest round-trip precision, so a saved and reloaded transformer
 produces bitwise-identical outputs on every input.
 """
 
-import hashlib
 import json
 import math
 from pathlib import Path
@@ -21,6 +20,10 @@ FORMAT_VERSION = 1
 
 
 def _fingerprint(n_features: int) -> str:
+    # imported here: hashlib maps OpenSSL, and only a model read or write
+    # needs it, not `evaluate` or `perturb`
+    import hashlib
+
     return hashlib.sha256(f"columns:{n_features}".encode()).hexdigest()
 
 

@@ -82,9 +82,12 @@ from .errors import (
     TooFewRows,
 )
 
-# byte budget of one (block rows, N) float64 buffer; a block holds >= 1 row.
-# 256 KiB keeps a block in cache: 16 rows at N = 2000.
+# byte budget of one (block rows, N) float64 distance buffer: 256 KiB keeps a
+# block in cache, 16 rows up to N = 2048. Past that a block still holds
+# _MIN_BLOCK_ROWS rows, 128·N bytes, so each fill stays a matrix product, not
+# one GEMV and one Python iteration per row.
 _BLOCK_BYTES = 256 << 10
+_MIN_BLOCK_ROWS = 16
 _UNIT_ROUNDOFF = 2.0**-53
 
 
@@ -136,7 +139,7 @@ def _one_blas_thread():
 
 
 def _block_rows(n_cols: int) -> int:
-    return max(1, _BLOCK_BYTES // (8 * n_cols))
+    return max(_MIN_BLOCK_ROWS, _BLOCK_BYTES // (8 * n_cols))
 
 
 def _distance_rows(ref: np.ndarray, queries: np.ndarray):
@@ -170,8 +173,8 @@ def _distance_rows(ref: np.ndarray, queries: np.ndarray):
 
 
 def _refine(ref: np.ndarray, queries: np.ndarray, cols: np.ndarray, rows: np.ndarray):
-    """``((ref[cols] - queries[rows]) ** 2).sum(axis=1)``, in chunks of at
-    most `_BLOCK_BYTES`. numpy sums each row on its own, so every value is
+    """``((ref[cols] - queries[rows]) ** 2).sum(axis=1)``, in chunks of
+    `_block_rows` rows. numpy sums each row on its own, so every value is
     bitwise the reference kernels' squared distance for that pair."""
     out = np.empty(cols.shape[0])
     step = _block_rows(ref.shape[1])
@@ -204,6 +207,12 @@ def _k_nearest_with_ties(
     are more than k of them. With ``skip_self`` the queries are the reference
     rows themselves, and row i is left out of its own neighbourhood and k-th
     distance. ``ref`` and ``queries`` are both int64 or both float64.
+    ``indices`` is int32 below 2**31 reference rows.
+
+    Each block's entries go straight into ``indices`` and ``dist2``, sized
+    for k per query and grown in place (`ndarray.resize`, a realloc) to the
+    mean so far when ties need more, then trimmed, so the CSR is never held
+    twice.
     """
     n_ref, n_q = ref.shape[0], queries.shape[0]
     rows = _block_rows(n_ref)
@@ -212,8 +221,10 @@ def _k_nearest_with_ties(
     fill, qn, slack = _distance_rows(ref, queries)
     kth2 = np.empty(n_q)
     indptr = np.zeros(n_q + 1, dtype=np.int64)
-    indices = [np.empty(0, dtype=np.int64)]
-    dist2 = [np.empty(0)]
+    # every query keeps at least k rows
+    indices = np.empty(n_q * k, dtype=np.int32 if n_ref < 2**31 else np.int64)
+    dist2 = np.empty(n_q * k)
+    end = 0
     # the fill is the only BLAS call; one thread keeps CPU time at wall time
     with _one_blas_thread():
         for start in range(0, n_q, rows):
@@ -243,10 +254,19 @@ def _k_nearest_with_ties(
                 keep = dist <= kth[owner]
                 owner, cols, dist = owner[keep], cols[keep], dist[keep]
             indptr[start + 1 : stop + 1] = np.bincount(owner, minlength=stop - start)
-            indices.append(cols)
-            dist2.append(dist)
+            grown = end + cols.shape[0]
+            if grown > indices.shape[0]:
+                # extrapolate the mean neighbourhood so far over the rows left
+                size = -(-grown * n_q // stop)
+                indices.resize(size, refcheck=False)
+                dist2.resize(size, refcheck=False)
+            indices[end:grown] = cols
+            dist2[end:grown] = dist
+            end = grown
+    indices.resize(end, refcheck=False)
+    dist2.resize(end, refcheck=False)
     np.cumsum(indptr, out=indptr)
-    return indptr, np.concatenate(indices), np.concatenate(dist2), kth2
+    return indptr, indices, dist2, kth2
 
 
 def _as_features(*matrices) -> list[np.ndarray]:
@@ -336,7 +356,9 @@ def lof_scores(x, n_neighbors: int) -> np.ndarray:
     A row whose entire neighborhood lies at distance zero (duplicates) has
     infinite density, as do all its neighbors, and scores exactly 1.0.
 
-    Memory is O(block * N + N * k'), with k' the mean neighborhood size.
+    Memory is O(block * N + N * k'), with k' the mean neighborhood size. At
+    the peak three N * k' arrays are held: the int32 neighbor indices and two
+    8-byte ones, 20 bytes per neighborhood entry.
     """
     (x,) = _as_features(x)
     if n_neighbors < 1:
@@ -349,11 +371,17 @@ def lof_scores(x, n_neighbors: int) -> np.ndarray:
     n = x.shape[0]
     indptr, indices, dist2, kdist2 = _k_nearest_with_ties(x, x, n_neighbors, skip_self=True)
     counts = np.diff(indptr)
+
+    # beside `indices`, two 8-byte N·k′ arrays at a time: `dist2` is freed
+    # once the reachability distances exist, and those once summed
+    reach = kdist2[indices]
+    np.maximum(reach, dist2, out=reach)
+    del dist2
+    np.sqrt(reach, out=reach)
     # bincount adds each row's entries one at a time, in ascending index order
     owner = np.repeat(np.arange(n), counts)
-
-    reach = np.sqrt(np.maximum(kdist2[indices], dist2))
     reach_sum = np.bincount(owner, weights=reach, minlength=n)
+    del reach
     with np.errstate(divide="ignore"):
         lrd = np.where(reach_sum > 0.0, counts / reach_sum, np.inf)
 

@@ -10,8 +10,14 @@ invariant under increasing changes of scale.
 
 Seed expansion map (documented so results are reproducible from one knob):
     sub-sample draw j of column c:  derive_seed(base, 0xA5, c, j)
-    fold permutation:               derive_seed(base, 0xF0)
+    fold permutation:               derive_seed(base, 0xF0), then
+                                    permutation(n, that seed)
     per-fold fit seed (CV):         derive_seed(base, 0xC5, fold_index)
+
+Every draw, the fold permutation included, comes from these uint64 words, not
+from `numpy.random`, whose streams NEP 19 leaves free to change between numpy
+versions; so results depend only on the seed, and no caller loads
+`numpy.random`.
 """
 
 import numpy as np
@@ -70,6 +76,15 @@ def fold_seed(base_seed: int) -> int:
 def cv_fit_seed(base_seed: int, fold_index: int) -> int:
     """Base seed for fitting a transformer inside one CV fold."""
     return derive_seed(base_seed, DOMAIN_CV_FIT, fold_index)
+
+
+def permutation(n: int, stream_seed: int) -> np.ndarray:
+    """A permutation of ``range(n)``: the rows in the order of their words
+    ``_mix(seed + row·_GOLDEN)``, word i of the seed's splitmix64 stream, as
+    `subsample_indices` draws them. The sort is stable, so equal words, a
+    chance below n²/2**65, keep the lower row first."""
+    words = _words(stream_seed) + np.arange(n, dtype=np.uint64) * _GOLDEN
+    return np.argsort(_mix(words), kind="stable")
 
 
 def subsample_indices(n_rows: int, size: int, stream_seed) -> np.ndarray:

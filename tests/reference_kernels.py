@@ -21,6 +21,8 @@ package's CSR sums, instead of over a dense row padded with zeros.
 stream and the set-based Floyd draw on Python ints that `scalefree.sampling`
 replaced with one uint64 array pass over all seeds, kept verbatim so the
 differential tests can require the same seeds and draws, lane by lane.
+`permutation` is the fold permutation on the same scalar stream: the rows
+sorted by their words, then by index.
 """
 
 from functools import reduce
@@ -82,6 +84,14 @@ def subsample_indices(n_rows: int, size: int, stream_seed: int) -> np.ndarray:
     out = np.array(picks, dtype=np.int64)
     out.sort()
     return out
+
+
+def permutation(n: int, stream_seed: int) -> np.ndarray:
+    """Rows 0..n-1 ordered by word i of the seed's splitmix64 stream, ties
+    by lower row."""
+    seed = stream_seed & _MASK64
+    words = [_mix((seed + i * _GOLDEN) & _MASK64) for i in range(n)]
+    return np.array(sorted(range(n), key=lambda i: (words[i], i)), dtype=np.int64)
 
 
 def draw_subsample(values: np.ndarray, size: int, stream_seed: int) -> np.ndarray:

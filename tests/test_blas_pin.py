@@ -86,6 +86,7 @@ def test_every_block_fill_runs_on_one_thread(two_threads, monkeypatch):
 
     monkeypatch.setattr(neighbors, "_distance_rows", spy)
     monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 8 * 3 * 40)
+    monkeypatch.setattr(neighbors, "_MIN_BLOCK_ROWS", 1)
     x = np.random.default_rng(31).integers(0, 9, size=(40, 6))
     lof_scores(x, 4)
     lof_scores(x.astype(np.float64), 4)

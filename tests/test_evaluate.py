@@ -109,6 +109,19 @@ class TestKfoldSplit:
         b = kfold_split(100, 10, seed=10)
         assert not np.array_equal(a.fold_of_row, b.fold_of_row)
 
+    @pytest.mark.parametrize(
+        "seed, fold_of_row",
+        [
+            (0, [4, 1, 0, 4, 0, 1, 0, 3, 1, 4, 1, 3, 2, 2, 3, 2, 2, 3, 0, 4]),
+            (fold_seed(42), [0, 4, 2, 2, 4, 4, 2, 1, 4, 1, 0, 2, 0, 3, 1, 3, 3, 3, 0, 1]),
+            (2**64 - 1, [4, 4, 1, 2, 3, 3, 4, 1, 3, 0, 0, 3, 0, 4, 1, 2, 2, 1, 0, 2]),
+        ],
+    )
+    def test_golden_folds(self, seed, fold_of_row):
+        """Pins the fold stream: a changed permutation changes every
+        classification report."""
+        assert kfold_split(20, 5, seed=seed).fold_of_row.tolist() == fold_of_row
+
     def test_too_few_rows(self):
         with pytest.raises(TooFewRows):
             kfold_split(9, 10, seed=0)

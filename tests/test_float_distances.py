@@ -72,6 +72,7 @@ def test_lof_and_neighbourhoods_equal_reference(kind, m, monkeypatch):
             want = _lof_np(x, k)
         for n_bytes in _block_sizes(x.shape[0]):
             monkeypatch.setattr(neighbors, "_BLOCK_BYTES", n_bytes)
+            monkeypatch.setattr(neighbors, "_MIN_BLOCK_ROWS", 1)
             indptr, indices, dist2, kth2 = _k_nearest_with_ties(x, x, k, skip_self=True)
             assert kth2.tobytes() == kth.tobytes()
             for i in range(x.shape[0]):
@@ -92,6 +93,7 @@ def test_knn_equals_reference(kind, m, monkeypatch):
         want = _knn_predict_np(train, codes, test, k, 4)
         for n_bytes in _block_sizes(train.shape[0]):
             monkeypatch.setattr(neighbors, "_BLOCK_BYTES", n_bytes)
+            monkeypatch.setattr(neighbors, "_MIN_BLOCK_ROWS", 1)
             assert np.array_equal(knn_classify(train, codes, test, k=k), want)
 
 

@@ -53,12 +53,13 @@ def _oracle_knn(train, labels, test, k):
 
 @contextlib.contextmanager
 def _block_bytes(n_bytes):
-    saved = neighbors._BLOCK_BYTES
-    neighbors._BLOCK_BYTES = n_bytes
+    """Blocks of `n_bytes`, down to one row: the 16-row floor is lifted."""
+    saved = neighbors._BLOCK_BYTES, neighbors._MIN_BLOCK_ROWS
+    neighbors._BLOCK_BYTES, neighbors._MIN_BLOCK_ROWS = n_bytes, 1
     try:
         yield
     finally:
-        neighbors._BLOCK_BYTES = saved
+        neighbors._BLOCK_BYTES, neighbors._MIN_BLOCK_ROWS = saved
 
 
 def _block_sizes(n_ref):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from scalefree import neighbors
-from scalefree.neighbors import knn_classify, lof_scores
+from scalefree.neighbors import _k_nearest_with_ties, knn_classify, lof_scores
 from scalefree.transforms import fit_transformer
 
 from reference_kernels import _knn_predict_np, _lof_np
@@ -108,3 +108,70 @@ def test_lof_peak_memory_is_linear_in_n_times_k():
     finally:
         tracemalloc.stop()
     assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
+
+
+def _ares_counts(n, m, seed):
+    raw = np.random.default_rng(seed).lognormal(size=(n, m))
+    return fit_transformer(raw, "ares", subsample_size=7, n_subsamples=10, seed=seed).counts(raw)
+
+
+def test_block_rows_floor():
+    """16 rows per block at any N: the 256 KiB budget buys 16 rows at
+    N = 2048 and fewer beyond, where one row per block made each fill a
+    matrix-vector product."""
+    assert neighbors._block_rows(1000) == 32
+    assert neighbors._block_rows(2048) == 16
+    assert neighbors._block_rows(20000) == neighbors._block_rows(10**6) == 16
+
+
+# (byte budget, floor): one row per block, the floor, and the default budget
+_BLOCKS = {1: (8, 1), 16: (8, 16), 109: (neighbors._BLOCK_BYTES, 16)}
+
+
+@pytest.mark.parametrize("kind", ["integer", "tied", "float"])
+def test_every_block_size_gives_the_same_bits(kind, monkeypatch):
+    """The search arrays, LOF scores and KNN predictions at N = 300 are
+    bitwise equal for blocks of 1 row, of the 16-row floor, and of the
+    default budget, 109 rows."""
+    rng = np.random.default_rng(214)
+    x = {
+        "integer": _ares_counts(300, 6, seed=214),
+        "tied": rng.integers(0, 3, size=(300, 6)),
+        "float": rng.lognormal(size=(300, 6)) * 10.0 ** rng.uniform(-2.0, 3.0, size=6),
+    }[kind]
+    labels = rng.integers(0, 4, size=200)
+    seen = []
+    for rows, (n_bytes, floor) in _BLOCKS.items():
+        monkeypatch.setattr(neighbors, "_BLOCK_BYTES", n_bytes)
+        monkeypatch.setattr(neighbors, "_MIN_BLOCK_ROWS", floor)
+        assert neighbors._block_rows(300) == rows
+        search = _k_nearest_with_ties(x, x, 18, skip_self=True)
+        assert search[1].dtype == np.int32
+        seen.append(
+            [a.tobytes() for a in search]
+            + [lof_scores(x, 18).tobytes(), knn_classify(x[:200], labels, x[200:], 5).tobytes()]
+        )
+    assert seen[0] == seen[1] == seen[2]
+
+
+def test_lof_peak_memory_in_neighbourhood_entries_and_blocks():
+    """ARES counts at N = 2000, k = 45, the anomaly grid's size: the traced
+    peak stays within 20 bytes per neighbourhood entry plus three distance
+    blocks. At LOF's peak an entry holds an int32 index and two float64
+    values; the search holds 12 bytes per entry beside its block buffer,
+    np.partition's copy and the Gram pass's copies of the input. A CSR
+    gathered as a list of blocks and concatenated (3.8 MB), or grown by
+    copying at 1.5× (3.4–3.6 MB), breaks the bound (2.57 MB; 2.25 MB now)."""
+    n, k = 2000, 45
+    x = _ares_counts(n, 16, seed=2000)
+    entries = int(_k_nearest_with_ties(x, x, k, skip_self=True)[0][-1])
+    block = neighbors._block_rows(n) * n * 8
+    bound = 20 * entries + 3 * block
+
+    tracemalloc.start()
+    try:
+        lof_scores(x, k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, f"peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"

@@ -3,8 +3,10 @@
 `import scalefree` loads no submodule: each public name and submodule is
 imported on first access. `import scalefree.cli` in a fresh interpreter sets
 OPENBLAS_NUM_THREADS to 1 before numpy loads, unless the variable is set or
-numpy is already loaded. The fresh-interpreter tests run in subprocesses,
-since this process has long since imported numpy.
+numpy is already loaded. A CLI process loads OpenSSL (`_hashlib`) only to
+read or write a model fingerprint, and never `numpy.random`. The
+fresh-interpreter tests run in subprocesses, since this process has long
+since imported numpy.
 """
 
 import importlib
@@ -115,4 +117,55 @@ def test_cli_import_after_numpy_leaves_the_environment_alone():
     assert threads == run_fresh(
         "import json\nfrom scalefree import neighbors\n"
         "print(json.dumps(neighbors._BLAS_THREADS[0]()))"
+    )
+
+
+def _tiny_csv(path):
+    """30 rows of two features and a 0/1 label: enough for 10 folds and LOF."""
+    rows = [f"{i},{(7 * i) % 11},{int(i % 10 == 0)}" for i in range(30)]
+    path.write_text("a,b,label\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def run_cli_fresh(*argvs):
+    """Run each argv through `scalefree.cli.main` in one fresh interpreter;
+    return whether hashlib, OpenSSL's `_hashlib` and `numpy.random` were
+    loaded after the import, and after the calls."""
+    return run_fresh(
+        "import json, sys\n"
+        "import scalefree.cli\n"
+        "names = ('hashlib', '_hashlib', 'numpy.random')\n"
+        "loaded = lambda: [m in sys.modules for m in names]\n"
+        "before = loaded()\n"
+        f"for argv in {list(argvs)!r}:\n"
+        "    assert scalefree.cli.main(argv) == 0, argv\n"
+        "print(json.dumps([before, loaded()]))"
+    )
+
+
+def test_cli_import_loads_no_openssl_or_numpy_random():
+    before, after = run_cli_fresh()
+    assert before == after == [False, False, False]
+
+
+def test_evaluate_and_perturb_load_no_openssl_or_numpy_random(tmp_path):
+    data, out = _tiny_csv(tmp_path / "d.csv"), str(tmp_path / "out")
+    io = ["--input", data, "--label-col", "label", "--output", out]
+    before, after = run_cli_fresh(
+        ["evaluate", *io, "--task", "classify", "--seed", "3"],
+        ["evaluate", *io, "--task", "anomaly", "--preproc", "rank", "--seed", "3"],
+        ["perturb", *io, "--perturb", "log"],
+    )
+    assert before == after == [False, False, False]
+
+
+def test_fit_loads_hashlib_and_writes_the_same_fingerprint(tmp_path):
+    data, model = _tiny_csv(tmp_path / "d.csv"), tmp_path / "model.json"
+    fit = ["fit", "--input", data, "--label-col", "label", "--kind", "rank"]
+    before, after = run_cli_fresh([*fit, "--output", str(model)])
+    assert before == [False, False, False]
+    assert after[:2] == [True, True] and not after[2]
+    # sha256 of "columns:2", the fingerprint every earlier release wrote
+    assert json.loads(model.read_text())["fingerprint"] == (
+        "c2314894752213b830be37bfb2a879621e40b63a75445d697198ba1fd08e385d"
     )

@@ -13,6 +13,7 @@ from scalefree.sampling import (
     cv_fit_seed,
     derive_seed,
     fold_seed,
+    permutation,
     subsample_indices,
     subsample_seed,
 )
@@ -222,6 +223,34 @@ class TestVectorisedDrawMatchesScalarStream:
         assert got.shape == (m, t) and got.dtype == np.uint64
         want = [[ref.derive_seed(base, 0xA5, c, j) for j in range(t)] for c in range(first, first + m)]
         assert got.tolist() == want
+
+
+class TestPermutation:
+    """The fold permutation: every row once, from the seed alone."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 500), _WIDE)
+    def test_is_a_permutation_and_deterministic(self, n, seed):
+        got = permutation(n, seed)
+        assert got.shape == (n,) and got.dtype == np.intp
+        assert np.array_equal(np.sort(got), np.arange(n))
+        assert np.array_equal(permutation(n, seed), got)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(20, 500), _U64, _U64)
+    def test_seed_changes_the_order(self, n, a, b):
+        # two uniform orders of 20 rows agree with probability 1/20! < 2**-61
+        if a != b:
+            assert not np.array_equal(permutation(n, a), permutation(n, b))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 300), _WIDE)
+    def test_equals_the_scalar_stream(self, n, seed):
+        assert np.array_equal(permutation(n, seed), ref.permutation(n, seed))
+
+    def test_seed_reduced_mod_2_64(self):
+        assert np.array_equal(permutation(50, -1), permutation(50, 2**64 - 1))
+        assert np.array_equal(permutation(50, 2**64 + 3), permutation(50, 3))
 
 
 def test_many_lane_draw_memory_is_independent_of_n_rows():

@@ -17,8 +17,8 @@ Every run is one cell of the preprocessor x perturbation grid, and
 
 Only the scoring differs. `run_classification` splits the rows into k random
 folds (`kfold_split`: `sampling.permutation` of the rows under the fold
-seed, cut into k near-equal runs), fits on the training folds only, predicts each held-out fold by KNN
-and reports the mean fold accuracy. `run_anomaly` fits on all rows
+seed, cut into k near-equal runs), fits on the training folds only, predicts
+each held-out fold by KNN and reports the mean fold accuracy. `run_anomaly` fits on all rows
 (unsupervised), scores every row by LOF with n_neighbors = ceil(sqrt(N)) and
 reports the AUC of the scores against the binary flags.
 

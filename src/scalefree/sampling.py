@@ -16,7 +16,7 @@ Seed expansion map (documented so results are reproducible from one knob):
 
 Every draw, the fold permutation included, comes from these uint64 words, not
 from `numpy.random`, whose streams NEP 19 leaves free to change between numpy
-versions; so results depend only on the seed, and no caller loads
+versions; so results depend only on the seed, and the package never imports
 `numpy.random`.
 """
 
@@ -44,6 +44,12 @@ def _words(value) -> np.ndarray:
     """An int mod 2**64, or an int array wrapped, as at least 1-D uint64 words."""
     value = value if isinstance(value, np.ndarray) else int(value) & _MASK64
     return np.array(value, ndmin=1).astype(np.uint64)
+
+
+def _stream(seeds, n: int) -> np.ndarray:
+    """Words 0..n-1 of each seed's splitmix64 stream, ``_mix(seed + i·_GOLDEN)``,
+    one row per seed."""
+    return _mix(_words(seeds).reshape(-1, 1) + np.arange(n, dtype=np.uint64) * _GOLDEN)
 
 
 def _derive(base_seed, components) -> np.ndarray:
@@ -79,12 +85,11 @@ def cv_fit_seed(base_seed: int, fold_index: int) -> int:
 
 
 def permutation(n: int, stream_seed: int) -> np.ndarray:
-    """A permutation of ``range(n)``: the rows in the order of their words
-    ``_mix(seed + row·_GOLDEN)``, word i of the seed's splitmix64 stream, as
-    `subsample_indices` draws them. The sort is stable, so equal words, a
+    """A permutation of ``range(n)``: the rows in the order of their words,
+    row i taking word i of the seed's splitmix64 stream, the words
+    `subsample_indices` draws from. The sort is stable, so equal words, a
     chance below n²/2**65, keep the lower row first."""
-    words = _words(stream_seed) + np.arange(n, dtype=np.uint64) * _GOLDEN
-    return np.argsort(_mix(words), kind="stable")
+    return np.argsort(_stream(stream_seed, n)[0], kind="stable")
 
 
 def subsample_indices(n_rows: int, size: int, stream_seed) -> np.ndarray:
@@ -103,8 +108,7 @@ def subsample_indices(n_rows: int, size: int, stream_seed) -> np.ndarray:
     top = np.arange(n_rows - size, n_rows)
     # Step k takes word k of its seed's splitmix64 stream, mod top[k] + 1: a
     # bias below n / 2**64, irrelevant for n well under 2**32.
-    words = _words(stream_seed).reshape(-1, 1) + np.arange(size, dtype=np.uint64) * _GOLDEN
-    picks = (_mix(words) % (top + 1).astype(np.uint64)).astype(np.int64)
+    picks = (_stream(stream_seed, size) % (top + 1).astype(np.uint64)).astype(np.int64)
     for k in range(1, size):
         taken = (picks[:, :k] == picks[:, k:k + 1]).any(axis=1)
         picks[taken, k] = top[k]

@@ -6,12 +6,12 @@ Usage errors, a malformed SCALEFREE_SEED among them, exit 2 (argparse);
 data/contract errors exit 1 with a diagnostic naming the failed contract;
 success exits 0.
 
-The package's one BLAS call, the neighbour search's distance fill, runs on
-one thread (`neighbors._one_blas_thread`), so a CLI process has no use for
-an OpenBLAS worker pool, which spins for about 0.1 s of CPU when numpy
-loads. Imported before numpy, this module sets OPENBLAS_NUM_THREADS to 1
-unless the variable is already set; once numpy is loaded the pool exists,
-and the environment is left alone.
+The package's one BLAS call is the neighbour search's distance fill, whose
+small blocks gain little from threads, while an OpenBLAS worker pool spins
+for about 0.1 s of CPU when numpy loads. So, imported before numpy, this
+module sets OPENBLAS_NUM_THREADS to 1 unless the variable is already set,
+which keeps the user's count; once numpy is loaded the pool exists, and the
+environment is left alone. Nothing else in the package sets the count.
 """
 
 import argparse

@@ -1,10 +1,10 @@
 """Dataset container and strict CSV ingestion/emission.
 
-CSV contract: UTF-8, one header row, comma separated, '.' decimal point.
-Every non-label cell must parse as a finite real; missing or malformed cells
-are rejected with 1-based file coordinates rather than imputed, because
-silently filled values would contaminate the scale-invariance guarantees
-downstream.
+CSV contract: UTF-8, one header row, comma separated, '.' decimal point; a
+leading byte-order mark is dropped. Every non-label cell must parse as a
+finite real; missing or malformed cells are rejected with 1-based file
+coordinates rather than imputed, because silently filled values would
+contaminate the scale-invariance guarantees downstream.
 """
 
 import csv
@@ -24,7 +24,7 @@ from .errors import EmptyFile, MissingLabelColumn, NonFiniteValue, ParseError
 class Dataset:
     """Column-oriented numeric matrix with an optional label column.
 
-    Treated as immutable after construction; safe to share across workers.
+    Treated as immutable after construction.
     """
 
     name: str
@@ -148,7 +148,8 @@ def load_csv(path, label_column=None) -> Dataset:
     the cell-by-cell scan, which finds and reports the first one.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark that Excel writes before the header
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -45,19 +45,12 @@ entries: by distance, then by lower index.
   reference's, and the k-th distance and the neighbourhood are taken from
   the refined values.
 
-The block product is one `np.matmul`, a BLAS call, and the search pins
-numpy's bundled OpenBLAS to one thread while it runs (`_one_blas_thread`).
-Left to itself, OpenBLAS threads even these small products on a 2-vCPU
-machine: a 16 × m × 2000 product ran on two threads once m ≥ 32, burned
-twice the CPU time and once stalled at 4.7 ms against 0.06 ms, and a
-1-row block, which goes to gemv, threaded at 1 × 16 × 20000. No block size
-avoids that, so the count is set, not the block. Exactness does not depend
-on the BLAS kernel: integer partial sums are exact in any order, and the
+The block product is one `np.matmul`, the package's only BLAS call. The
+package never sets the BLAS thread count: the CLI starts numpy's OpenBLAS on
+one thread unless OPENBLAS_NUM_THREADS is set (`scalefree.cli`), and a
+library caller's count holds. Exactness does not depend on the BLAS kernel
+or its thread count: integer partial sums are exact in any order, and the
 float bound holds for any summation order, fused multiply-add included.
-The thread count is process-wide, so while a search runs, BLAS calls from
-other threads of the process run single-threaded too. Without those
-OpenBLAS symbols (another BLAS) the pin does nothing and the results are
-the same.
 
 Each LOF sum is one `np.bincount` over the CSR entries, which adds a row's
 neighbours one at a time, left to right in ascending index order: the
@@ -66,10 +59,7 @@ of the block size, and the work after the search is O(N·k′), for k′ the
 mean neighbourhood size.
 """
 
-import contextlib
-import ctypes
 import math
-import threading
 
 import numpy as np
 
@@ -89,53 +79,6 @@ from .errors import (
 _BLOCK_BYTES = 256 << 10
 _MIN_BLOCK_ROWS = 16
 _UNIT_ROUNDOFF = 2.0**-53
-
-
-def _openblas_threads():
-    """``(get, put)``, which read and set the thread count of numpy's bundled
-    OpenBLAS, or None when numpy links another BLAS or names them otherwise
-    (numpy 1.x). The extension module's handle resolves the symbols through
-    its own dependencies, so no library path is needed."""
-    try:
-        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-        get = lib.scipy_openblas_get_num_threads64_
-        put = lib.scipy_openblas_set_num_threads64_
-    except (AttributeError, OSError):
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    put.argtypes, put.restype = [ctypes.c_int], None
-    return get, put
-
-
-_BLAS_THREADS = _openblas_threads()
-# the count is process-wide, so the pin is too: searches inside
-# _one_blas_thread, and the count the last one out restores
-_pin_lock = threading.Lock()
-_pin_state = {"active": 0, "saved": 1}
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the body with OpenBLAS on one thread, then restore the count that
-    was set before, also on an exception. Overlapping searches on several
-    threads share one pin: the first in saves the count, the last out
-    restores it. Does nothing when `_BLAS_THREADS` is None."""
-    if _BLAS_THREADS is None:
-        yield
-        return
-    get, put = _BLAS_THREADS
-    with _pin_lock:
-        if _pin_state["active"] == 0:
-            _pin_state["saved"] = get()
-            put(1)
-        _pin_state["active"] += 1
-    try:
-        yield
-    finally:
-        with _pin_lock:
-            _pin_state["active"] -= 1
-            if _pin_state["active"] == 0:
-                put(_pin_state["saved"])
 
 
 def _block_rows(n_cols: int) -> int:
@@ -225,44 +168,42 @@ def _k_nearest_with_ties(
     indices = np.empty(n_q * k, dtype=np.int32 if n_ref < 2**31 else np.int64)
     dist2 = np.empty(n_q * k)
     end = 0
-    # the fill is the only BLAS call; one thread keeps CPU time at wall time
-    with _one_blas_thread():
-        for start in range(0, n_q, rows):
-            stop = min(start + rows, n_q)
-            block, member = buf[: stop - start], member_buf[: stop - start]
-            fill(start, stop, block)
-            # with skip_self, row j of the block is query start + j: its own
-            # entries sit at flat positions start + j * (n_ref + 1)
-            if skip_self:
-                block.reshape(-1)[start :: n_ref + 1] = np.inf
-            kth = kth2[start:stop]
-            kth[:] = np.partition(block, k - 1, axis=1)[:, k - 1]
-            limit = kth if slack is None else kth + slack[start:stop]
-            # a self entry is inf, above every finite limit, so it is never a member
-            np.less_equal(block, limit[:, None], out=member)
-            # the row and column of each flat position; faster than 2-D np.nonzero
-            flat = np.flatnonzero(member)
-            owner, cols = np.divmod(flat, n_ref)
-            if slack is None:
-                # exact integers: |q|² goes back on the kept entries alone
-                dist = block.reshape(-1)[flat]
-                dist += qn[owner + start]
-                kth += qn[start:stop]
-            else:
-                dist = _refine(ref, queries, cols, owner + start)
-                kth[:] = dist[_first_k(dist, owner, k, stop - start)[:, -1]]
-                keep = dist <= kth[owner]
-                owner, cols, dist = owner[keep], cols[keep], dist[keep]
-            indptr[start + 1 : stop + 1] = np.bincount(owner, minlength=stop - start)
-            grown = end + cols.shape[0]
-            if grown > indices.shape[0]:
-                # extrapolate the mean neighbourhood so far over the rows left
-                size = -(-grown * n_q // stop)
-                indices.resize(size, refcheck=False)
-                dist2.resize(size, refcheck=False)
-            indices[end:grown] = cols
-            dist2[end:grown] = dist
-            end = grown
+    for start in range(0, n_q, rows):
+        stop = min(start + rows, n_q)
+        block, member = buf[: stop - start], member_buf[: stop - start]
+        fill(start, stop, block)
+        # with skip_self, row j of the block is query start + j: its own
+        # entries sit at flat positions start + j * (n_ref + 1)
+        if skip_self:
+            block.reshape(-1)[start :: n_ref + 1] = np.inf
+        kth = kth2[start:stop]
+        kth[:] = np.partition(block, k - 1, axis=1)[:, k - 1]
+        limit = kth if slack is None else kth + slack[start:stop]
+        # a self entry is inf, above every finite limit, so it is never a member
+        np.less_equal(block, limit[:, None], out=member)
+        # the row and column of each flat position; faster than 2-D np.nonzero
+        flat = np.flatnonzero(member)
+        owner, cols = np.divmod(flat, n_ref)
+        if slack is None:
+            # exact integers: |q|² goes back on the kept entries alone
+            dist = block.reshape(-1)[flat]
+            dist += qn[owner + start]
+            kth += qn[start:stop]
+        else:
+            dist = _refine(ref, queries, cols, owner + start)
+            kth[:] = dist[_first_k(dist, owner, k, stop - start)[:, -1]]
+            keep = dist <= kth[owner]
+            owner, cols, dist = owner[keep], cols[keep], dist[keep]
+        indptr[start + 1 : stop + 1] = np.bincount(owner, minlength=stop - start)
+        grown = end + cols.shape[0]
+        if grown > indices.shape[0]:
+            # extrapolate the mean neighbourhood so far over the rows left
+            size = -(-grown * n_q // stop)
+            indices.resize(size, refcheck=False)
+            dist2.resize(size, refcheck=False)
+        indices[end:grown] = cols
+        dist2[end:grown] = dist
+        end = grown
     indices.resize(end, refcheck=False)
     dist2.resize(end, refcheck=False)
     np.cumsum(indptr, out=indptr)

@@ -5,10 +5,11 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from scalefree import neighbors
 from scalefree.data import Dataset
 from scalefree.perturb import perturb_matrix
 from scalefree.transforms import FittedTransformer, fit_transformer
+
+from openblas import OPENBLAS_THREADS
 
 
 class OneColumn(NamedTuple):
@@ -93,12 +94,12 @@ def minmax_sensitive_classification(seed=20240817):
 @pytest.fixture(autouse=True)
 def blas_threads_unchanged():
     """Fail a test after which numpy's OpenBLAS thread count differs from
-    before it. The neighbour search pins the count to one thread and must
-    put it back; the count is reset so later tests start from it."""
-    if neighbors._BLAS_THREADS is None:
+    before it. The package never sets the count, and a test that sets it
+    restores it; the count is reset so later tests start from it."""
+    if OPENBLAS_THREADS is None:
         yield
         return
-    get, put = neighbors._BLAS_THREADS
+    get, put = OPENBLAS_THREADS
     before = get()
     yield
     after = get()

@@ -63,6 +63,16 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="not valid UTF-8"):
             load_csv(path)
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        """Excel's "CSV UTF-8" starts the file with a BOM."""
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\xef\xbb\xbfcls,a,b\nx,1,2\ny,3,4\n")
+        ds = load_csv(path, label_column="cls")
+        assert ds.feature_names == ["a", "b"]
+        assert ds.label_name == "cls"
+        assert ds.labels.tolist() == ["x", "y"]
+        assert np.array_equal(ds.features, [[1.0, 2.0], [3.0, 4.0]])
+
     def test_missing_cell_rejected(self, tmp_path):
         path = _write(tmp_path, "a,b\n1,\n")
         with pytest.raises(ParseError):

@@ -3,10 +3,10 @@
 `import scalefree` loads no submodule: each public name and submodule is
 imported on first access. `import scalefree.cli` in a fresh interpreter sets
 OPENBLAS_NUM_THREADS to 1 before numpy loads, unless the variable is set or
-numpy is already loaded. A CLI process loads OpenSSL (`_hashlib`) only to
-read or write a model fingerprint, and never `numpy.random`. The
-fresh-interpreter tests run in subprocesses, since this process has long
-since imported numpy.
+numpy is already loaded, and `evaluate` leaves the count as it started. A
+CLI process loads OpenSSL (`_hashlib`) only to read or write a model
+fingerprint, and never `numpy.random`. The fresh-interpreter tests run in
+subprocesses, since this process has long since imported numpy.
 """
 
 import importlib
@@ -19,7 +19,8 @@ from pathlib import Path
 import pytest
 
 import scalefree
-from scalefree import neighbors
+
+from openblas import needs_openblas
 
 SRC = Path(scalefree.__file__).resolve().parents[1]
 
@@ -74,16 +75,30 @@ def test_import_loads_no_numpy_and_submodules_resolve():
     assert lazy and name == "scalefree.neighbors" and knn
 
 
-needs_openblas = pytest.mark.skipif(
-    neighbors._BLAS_THREADS is None, reason="numpy does not link its bundled OpenBLAS"
+# sets `threads` to numpy's OpenBLAS thread count; the lookup is
+# `openblas._lookup`'s, inlined so that a fresh interpreter needs only numpy
+READ_THREADS = (
+    "import ctypes, numpy\n"
+    "lib = ctypes.CDLL(numpy._core._multiarray_umath.__file__)\n"
+    "threads = lib.scipy_openblas_get_num_threads64_()\n"
 )
-# the OpenBLAS thread count and the variable, after importing the CLI
+# the count and the variable, after importing the CLI
 CLI_BLAS = (
     "import json, os\n"
     "import scalefree.cli\n"
-    "from scalefree import neighbors\n"
-    "print(json.dumps([neighbors._BLAS_THREADS[0](), os.environ.get('OPENBLAS_NUM_THREADS')]))"
+    + READ_THREADS
+    + "print(json.dumps([threads, os.environ.get('OPENBLAS_NUM_THREADS')]))"
 )
+
+
+def plain_threads(**env) -> int:
+    """The count in a fresh interpreter that imports numpy alone."""
+    return run_fresh("import json\n" + READ_THREADS + "print(json.dumps(threads))", **env)
+
+
+def skip_unless_two_threads():
+    if plain_threads(OPENBLAS_NUM_THREADS="2") != 2:
+        pytest.skip("OpenBLAS caps its thread count below 2 here")
 
 
 @needs_openblas
@@ -93,13 +108,7 @@ def test_cli_import_defaults_openblas_to_one_thread():
 
 @needs_openblas
 def test_cli_import_keeps_a_users_thread_count():
-    plain = run_fresh(
-        "import json\nfrom scalefree import neighbors\n"
-        "print(json.dumps(neighbors._BLAS_THREADS[0]()))",
-        OPENBLAS_NUM_THREADS="2",
-    )
-    if plain != 2:
-        pytest.skip("OpenBLAS caps its thread count below 2 here")
+    skip_unless_two_threads()
     assert run_fresh(CLI_BLAS, OPENBLAS_NUM_THREADS="2") == [2, "2"]
 
 
@@ -110,14 +119,11 @@ def test_cli_import_after_numpy_leaves_the_environment_alone():
         "import numpy\n"
         "before = dict(os.environ)\n"
         "import scalefree.cli\n"
-        "from scalefree import neighbors\n"
-        "print(json.dumps([dict(os.environ) == before, neighbors._BLAS_THREADS[0]()]))"
+        + READ_THREADS
+        + "print(json.dumps([dict(os.environ) == before, threads]))"
     )
     assert same
-    assert threads == run_fresh(
-        "import json\nfrom scalefree import neighbors\n"
-        "print(json.dumps(neighbors._BLAS_THREADS[0]()))"
-    )
+    assert threads == plain_threads()
 
 
 def _tiny_csv(path):
@@ -169,3 +175,27 @@ def test_fit_loads_hashlib_and_writes_the_same_fingerprint(tmp_path):
     assert json.loads(model.read_text())["fingerprint"] == (
         "c2314894752213b830be37bfb2a879621e40b63a75445d697198ba1fd08e385d"
     )
+
+
+def evaluate_threads(tmp_path, **env) -> int:
+    """The count after `evaluate` of both tasks, run through
+    `scalefree.cli.main` in a fresh interpreter."""
+    data, out = _tiny_csv(tmp_path / "d.csv"), str(tmp_path / "out")
+    io = ["--input", data, "--label-col", "label", "--output", out]
+    argvs = [["evaluate", *io, "--task", task, "--seed", "3"] for task in ("classify", "anomaly")]
+    return run_fresh(
+        "import json\n"
+        "import scalefree.cli\n"
+        f"for argv in {argvs!r}:\n"
+        "    assert scalefree.cli.main(argv) == 0, argv\n"
+        + READ_THREADS
+        + "print(json.dumps(threads))",
+        **env,
+    )
+
+
+@needs_openblas
+def test_evaluate_keeps_the_start_up_thread_count(tmp_path):
+    assert evaluate_threads(tmp_path) == 1
+    skip_unless_two_threads()
+    assert evaluate_threads(tmp_path, OPENBLAS_NUM_THREADS="2") == 2

@@ -138,19 +138,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fit = sub.add_parser("fit", help="fit a transformer on a CSV, write a model file")
+    p_fit.set_defaults(run=cmd_fit)
     _add_io_args(p_fit)
     p_fit.add_argument("--kind", choices=KINDS, default="ares", help="transform to fit")
     _add_model_args(p_fit)
 
     p_tr = sub.add_parser("transform", help="apply a saved model to a CSV")
+    p_tr.set_defaults(run=cmd_transform)
     _add_io_args(p_tr)
     p_tr.add_argument("--model", required=True, help="model file written by fit")
 
     p_pe = sub.add_parser("perturb", help="rewrite a CSV on a perturbed measurement scale")
+    p_pe.set_defaults(run=cmd_perturb)
     _add_io_args(p_pe)
     _add_perturb_args(p_pe)
 
     p_ev = sub.add_parser("evaluate", help="run the classification/anomaly evaluation")
+    p_ev.set_defaults(run=cmd_evaluate)
     _add_io_args(p_ev)
     _add_model_args(p_ev)
     _add_perturb_args(p_ev)
@@ -224,14 +228,6 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "fit": cmd_fit,
-    "transform": cmd_transform,
-    "perturb": cmd_perturb,
-    "evaluate": cmd_evaluate,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -241,7 +237,7 @@ def main(argv=None) -> int:
         except ValueError as exc:
             parser.exit(2, f"{parser.prog}: error: {exc}\n")
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except ScaleFreeError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

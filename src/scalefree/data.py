@@ -183,6 +183,14 @@ def load_csv(path, label_column=None) -> Dataset:
     )
 
 
+def _same(st, file) -> bool:
+    """Whether `file`, a path or an open descriptor, is the file `st` describes."""
+    try:
+        return os.path.samestat(st, os.stat(file))
+    except OSError:
+        return False
+
+
 def _replaceable(path) -> Path | None:
     """The resolved target of `path` if it may be replaced by a rename: it
     does not exist yet, or it is a regular file. None for anything else
@@ -195,35 +203,34 @@ def _replaceable(path) -> Path | None:
         return target
     except OSError:
         return None
-    try:
-        # The resolved name must reach the same file: /dev/stdout resolves
-        # to a pseudo-name such as "pipe:[123]" under /proc.
-        if stat.S_ISREG(st.st_mode) and os.path.samestat(st, os.stat(target)):
-            return target
-    except OSError:
-        pass
+    # The resolved name must reach the same file: /dev/stdout resolves to a
+    # pseudo-name such as "pipe:[123]" under /proc. The file standard output
+    # or error is open on, as after `>> log`, is written in place too.
+    if stat.S_ISREG(st.st_mode) and _same(st, target) and not (_same(st, 1) or _same(st, 2)):
+        return target
     return None
 
 
 @contextmanager
-def replacing(path, **open_kwargs):
-    """Open `path` for writing text so that a failed write leaves it intact.
+def replacing(path):
+    """Open `path` for writing UTF-8 text, newlines untranslated, so that a
+    failed write leaves it intact.
 
     A regular or new file is written as a new sibling file that replaces
     `path` on exit; if the body raises, the sibling is removed and `path`
     keeps its old contents. A symlink at `path` is followed, as opening it
     would. An OSError from creating or renaming the sibling names `path`, as
-    opening it would. Any other existing target (a device, FIFO or terminal)
-    is opened and written in place, as a plain open would.
+    opening it would. Any other target (`_replaceable`) is opened in append
+    mode and written in place, so it is never truncated.
     """
     target = _replaceable(path)
     if target is None:
-        with open(path, "w", **open_kwargs) as fh:
+        with open(path, "a", encoding="utf-8", newline="") as fh:
             yield fh
         return
     tmp = target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
     try:
-        fh = open(tmp, "x", **open_kwargs)
+        fh = open(tmp, "x", encoding="utf-8", newline="")
     except OSError as exc:
         raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
@@ -251,7 +258,7 @@ def save_csv(dataset: Dataset, path) -> None:
     rows = map(np.ndarray.tolist, dataset.features)
     if dataset.labels is not None:
         rows = ([*row, label] for row, label in zip(rows, map(str, dataset.labels)))
-    with replacing(path, newline="", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)

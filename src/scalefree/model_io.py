@@ -64,7 +64,7 @@ def save_model(transformer: FittedTransformer, path) -> None:
         head["t"] = transformer.n_subsamples
         head["seed"] = transformer.seed
 
-    with replacing(path, encoding="utf-8") as fh:
+    with replacing(path) as fh:
         fh.write(json.dumps(head)[:-1] + ', "columns": [')
         for c, params in enumerate(transformer.params):
             params = params.tolist()

@@ -43,7 +43,8 @@ entries: by distance, then by lower index.
   alone the search recomputes ``((ref[col] - q) ** 2).sum(axis=1)``; numpy
   sums each row on its own, so every refined value is bitwise the
   reference's, and the k-th distance and the neighbourhood are taken from
-  the refined values.
+  the refined values. Integer input keeps its exact path: through the
+  refine, perfbench's `anomaly-grid` ran about 1.5× slower.
 
 The block product is one `np.matmul`, the package's only BLAS call. The
 package never sets the BLAS thread count: the CLI starts numpy's OpenBLAS on
@@ -86,13 +87,12 @@ def _block_rows(n_cols: int) -> int:
 
 
 def _distance_rows(ref: np.ndarray, queries: np.ndarray):
-    """The Gram pass: ``(fill, qn, slack)``, where ``fill(start, stop, out)``
-    writes ``|r|² − 2·q·rᵀ`` for ``queries[start:stop]`` against every
-    reference row into ``out``, in one `np.matmul`, and ``qn`` is each
-    query's ``|q|²``, which the fill leaves out. ``slack`` is None for int64
-    input, whose fill is exact; for float64 input it is, per query, how far
-    above the k-th filled value a row the reference would keep can lie
-    (module docstring)."""
+    """The Gram pass operands ``(q, ref_t, qn, slack)``: ``q[start:stop] @
+    ref_t`` is ``|r|² − 2·q·rᵀ`` for ``queries[start:stop]`` against every
+    reference row, and ``qn`` is each query's ``|q|²``, which it leaves out.
+    ``slack`` is None for int64 input, whose fill is exact; for float64 input
+    it is, per query, how far above the k-th filled value a row the reference
+    would keep can lie (module docstring)."""
     n_ref, m = ref.shape
     ref_t = np.empty((m + 1, n_ref))
     ref_t[:m] = ref.T
@@ -102,17 +102,13 @@ def _distance_rows(ref: np.ndarray, queries: np.ndarray):
     qn = np.einsum("ij,ij->i", q[:, :m], q[:, :m])
     q[:, :m] *= -2.0
     q[:, m] = 1.0
-
-    def fill(start, stop, out):
-        np.matmul(q[start:stop], ref_t, out=out)
-
     if ref.dtype == np.int64:
-        return fill, qn, None
+        return q, ref_t, qn, None
     gamma = (2 * m + 1) * _UNIT_ROUNDOFF / (1 - (2 * m + 1) * _UNIT_ROUNDOFF)
     # per row, |fill + |q|² - reference| <= eps
     eps = 2 * gamma * (np.sqrt(qn) + np.sqrt(rn.max())) ** 2 + 1.5 * m * 2.0**-1074
     # a row kept and the k-th row can err in opposite directions; doubled for safety
-    return fill, qn, 2 * (2 * eps)
+    return q, ref_t, qn, 2 * (2 * eps)
 
 
 def _refine(ref: np.ndarray, queries: np.ndarray, cols: np.ndarray, rows: np.ndarray):
@@ -161,7 +157,7 @@ def _k_nearest_with_ties(
     rows = _block_rows(n_ref)
     buf = np.empty((min(rows, n_q), n_ref))
     member_buf = np.empty(buf.shape, dtype=bool)
-    fill, qn, slack = _distance_rows(ref, queries)
+    q, ref_t, qn, slack = _distance_rows(ref, queries)
     kth2 = np.empty(n_q)
     indptr = np.zeros(n_q + 1, dtype=np.int64)
     # every query keeps at least k rows
@@ -171,7 +167,7 @@ def _k_nearest_with_ties(
     for start in range(0, n_q, rows):
         stop = min(start + rows, n_q)
         block, member = buf[: stop - start], member_buf[: stop - start]
-        fill(start, stop, block)
+        np.matmul(q[start:stop], ref_t, out=block)
         # with skip_self, row j of the block is query start + j: its own
         # entries sit at flat positions start + j * (n_ref + 1)
         if skip_self:

@@ -48,7 +48,7 @@ def write_report(reports, path) -> None:
     if not reports:
         raise EmptyInput("no reports to write")
     if Path(path).suffix.lower() != ".json":
-        with replacing(path, newline="", encoding="utf-8") as fh:
+        with replacing(path) as fh:
             writer = csv.writer(fh)
             writer.writerow(REPORT_COLUMNS)
             for r in reports:
@@ -59,6 +59,6 @@ def write_report(reports, path) -> None:
         return
 
     payload = [asdict(r) for r in reports]
-    with replacing(path, encoding="utf-8") as fh:
+    with replacing(path) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")

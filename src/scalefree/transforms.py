@@ -22,7 +22,9 @@ patterns, both exact and bitwise equal:
 
 Both take the strict count from numpy's left binary search (the in-sample
 path searches each sorted column in itself) and draw ARES sub-samples
-through `_ares_draw`.
+through `_ares_draw`. Each path stays, as the other does its job slower:
+fitted models made `evaluate`'s in-process `classify-grid` about 1.7× slower,
+and the in-sample sort a one-row `counts` call about 300× slower.
 """
 
 import operator
@@ -159,11 +161,9 @@ class FittedTransformer:
             raise ValueError("rank parameters must hold one sub-sample per column")
         if not np.isfinite(params).all():
             raise ValueError("model parameters must be finite")
-        if self.kind == "minmax":
-            if np.any(params[:, 0] > params[:, 1]):
-                raise ValueError("a column's min exceeds its max")
-        elif np.any(params[..., 1:] < params[..., :-1]):
-            raise ValueError("every sub-sample must be sorted nondecreasing")
+        # a min-max column's (min, max) is a sorted pair, like a sub-sample
+        if np.any(params[..., 1:] < params[..., :-1]):
+            raise ValueError("a column's min exceeds its max, or a sub-sample is unsorted")
         if self.kind != "ares" and self.seed is not None:
             raise ValueError(f"{self.kind} takes no seed")
         if self.kind == "ares":

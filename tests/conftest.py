@@ -1,10 +1,12 @@
 """Shared synthetic dataset builders and fixtures."""
 
+import contextlib
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+from scalefree import neighbors
 from scalefree.data import Dataset
 from scalefree.perturb import perturb_matrix
 from scalefree.transforms import FittedTransformer, fit_transformer
@@ -39,6 +41,29 @@ def fit_column(values, kind, *args, **kwargs) -> OneColumn:
 def perturb_column(values, spec) -> np.ndarray:
     """`perturb_matrix` on one column as a one-column matrix."""
     return perturb_matrix(np.asarray(values, dtype=np.float64)[..., None], spec)[:, 0]
+
+
+def distinct_column(rng, n):
+    """Distinct, well-separated values in random order."""
+    return rng.permutation(np.cumsum(rng.uniform(0.01, 1.0, size=n)))
+
+
+def ares_counts(n, m, seed):
+    """The integer ARES counts (psi 7, t 10) of an n×m lognormal matrix."""
+    raw = np.random.default_rng(seed).lognormal(size=(n, m))
+    return fit_transformer(raw, "ares", subsample_size=7, n_subsamples=10, seed=seed).counts(raw)
+
+
+@contextlib.contextmanager
+def block_budget(n_bytes, min_rows=1):
+    """Run the neighbour search with blocks of `n_bytes` and a floor of
+    `min_rows` rows (1 lifts the 16-row floor); both are restored after."""
+    saved = neighbors._BLOCK_BYTES, neighbors._MIN_BLOCK_ROWS
+    neighbors._BLOCK_BYTES, neighbors._MIN_BLOCK_ROWS = n_bytes, min_rows
+    try:
+        yield
+    finally:
+        neighbors._BLOCK_BYTES, neighbors._MIN_BLOCK_ROWS = saved
 
 
 def gaussian_classification(name, n_rows, n_features, n_classes, seed):

@@ -12,7 +12,8 @@ defect under an order-reversing rescaling.
 `_knn_predict_np` and `_lof_np` are the straightforward numpy kernels (one
 full sort, or one dense N x N pass) that the blocked neighbour search in
 `scalefree.neighbors` replaced, so the differential tests can require
-bitwise-equal outputs from it. `_knn_predict_np` is kept verbatim. `_lof_np`
+bitwise-equal outputs from it. `_knn_predict_np` is kept verbatim, and
+`knn_reference` runs it on any labels, coded in sorted order. `_lof_np`
 keeps its dense distance pass and membership test, but sums each
 neighbourhood left to right in ascending index order, the order of the
 package's CSR sums, instead of over a dense row padded with zeros.
@@ -145,6 +146,13 @@ def _knn_predict_np(
         votes = np.bincount(train_codes[nearest], minlength=n_classes)
         preds[a] = votes.argmax()  # first max = smallest label code
     return preds
+
+
+def knn_reference(train, labels, test, k: int) -> np.ndarray:
+    """`_knn_predict_np` on ``labels`` coded by their sorted order, so a vote
+    tie goes to the smallest label, as in `knn_classify`."""
+    classes, codes = np.unique(labels, return_inverse=True)
+    return classes[_knn_predict_np(train, codes, test, k, len(classes))]
 
 
 def _lof_np(x: np.ndarray, k: int) -> np.ndarray:

@@ -13,16 +13,11 @@ import numpy as np
 from scalefree.evaluate import run_anomaly, run_classification
 from scalefree.perturb import PerturbationSpec
 
-from conftest import fit_column, minmax_sensitive_classification, perturb_column
+from conftest import distinct_column, fit_column, minmax_sensitive_classification, perturb_column
 from reference_kernels import ares_batch, rank_in_subsample
 from timing_utils import best_call_time
 
 INCREASING_PERTURBATIONS = ("log", "square", "sqrt")
-
-
-def _distinct_column(rng, n):
-    """Distinct, well-separated values in random order."""
-    return rng.permutation(np.cumsum(rng.uniform(0.01, 1.0, size=n)))
 
 
 def test_c1_classification_invariant_under_increasing_rescaling(
@@ -60,7 +55,7 @@ def test_c2_inverse_rescaling_reverses_average_ranks():
     instances = 1000
     collision_cases = 0
     for i in range(instances):
-        col = _distinct_column(rng, 40)
+        col = distinct_column(rng, 40)
         psi = int(rng.integers(3, 9))
         t = int(rng.integers(4, 13))
         identity = perturb_column(col, PerturbationSpec("identity"))

@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scalefree
 from scalefree.cli import main
 from scalefree.data import Dataset, load_csv, save_csv
 from scalefree.perturb import PerturbationSpec, perturb_matrix
@@ -159,6 +164,29 @@ class TestPerturb:
             original.features, PerturbationSpec("inverse", shift=0.5, scale=2.0)
         )
         assert load_csv(out, label_column="label").features.tobytes() == expected.tobytes()
+
+    @pytest.mark.skipif(not Path("/dev/stdout").exists(), reason="needs /dev/stdout")
+    @pytest.mark.parametrize("mode, kept", [("ab", b"EARLIER LINE\n"), ("wb", b"")])
+    def test_output_to_stdout_redirected_to_a_file(self, mode, kept, class_csv, tmp_path):
+        # `--output /dev/stdout >> log.csv` (mode "ab") appends to what the
+        # file held; `> log.csv` ("wb") leaves the CSV alone.
+        direct = tmp_path / "direct.csv"
+        assert main(["perturb", "--input", str(class_csv), "--output", str(direct)]) == 0
+        log = tmp_path / "log.csv"
+        log.write_bytes(b"EARLIER LINE\n")
+        path = [str(Path(scalefree.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        with open(log, mode) as stdout:
+            done = subprocess.run(
+                [sys.executable, "-m", "scalefree.cli", "perturb",
+                 "--input", str(class_csv), "--output", "/dev/stdout"],
+                stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        assert done.returncode == 0, done.stderr
+        assert log.read_bytes() == kept + direct.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["direct.csv", "log.csv", class_csv.name]
+        )
 
 
 @pytest.mark.parametrize("command", [["perturb", "--perturb", "log"], ["fit", "--kind", "rank"]])

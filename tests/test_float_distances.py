@@ -20,7 +20,8 @@ from scalefree import neighbors
 from scalefree.errors import InexactDistances, NonFiniteValue
 from scalefree.neighbors import _k_nearest_with_ties, knn_classify, lof_scores
 
-from reference_kernels import _knn_predict_np, _lof_np
+from conftest import block_budget
+from reference_kernels import _lof_np, knn_reference
 
 COLUMNS = (1, 7, 8, 9, 16, 17, 130)
 KS = (1, 5, 17)
@@ -62,7 +63,7 @@ def _block_sizes(n_ref):
 
 @pytest.mark.parametrize("m", COLUMNS)
 @pytest.mark.parametrize("kind", KINDS)
-def test_lof_and_neighbourhoods_equal_reference(kind, m, monkeypatch):
+def test_lof_and_neighbourhoods_equal_reference(kind, m):
     x = _features(kind, 70, m)
     ref_d2 = np.array([((x - q) ** 2).sum(axis=1) for q in x])
     np.fill_diagonal(ref_d2, np.inf)
@@ -71,30 +72,28 @@ def test_lof_and_neighbourhoods_equal_reference(kind, m, monkeypatch):
         with np.errstate(invalid="ignore", divide="ignore"):
             want = _lof_np(x, k)
         for n_bytes in _block_sizes(x.shape[0]):
-            monkeypatch.setattr(neighbors, "_BLOCK_BYTES", n_bytes)
-            monkeypatch.setattr(neighbors, "_MIN_BLOCK_ROWS", 1)
-            indptr, indices, dist2, kth2 = _k_nearest_with_ties(x, x, k, skip_self=True)
-            assert kth2.tobytes() == kth.tobytes()
-            for i in range(x.shape[0]):
-                members = np.flatnonzero(ref_d2[i] <= kth[i])
-                lo, hi = indptr[i], indptr[i + 1]
-                assert np.array_equal(indices[lo:hi], members)
-                assert dist2[lo:hi].tobytes() == ref_d2[i, members].tobytes()
-            assert lof_scores(x, k).tobytes() == want.tobytes()
+            with block_budget(n_bytes):
+                indptr, indices, dist2, kth2 = _k_nearest_with_ties(x, x, k, skip_self=True)
+                assert kth2.tobytes() == kth.tobytes()
+                for i in range(x.shape[0]):
+                    members = np.flatnonzero(ref_d2[i] <= kth[i])
+                    lo, hi = indptr[i], indptr[i + 1]
+                    assert np.array_equal(indices[lo:hi], members)
+                    assert dist2[lo:hi].tobytes() == ref_d2[i, members].tobytes()
+                assert lof_scores(x, k).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("m", COLUMNS)
 @pytest.mark.parametrize("kind", KINDS)
-def test_knn_equals_reference(kind, m, monkeypatch):
+def test_knn_equals_reference(kind, m):
     x = _features(kind, 90, m)
     train, test = x[:60], x[60:]
     codes = np.random.default_rng(m).integers(0, 4, size=60)
     for k in KS:
-        want = _knn_predict_np(train, codes, test, k, 4)
+        want = knn_reference(train, codes, test, k)
         for n_bytes in _block_sizes(train.shape[0]):
-            monkeypatch.setattr(neighbors, "_BLOCK_BYTES", n_bytes)
-            monkeypatch.setattr(neighbors, "_MIN_BLOCK_ROWS", 1)
-            assert np.array_equal(knn_classify(train, codes, test, k=k), want)
+            with block_budget(n_bytes):
+                assert np.array_equal(knn_classify(train, codes, test, k=k), want)
 
 
 def test_gram_errors_near_the_bound():

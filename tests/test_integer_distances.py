@@ -9,7 +9,6 @@ so distance ties and duplicate rows are common, or reach up to the bound on
 exact float64 distances.
 """
 
-import contextlib
 import math
 import tracemalloc
 
@@ -21,9 +20,9 @@ from hypothesis import strategies as st
 from scalefree import neighbors
 from scalefree.errors import InexactDistances
 from scalefree.neighbors import _k_nearest_with_ties, knn_classify, lof_scores
-from scalefree.transforms import fit_transformer
 
-from reference_kernels import _lof_np
+from conftest import ares_counts, block_budget
+from reference_kernels import _lof_np, knn_reference
 
 
 def _oracle_d2(q, r):
@@ -40,26 +39,6 @@ def _oracle_neighbourhoods(ref, queries, k, skip_self):
         members = others[row[others] <= kth]
         out.append((kth, members, row[members]))
     return out
-
-
-def _oracle_knn(train, labels, test, k):
-    classes, codes = np.unique(labels, return_inverse=True)
-    preds = []
-    for row in _oracle_d2(test, train):
-        nearest = np.argsort(row, kind="stable")[:k]
-        preds.append(np.bincount(codes[nearest], minlength=len(classes)).argmax())
-    return classes[preds]
-
-
-@contextlib.contextmanager
-def _block_bytes(n_bytes):
-    """Blocks of `n_bytes`, down to one row: the 16-row floor is lifted."""
-    saved = neighbors._BLOCK_BYTES, neighbors._MIN_BLOCK_ROWS
-    neighbors._BLOCK_BYTES, neighbors._MIN_BLOCK_ROWS = n_bytes, 1
-    try:
-        yield
-    finally:
-        neighbors._BLOCK_BYTES, neighbors._MIN_BLOCK_ROWS = saved
 
 
 def _block_sizes(n_ref):
@@ -92,7 +71,7 @@ def test_neighbourhoods_match_oracle(x, data):
     k = data.draw(st.integers(1, n - 1 if skip_self else n))
     want = _oracle_neighbourhoods(x, x, k, skip_self)
     for n_bytes in _block_sizes(n):
-        with _block_bytes(n_bytes):
+        with block_budget(n_bytes):
             indptr, indices, dist2, kth2 = _k_nearest_with_ties(x, x, k, skip_self)
         for i, (kth, members, d2) in enumerate(want):
             lo, hi = indptr[i], indptr[i + 1]
@@ -108,9 +87,9 @@ def test_knn_matches_oracle(x, data):
     k = data.draw(st.integers(1, n_train))
     labels = np.random.default_rng(n_train).integers(0, 3, size=n_train)
     train, test = x[:n_train], x[n_train:]
-    want = _oracle_knn(train, labels, test, k)
+    want = knn_reference(train, labels, test, k)
     for n_bytes in _block_sizes(n_train):
-        with _block_bytes(n_bytes):
+        with block_budget(n_bytes):
             assert np.array_equal(knn_classify(train, labels, test, k=k), want)
 
 
@@ -125,29 +104,24 @@ def test_lof_neighbourhood_sizes_match_oracle(x, data):
     with np.errstate(invalid="ignore", divide="ignore"):
         want = _lof_np(x.astype(np.float64), k)
     for n_bytes in _block_sizes(n):
-        with _block_bytes(n_bytes):
+        with block_budget(n_bytes):
             indptr = _k_nearest_with_ties(x, x, k, skip_self=True)[0]
             got = lof_scores(x, k)
         assert np.diff(indptr).tolist() == sizes
         assert got.tobytes() == want.tobytes()
 
 
-def _ares_counts(n, m, seed):
-    raw = np.random.default_rng(seed).lognormal(size=(n, m))
-    return fit_transformer(raw, "ares", subsample_size=7, n_subsamples=10, seed=seed).counts(raw)
-
-
 @pytest.mark.parametrize("k", [1, 7, 1199])
 def test_ares_counts_span_several_blocks(k):
     """The default block over ARES counts at N = 1200: the same LOF scores
     as the dense reference and as one row per block."""
-    x = _ares_counts(1200, 6, seed=211)
+    x = ares_counts(1200, 6, seed=211)
     assert x.shape[0] > 2 * neighbors._block_rows(x.shape[0])
     with np.errstate(invalid="ignore", divide="ignore"):
         want = _lof_np(x.astype(np.float64), k)
     got = lof_scores(x, k)
     assert got.tobytes() == want.tobytes()
-    with _block_bytes(8):
+    with block_budget(8):
         assert lof_scores(x, k).tobytes() == got.tobytes()
 
 
@@ -157,7 +131,7 @@ def test_single_column_and_all_other_rows():
     assert np.all(sizes == 89)
     labels = np.arange(60) % 4
     assert np.array_equal(
-        knn_classify(x[:60], labels, x[60:], k=60), _oracle_knn(x[:60], labels, x[60:], 60)
+        knn_classify(x[:60], labels, x[60:], k=60), knn_reference(x[:60], labels, x[60:], 60)
     )
 
 
@@ -189,7 +163,7 @@ def test_wide_inputs_near_the_bound_match_oracle(m, shape):
     with np.errstate(invalid="ignore", divide="ignore"):
         want_lof = _lof_np(x.astype(np.float64), k)
     for n_bytes in _block_sizes(n):
-        with _block_bytes(n_bytes):
+        with block_budget(n_bytes):
             indptr, indices, dist2, kth2 = _k_nearest_with_ties(x, x, k, True)
             got_lof = lof_scores(x, k)
         for i, (kth, members, d2) in enumerate(want):
@@ -201,9 +175,9 @@ def test_wide_inputs_near_the_bound_match_oracle(m, shape):
 
     train, test = x[:36], x[36:]
     labels = np.arange(36) % 3
-    want_knn = _oracle_knn(train, labels, test, k)
+    want_knn = knn_reference(train, labels, test, k)
     for n_bytes in _block_sizes(train.shape[0]):
-        with _block_bytes(n_bytes):
+        with block_budget(n_bytes):
             assert np.array_equal(knn_classify(train, labels, test, k=k), want_knn)
 
 
@@ -251,7 +225,7 @@ def test_lof_peak_memory_on_counts_is_linear_in_n_times_k():
     block buffers and the O(N*k) neighbourhood entries."""
     n = 3000
     k = math.ceil(math.sqrt(n))
-    x = _ares_counts(n, 16, seed=213)
+    x = ares_counts(n, 16, seed=213)
     bound = 4 * neighbors._BLOCK_BYTES + 64 * n * k
 
     tracemalloc.start()

@@ -16,7 +16,8 @@ from scalefree import neighbors
 from scalefree.neighbors import _k_nearest_with_ties, knn_classify, lof_scores
 from scalefree.transforms import fit_transformer
 
-from reference_kernels import _knn_predict_np, _lof_np
+from conftest import ares_counts, block_budget
+from reference_kernels import _lof_np, knn_reference
 
 KINDS = ("continuous", "tied-integer", "ares-grid", "all-duplicate")
 
@@ -35,16 +36,11 @@ def _features(kind, n, m, seed):
     return np.tile(rng.normal(size=m), (n, 1))
 
 
-def _knn_reference(train, labels, test, k):
-    classes, codes = np.unique(labels, return_inverse=True)
-    return classes[_knn_predict_np(train, codes, test, k, len(classes))]
-
-
 def _assert_knn_matches(x, n_train, k, seed):
     labels = np.random.default_rng(seed).integers(0, 4, size=n_train)
     train, test = x[:n_train], x[n_train:]
     got = knn_classify(train, labels, test, k=k)
-    assert np.array_equal(got, _knn_reference(train, labels, test, k))
+    assert np.array_equal(got, knn_reference(train, labels, test, k))
 
 
 def _assert_lof_bitwise(x, k):
@@ -110,11 +106,6 @@ def test_lof_peak_memory_is_linear_in_n_times_k():
     assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
 
 
-def _ares_counts(n, m, seed):
-    raw = np.random.default_rng(seed).lognormal(size=(n, m))
-    return fit_transformer(raw, "ares", subsample_size=7, n_subsamples=10, seed=seed).counts(raw)
-
-
 def test_block_rows_floor():
     """16 rows per block at any N: the 256 KiB budget buys 16 rows at
     N = 2048 and fewer beyond, where one row per block made each fill a
@@ -129,28 +120,25 @@ _BLOCKS = {1: (8, 1), 16: (8, 16), 109: (neighbors._BLOCK_BYTES, 16)}
 
 
 @pytest.mark.parametrize("kind", ["integer", "tied", "float"])
-def test_every_block_size_gives_the_same_bits(kind, monkeypatch):
+def test_every_block_size_gives_the_same_bits(kind):
     """The search arrays, LOF scores and KNN predictions at N = 300 are
     bitwise equal for blocks of 1 row, of the 16-row floor, and of the
     default budget, 109 rows."""
     rng = np.random.default_rng(214)
     x = {
-        "integer": _ares_counts(300, 6, seed=214),
+        "integer": ares_counts(300, 6, seed=214),
         "tied": rng.integers(0, 3, size=(300, 6)),
         "float": rng.lognormal(size=(300, 6)) * 10.0 ** rng.uniform(-2.0, 3.0, size=6),
     }[kind]
     labels = rng.integers(0, 4, size=200)
     seen = []
     for rows, (n_bytes, floor) in _BLOCKS.items():
-        monkeypatch.setattr(neighbors, "_BLOCK_BYTES", n_bytes)
-        monkeypatch.setattr(neighbors, "_MIN_BLOCK_ROWS", floor)
-        assert neighbors._block_rows(300) == rows
-        search = _k_nearest_with_ties(x, x, 18, skip_self=True)
-        assert search[1].dtype == np.int32
-        seen.append(
-            [a.tobytes() for a in search]
-            + [lof_scores(x, 18).tobytes(), knn_classify(x[:200], labels, x[200:], 5).tobytes()]
-        )
+        with block_budget(n_bytes, floor):
+            assert neighbors._block_rows(300) == rows
+            search = _k_nearest_with_ties(x, x, 18, skip_self=True)
+            assert search[1].dtype == np.int32
+            lof, knn = lof_scores(x, 18), knn_classify(x[:200], labels, x[200:], 5)
+            seen.append([a.tobytes() for a in (*search, lof, knn)])
     assert seen[0] == seen[1] == seen[2]
 
 
@@ -163,7 +151,7 @@ def test_lof_peak_memory_in_neighbourhood_entries_and_blocks():
     gathered as a list of blocks and concatenated (3.8 MB), or grown by
     copying at 1.5× (3.4–3.6 MB), breaks the bound (2.57 MB; 2.25 MB now)."""
     n, k = 2000, 45
-    x = _ares_counts(n, 16, seed=2000)
+    x = ares_counts(n, 16, seed=2000)
     entries = int(_k_nearest_with_ties(x, x, k, skip_self=True)[0][-1])
     block = neighbors._block_rows(n) * n * 8
     bound = 20 * entries + 3 * block

@@ -16,7 +16,7 @@ from scalefree.errors import (
 )
 from scalefree.transforms import FittedTransformer, fit_transformer
 
-from conftest import OneColumn, fit_column
+from conftest import OneColumn, distinct_column, fit_column
 from reference_kernels import rank_in_subsample
 
 
@@ -282,12 +282,6 @@ class TestAresTransform:
         assert np.all(np.diff(m.transform(queries)) >= 0)
 
 
-def _distinct_column(rng, n):
-    """Strictly increasing values with comfortable gaps, then shuffled."""
-    values = np.cumsum(rng.uniform(0.01, 1.0, size=n))
-    return rng.permutation(values)
-
-
 class TestScaleInvariance:
     increasing_maps = [
         lambda x: 3.5 * x + 2.0,
@@ -297,7 +291,7 @@ class TestScaleInvariance:
 
     def test_rank_invariant_under_increasing_maps(self):
         rng = np.random.default_rng(10)
-        col = _distinct_column(rng, 150)
+        col = distinct_column(rng, 150)
         queries = np.sort(col)[:-1] + np.diff(np.sort(col)) / 2
         base = fit_rank(col).transform(queries)
         for g in self.increasing_maps:
@@ -306,7 +300,7 @@ class TestScaleInvariance:
 
     def test_ares_invariant_under_increasing_maps(self):
         rng = np.random.default_rng(11)
-        col = _distinct_column(rng, 150)
+        col = distinct_column(rng, 150)
         queries = np.concatenate([col, np.sort(col)[:-1] + np.diff(np.sort(col)) / 2])
         base = fit_ares(col, seed=21).transform(queries)
         for g in self.increasing_maps:
@@ -317,7 +311,7 @@ class TestScaleInvariance:
         """For queries distinct from every sampled value, negation flips the
         average rank to (size - value), exactly in integer rank arithmetic."""
         rng = np.random.default_rng(12)
-        col = _distinct_column(rng, 100)
+        col = distinct_column(rng, 100)
         psi, t = 7, 10
         m = fit_ares(col, subsample_size=psi, n_subsamples=t, seed=31)
         m_neg = fit_ares(-col, subsample_size=psi, n_subsamples=t, seed=31)
@@ -330,7 +324,7 @@ class TestScaleInvariance:
     def test_reversal_collision_deviation_bounded(self):
         """Queries equal to sampled values deviate by exactly collisions/t."""
         rng = np.random.default_rng(13)
-        col = _distinct_column(rng, 100)
+        col = distinct_column(rng, 100)
         psi, t = 5, 8
         m = fit_ares(col, subsample_size=psi, n_subsamples=t, seed=41)
         m_neg = fit_ares(-col, subsample_size=psi, n_subsamples=t, seed=41)

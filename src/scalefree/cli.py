@@ -45,18 +45,23 @@ DEFAULT_SEED = 42
 SEED_ENV_VAR = "SCALEFREE_SEED"
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _positive(parse, rule: str):
+    """An argparse type: the text parsed, if positive and finite, or else a usage error."""
+
+    def check(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = math.nan
+        if not (value > 0 and math.isfinite(value)):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    return check
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (value > 0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
-    return value
+_positive_int = _positive(int, "an integer >= 1")
+_positive_float = _positive(float, "a positive finite number")
 
 
 def _label_col(text: str):

@@ -12,7 +12,7 @@ import itertools
 import os
 import stat
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -60,13 +60,7 @@ class Dataset:
 
     def with_features(self, features: np.ndarray) -> "Dataset":
         """Copy of this dataset with replaced feature matrix, labels untouched."""
-        return Dataset(
-            name=self.name,
-            features=features,
-            feature_names=list(self.feature_names),
-            labels=self.labels,
-            label_name=self.label_name,
-        )
+        return replace(self, features=features, feature_names=list(self.feature_names))
 
 
 def _resolve_label_index(header: list[str], label_column) -> int:

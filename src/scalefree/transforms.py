@@ -20,11 +20,11 @@ patterns, both exact and bitwise equal:
   the cumulative weight below it in the column's sorted order
   (`_in_sample_counter`, one sort per matrix for any number of fits).
 
-Both take the strict count from numpy's left binary search (the in-sample
-path searches each sorted column in itself) and draw ARES sub-samples
-through `_ares_draw`. Each path stays, as the other does its job slower:
-fitted models made `evaluate`'s in-process `classify-grid` about 1.7× slower,
-and the in-sample sort a one-row `counts` call about 300× slower.
+Both take the strict count from numpy's left binary search and their rows
+from `_draw`, where rank is the draw of all N rows, so ARES at psi = N costs
+what rank does. Each path stays, as the other does its job slower: fitted
+models made `evaluate`'s in-process `classify-grid` about 1.7× slower, and
+the in-sample sort a one-row `counts` call about 300× slower.
 """
 
 import operator
@@ -76,15 +76,19 @@ def _check_matrix(features, verb: str) -> np.ndarray:
     return x
 
 
-def _ares_draw(n_rows: int, psi: int, t: int, seed: int, m: int) -> np.ndarray:
-    """The row indices ARES draws for m columns, shape (m, t, psi): draw j of
-    column c takes the seed (seed, c, j), and all m·t draws are one
-    `subsample_indices` call. Both access patterns check an ARES fit's seed
-    and t here alone; a negative t or psi acts as 0."""
-    if seed is None:
+def _draw(kind: str, n_rows: int, psi: int, t: int, seed: int | None, m: int) -> np.ndarray:
+    """The row indices a rank or ARES fit on n_rows rows takes for m columns,
+    shape (m, t, psi). Rank is psi = N, t = 1, and psi = N is every row, as
+    Floyd's algorithm returns it sorted. ARES checks its seed and t here alone
+    (a negative t or psi acts as 0); draw j of column c takes seed (seed, c, j)."""
+    if kind == "rank":
+        psi, t = n_rows, 1
+    elif seed is None:
         raise ValueError("ares requires a seed")
-    if t < 1:
+    elif t < 1:
         raise ValueError(f"sub-sample count t must be >= 1, got {max(t, 0)}")
+    if psi == n_rows:
+        return np.broadcast_to(np.arange(n_rows), (m, t, n_rows))
     seeds = subsample_seed(seed, np.arange(m)[:, None], np.arange(t))
     return subsample_indices(n_rows, max(psi, 0), seeds)
 
@@ -93,12 +97,12 @@ def _in_sample_counter(x: np.ndarray):
     """Rank and ARES counts of every row of a finite N×m matrix, for fits on
     any of its rows, from one sort of each column.
 
-    A fit weights each row by how often it was sampled: rank by 1 per fitted
-    row, ARES by how many of a column's t draws took it. A row's count is
-    then the summed weight of the rows strictly below it, one cumulative sum
-    read at the row's group start in sorted order, which a left search of
-    the sorted column finds, as the model path searches its pool. The returned
-    `counts(kind, rows, psi, t, seed)` equals
+    A fit weights each row by how many of a column's t `_draw`s took it;
+    rank's one draw takes every fitted row, as ARES's do at psi = N, at the
+    same cost. A row's count is then the summed weight of the rows strictly
+    below it, one cumulative sum read at the row's group start in sorted
+    order, which a left search of the sorted column finds, as the model path
+    searches its pool. The returned `counts(kind, rows, psi, t, seed)` equals
     `fit_transformer(x[rows], kind, psi, t, seed=seed).counts(x)` bitwise
     and raises as it does for a bad psi, t or seed."""
     n, m = x.shape
@@ -115,12 +119,9 @@ def _in_sample_counter(x: np.ndarray):
 
     def counts(kind, rows, subsample_size, n_subsamples, seed):
         rows = np.arange(n)[rows]
-        if kind == "rank":
-            weights = np.tile(np.bincount(rows, minlength=n), m)
-        else:
-            idx = _ares_draw(len(rows), subsample_size, n_subsamples, seed, m)
-            taken = rows[idx] + n * np.arange(m)[:, None, None]
-            weights = np.bincount(taken.ravel(), minlength=n * m)
+        idx = _draw(kind, len(rows), subsample_size, n_subsamples, seed, m)
+        taken = rows[idx] + n * np.arange(m)[:, None, None]
+        weights = np.bincount(taken.ravel(), minlength=n * m)
         cum = np.zeros((m, n + 1), dtype=np.int64)
         np.cumsum(weights.take(order), axis=1, out=cum[:, 1:])
         return cum.take(below)
@@ -235,17 +236,16 @@ def fit_transformer(
 ) -> FittedTransformer:
     """Fit the chosen transform independently on every column of a matrix.
 
-    ARES draws, without replacement, t sub-samples of psi rows for each
-    column, draw j of column c by `_ares_draw` from (seed, c, j), which
-    raises for a missing seed; other kinds ignore psi, t and seed."""
+    Rank and ARES sort the rows `_draw` takes: ARES draws, without
+    replacement, t sub-samples of psi rows for each column, draw j of column
+    c from (seed, c, j), and raises for a missing seed; rank takes every row
+    once. Other kinds ignore psi, t and seed."""
     if kind not in KINDS:
         raise ValueError(f"unknown transformer kind {kind!r}; expected one of {KINDS}")
     xt = np.ascontiguousarray(_check_matrix(features, "fit on").T)  # one row per column
     if kind == "minmax":
         return FittedTransformer(kind, np.stack([xt.min(axis=1), xt.max(axis=1)], axis=1))
-    if kind == "rank":
-        return FittedTransformer(kind, np.sort(xt, axis=1)[:, None])
-    idx = _ares_draw(xt.shape[1], subsample_size, n_subsamples, seed, len(xt))
+    idx = _draw(kind, xt.shape[1], subsample_size, n_subsamples, seed, len(xt))
     subsamples = np.take_along_axis(xt[:, None, :], idx, axis=2)
     subsamples.sort()
-    return FittedTransformer(kind, subsamples, seed)
+    return FittedTransformer(kind, subsamples, seed if kind == "ares" else None)

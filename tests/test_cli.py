@@ -222,6 +222,35 @@ def test_bad_perturbation_constant_is_a_usage_error(
     assert not out.exists()
 
 
+_BAD_NUMBERS = [
+    *((command, flag, value)
+      for command in (["fit"], ["evaluate"]) for flag in ("--psi", "--t")
+      for value in ("abc", "1.5", "0", "-1")),
+    *((["evaluate"], "--k", value) for value in ("abc", "1.5", "0", "-1")),
+    *((command, flag, "abc")
+      for command in (["perturb"], ["evaluate"]) for flag in ("--perturb-a", "--perturb-b")),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("command, flag, value", _BAD_NUMBERS)
+def test_malformed_or_small_number_is_a_usage_error(
+    command, flag, value, class_csv, tmp_path, capsys
+):
+    """Text that does not parse fails as an out-of-range number does, naming
+    the flag and the value, not the private function that parses them."""
+    rule = "a positive finite number" if flag.startswith("--perturb") else "an integer >= 1"
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc_info:
+        main([*command, "--input", str(class_csv), "--label-col", "label",
+              flag, value, "--output", str(out)])
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error" in line]
+    assert errors == [f"scalefree {command[0]}: error: argument {flag}: must be {rule}, got {value}"]
+    assert "_positive" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command", [["perturb", "--perturb", "inverse"], ["evaluate", "--perturb", "inverse", "--folds", "2"]]
 )

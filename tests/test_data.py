@@ -102,6 +102,18 @@ class TestLoadCsv:
         with pytest.raises(EmptyFile):
             load_csv(path)
 
+    def test_blank_header_is_an_empty_file(self, tmp_path):
+        with pytest.raises(EmptyFile, match="empty header row"):
+            load_csv(_write(tmp_path, " , \n1,2\n"))
+
+    def test_label_only_header_has_no_features(self, tmp_path):
+        with pytest.raises(ParseError, match="no feature columns besides the label"):
+            load_csv(_write(tmp_path, "y\n1\n"), label_column="y")
+
+    def test_boolean_label_column_is_a_type_error(self, tmp_path):
+        with pytest.raises(TypeError, match="label_column must be a name or integer index"):
+            load_csv(_write(tmp_path, "a,b\n1,2\n"), label_column=True)
+
     def test_header_only_loads_zero_rows(self, tmp_path):
         ds = load_csv(_write(tmp_path, "a,b\n"))
         assert ds.n_rows == 0
@@ -289,6 +301,14 @@ class TestDatasetValidation:
     def test_label_length_mismatch(self):
         with pytest.raises(ValueError):
             Dataset("bad", np.ones((3, 2)), labels=np.arange(2))
+
+    def test_one_dimensional_features_rejected(self):
+        with pytest.raises(ValueError, match="features must be a 2-D array"):
+            Dataset("bad", np.ones(3))
+
+    def test_feature_names_length_mismatch(self):
+        with pytest.raises(ValueError, match="feature_names length does not match column count"):
+            Dataset("bad", np.ones((2, 3)), feature_names=["a", "b"])
 
     def test_default_feature_names(self):
         ds = Dataset("d", np.ones((2, 3)))

@@ -237,6 +237,12 @@ class TestRunAnomaly:
         with pytest.raises(NonBinaryLabels):
             run_anomaly(ds, "minmax", seed=1)
 
+    def test_non_numeric_labels_rejected(self, anomaly_dataset):
+        labels = np.where(anomaly_dataset.labels == 1, "yes", "no")
+        ds = Dataset("words", anomaly_dataset.features, labels=labels)
+        with pytest.raises(NonBinaryLabels, match="anomaly labels must be numeric 0/1 flags"):
+            run_anomaly(ds, "minmax", seed=1)
+
     def test_string_flags_accepted(self, anomaly_dataset):
         ds = Dataset(
             "strflags",

@@ -37,7 +37,8 @@ def _classify_dataset():
     """120 × 6, three classes; columns 4 and 5 are tied small integers."""
     n = 120
     labels = (_stream(101, n)[0] % np.uint64(3)).astype(np.int64)
-    x = _unit_words(102, (n, 6)) * 2.0 + labels[:, None] * np.array([1.5, 1.0, 0.5, 0.0, 0.0, 0.0])
+    shift = np.array([1.5, 1.0, 0.5, 0.0, 0.0, 0.0])
+    x = _unit_words(102, (n, 6)) * 2.0 + labels[:, None] * shift
     x[:, 4:] = np.floor(2.0 * x[:, 4:]) + labels[:, None]
     return Dataset("golden-classify", x, labels=labels)
 
@@ -52,10 +53,12 @@ def _anomaly_dataset():
 
 def _grid(task):
     dataset = _classify_dataset() if task == "classify" else _anomaly_dataset()
-    return {
-        (r.preprocessor, r.perturbation): {k: v for k, v in asdict(r).items() if k != "wall_time_ms"}
-        for r in evaluation_grid(dataset, task, seed=SEED)
-    }
+    cells = {}
+    for report in evaluation_grid(dataset, task, seed=SEED):
+        fields = asdict(report)
+        del fields["wall_time_ms"]
+        cells[report.preprocessor, report.perturbation] = fields
+    return cells
 
 
 @pytest.fixture(scope="module")

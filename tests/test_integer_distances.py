@@ -10,7 +10,6 @@ exact float64 distances.
 """
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,20 +217,3 @@ class TestExactnessBound:
         assert wide.dtype == np.float64
         small = (np.array([[1]], dtype=np.uint32), np.array([[True]]), [[1, 2]])
         assert all(a.dtype == np.int64 for a in neighbors._as_features(*small))
-
-
-def test_lof_peak_memory_on_counts_is_linear_in_n_times_k():
-    """The integer path holds float copies of the N x m input next to the
-    block buffers and the O(N*k) neighbourhood entries."""
-    n = 3000
-    k = math.ceil(math.sqrt(n))
-    x = ares_counts(n, 16, seed=213)
-    bound = 4 * neighbors._BLOCK_BYTES + 64 * n * k
-
-    tracemalloc.start()
-    try:
-        lof_scores(x, k)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"

@@ -166,6 +166,24 @@ def test_missing_version(tmp_path):
         load_model(path)
 
 
+def test_top_level_array_rejected(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps([{"format_version": 1, "kind": "minmax"}]))
+    with pytest.raises(CorruptModel, match="expected a JSON object at top level"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("columns", [None, []])
+def test_missing_or_empty_columns_rejected(columns, tmp_path):
+    doc = {"format_version": 1, "kind": "minmax", "columns": columns}
+    if columns is None:
+        del doc["columns"]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorruptModel, match="missing or empty columns"):
+        load_model(path)
+
+
 def test_unknown_kind(tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"format_version": 1, "kind": "zscore", "columns": [{}]}))

@@ -88,24 +88,6 @@ class TestLofMatchesReference:
         _assert_lof_bitwise(x, 89)
 
 
-def test_lof_peak_memory_is_linear_in_n_times_k():
-    """LOF holds a few block buffers plus O(N*k) neighbourhood entries, far
-    below the dense kernel's several N x N float64 arrays."""
-    n = 3000
-    k = math.ceil(math.sqrt(n))
-    x = np.random.default_rng(210).normal(size=(n, 16))
-    bound = 4 * neighbors._BLOCK_BYTES + 64 * n * k
-    assert bound < n * n * 8 / 3
-
-    tracemalloc.start()
-    try:
-        lof_scores(x, k)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
-
-
 def test_block_rows_floor():
     """16 rows per block at any N: the 256 KiB budget buys 16 rows at
     N = 2048 and fewer beyond, where one row per block made each fill a
@@ -142,19 +124,29 @@ def test_every_block_size_gives_the_same_bits(kind):
     assert seen[0] == seen[1] == seen[2]
 
 
-def test_lof_peak_memory_in_neighbourhood_entries_and_blocks():
-    """ARES counts at N = 2000, k = 45, the anomaly grid's size: the traced
-    peak stays within 20 bytes per neighbourhood entry plus three distance
-    blocks. At LOF's peak an entry holds an int32 index and two float64
-    values; the search holds 12 bytes per entry beside its block buffer,
-    np.partition's copy and the Gram pass's copies of the input. A CSR
-    gathered as a list of blocks and concatenated (3.8 MB), or grown by
+@pytest.mark.parametrize(
+    "kind, n, seed",
+    [("counts", 2000, 2000), ("floats", 2000, 210), ("floats", 3000, 210), ("counts", 3000, 213)],
+)
+def test_lof_peak_memory_in_neighbourhood_entries_and_blocks(kind, n, seed):
+    """ARES counts (the exact integer path) and normal floats (the filter and
+    refine), at the anomaly grid's N = 2000 and at 3000, with k = ceil(sqrt(N)):
+    the traced peak stays within 20 bytes per neighbourhood entry plus three
+    distance blocks, far below the dense kernel's N x N float64 arrays. At
+    LOF's peak an entry holds an int32 index and two float64 values; the
+    search holds 12 bytes per entry beside its block buffer, np.partition's
+    copy and the Gram pass's copies of the input. On counts at N = 2000, a
+    CSR gathered as a list of blocks and concatenated (3.8 MB), or grown by
     copying at 1.5× (3.4–3.6 MB), breaks the bound (2.57 MB; 2.25 MB now)."""
-    n, k = 2000, 45
-    x = ares_counts(n, 16, seed=2000)
+    k = math.ceil(math.sqrt(n))
+    if kind == "counts":
+        x = ares_counts(n, 16, seed=seed)
+    else:
+        x = np.random.default_rng(seed).normal(size=(n, 16))
     entries = int(_k_nearest_with_ties(x, x, k, skip_self=True)[0][-1])
     block = neighbors._block_rows(n) * n * 8
     bound = 20 * entries + 3 * block
+    assert bound < n * n * 8 / 3
 
     tracemalloc.start()
     try:

@@ -102,6 +102,10 @@ class TestKnnContracts:
         with pytest.raises(EmptyDataset, match="no columns"):
             knn_classify(np.empty((3, 0), dtype), [0, 1, 0], np.empty((2, 0), dtype), k=1)
 
+    def test_train_label_count_mismatch(self):
+        with pytest.raises(ValueError, match="train labels length does not match train rows"):
+            knn_classify(np.zeros((3, 1)), [0, 1], np.zeros((1, 1)), k=1)
+
     def test_k_exceeds_train(self):
         with pytest.raises(KExceedsTrainSize):
             knn_classify(np.zeros((2, 1)), [0, 1], np.zeros((1, 1)), k=3)

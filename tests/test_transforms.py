@@ -14,7 +14,7 @@ from scalefree.errors import (
     PsiNonPositive,
     PsiTooLarge,
 )
-from scalefree.transforms import FittedTransformer, fit_transformer
+from scalefree.transforms import FittedTransformer, _in_sample_counter, fit_transformer
 
 from conftest import OneColumn, distinct_column, fit_column
 from reference_kernels import rank_in_subsample
@@ -207,6 +207,29 @@ class TestAresFit:
         m = fit_ares(col, subsample_size=4, n_subsamples=1, seed=5)
         assert np.array_equal(m.subsamples, np.sort(col)[None, :])
 
+    @pytest.mark.parametrize("t", [1, 3])
+    @pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
+    def test_all_row_draws_are_copies_of_rank(self, t, seed):
+        """ARES at psi = N takes every row in each of its t draws, as rank's one
+        draw does, whatever the seed: its params are t copies of rank's and its
+        counts t times rank's, and the in-sample counter gives those counts for
+        a fit on all rows or on a subset."""
+        rng = np.random.default_rng(seed % 2**32)
+        x = np.column_stack(
+            [np.floor(4.0 * rng.lognormal(size=40)), rng.normal(size=40), [0.0, -0.0] * 20]
+        )
+        counter = _in_sample_counter(x)
+        for rows in (slice(None), rng.choice(40, 25, replace=False)):
+            n = len(x[rows])
+            rank = fit_transformer(x[rows], "rank")
+            ares = fit_transformer(x[rows], "ares", subsample_size=n, n_subsamples=t, seed=seed)
+            assert ares.seed == seed and rank.seed is None
+            assert ares.params.tobytes() == np.repeat(rank.params, t, axis=1).tobytes()
+            want = ares.counts(x)
+            assert np.array_equal(want, t * rank.counts(x))
+            assert counter("ares", rows, n, t, seed).tobytes() == want.tobytes()
+            assert counter("rank", rows, n, t, seed).tobytes() == rank.counts(x).tobytes()
+
     def test_singleton_subsamples(self):
         col = np.random.default_rng(4).normal(size=30)
         m = fit_ares(col, subsample_size=1, n_subsamples=10, seed=5)
@@ -387,6 +410,16 @@ class TestFittedTransformer:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             fit_transformer(np.ones((3, 1)), "zscore")
+
+    def test_unknown_kind_rejected_on_construction(self):
+        with pytest.raises(ValueError, match="unknown transformer kind 'zscore'"):
+            FittedTransformer("zscore", np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("kind", ["minmax", "rank", "ares"])
+    def test_one_dimensional_query_rejected(self, kind):
+        ft = fit_transformer(np.arange(6.0).reshape(3, 2), kind, subsample_size=2, seed=3)
+        with pytest.raises(ValueError, match="expected a 2-D feature matrix"):
+            ft.transform(np.arange(2.0))
 
     def test_ares_end_to_end_deterministic(self):
         rng = np.random.default_rng(15)

@@ -20,7 +20,6 @@ _EXPORTS = {
     "load_csv": "data",
     "save_csv": "data",
     "ScaleFreeError": "errors",
-    "FoldAssignment": "evaluate",
     "evaluation_grid": "evaluate",
     "kfold_split": "evaluate",
     "lof_neighbor_count": "evaluate",

@@ -16,11 +16,12 @@ Every run is one cell of the preprocessor x perturbation grid, and
 * `_run_cell` times these steps and builds the `EvaluationReport`.
 
 Only the scoring differs. `run_classification` splits the rows into k random
-folds (`kfold_split`: `sampling.permutation` of the rows under the fold
-seed, cut into k near-equal runs), fits on the training folds only, predicts
-each held-out fold by KNN and reports the mean fold accuracy. `run_anomaly` fits on all rows
-(unsupervised), scores every row by LOF with n_neighbors = ceil(sqrt(N)) and
-reports the AUC of the scores against the binary flags.
+folds (`kfold_split` returns each row's fold: `sampling.permutation` of the
+rows under the fold seed, cut into k near-equal runs), fits on the training
+folds only, predicts each held-out fold by KNN and reports the mean fold
+accuracy. `run_anomaly` fits on all rows (unsupervised), scores every row by
+LOF with n_neighbors = ceil(sqrt(N)) and reports the AUC of the scores
+against the binary flags.
 
 All randomness (fold permutation, per-fold sub-sample draws) expands from
 the single seed via the derivations in `sampling`.
@@ -28,7 +29,6 @@ the single seed via the derivations in `sampling`.
 
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,24 +59,11 @@ DEFAULT_KNN_K = 5
 TASKS = ("classify", "anomaly")
 
 
-@dataclass(frozen=True, eq=False)
-class FoldAssignment:
-    """Fold index of every row, for a k-fold split with near-equal sizes."""
-
-    fold_of_row: np.ndarray
-    n_folds: int
-
-    def test_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.fold_of_row == fold)
-
-    def train_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.fold_of_row != fold)
-
-
-def kfold_split(n: int, k: int = DEFAULT_FOLDS, seed: int = 0) -> FoldAssignment:
-    """Randomly partition n rows into k folds whose sizes differ by at most 1:
-    fold f is the f-th of k near-equal runs of `sampling.permutation(n, seed)`,
-    so the folds depend on the seed alone, not on the numpy version."""
+def kfold_split(n: int, k: int = DEFAULT_FOLDS, seed: int = 0) -> np.ndarray:
+    """Randomly partition n rows into k folds whose sizes differ by at most 1,
+    as each row's int64 fold: fold f is the f-th of k near-equal runs of
+    `sampling.permutation(n, seed)`, so the folds depend on the seed alone,
+    not on the numpy version."""
     if k < 2:
         raise ValueError(f"fold count must be >= 2, got {k}")
     if n < k:
@@ -85,7 +72,7 @@ def kfold_split(n: int, k: int = DEFAULT_FOLDS, seed: int = 0) -> FoldAssignment
     fold_of_row = np.empty(n, dtype=np.int64)
     for f, part in enumerate(np.array_split(perm, k)):
         fold_of_row[part] = f
-    return FoldAssignment(fold_of_row=fold_of_row, n_folds=k)
+    return fold_of_row
 
 
 def _run_cell(dataset, preprocessor, perturbation, metric, score, *, seed, **fit_kwargs):
@@ -95,9 +82,8 @@ def _run_cell(dataset, preprocessor, perturbation, metric, score, *, seed, **fit
     transform changes neither KNN order nor LOF ratios."""
     if seed is None:
         raise ValueError(f"{preprocessor} requires a seed")
-    spec = perturbation if perturbation is not None else PerturbationSpec("identity")
     start = time.perf_counter()
-    features = perturb_matrix(dataset.features, spec)
+    features = perturb_matrix(dataset.features, perturbation)
 
     def fit_maps(fits):
         """Per (rows, fit_seed) of `fits` in turn, the fit on those rows
@@ -118,7 +104,7 @@ def _run_cell(dataset, preprocessor, perturbation, metric, score, *, seed, **fit
     return EvaluationReport(
         dataset=dataset.name,
         preprocessor=preprocessor,
-        perturbation=spec.kind,
+        perturbation=perturbation.kind,
         metric=metric,
         aggregate=aggregate,
         wall_time_ms=elapsed_ms,
@@ -130,7 +116,7 @@ def _run_cell(dataset, preprocessor, perturbation, metric, score, *, seed, **fit
 def run_classification(
     dataset: Dataset,
     preprocessor: str,
-    perturbation: PerturbationSpec | None = None,
+    perturbation: PerturbationSpec = PerturbationSpec(),
     *,
     seed: int,
     knn_k: int = DEFAULT_KNN_K,
@@ -145,11 +131,11 @@ def run_classification(
 
     def score(fit_maps):
         folds = kfold_split(dataset.n_rows, n_folds, seed=fold_seed(seed))
-        trains = [folds.train_indices(f) for f in range(n_folds)]
+        trains = [np.flatnonzero(folds != f) for f in range(n_folds)]
         mapped = fit_maps((rows, cv_fit_seed(seed, f)) for f, rows in enumerate(trains))
         per_fold = []
         for f, neighbor in enumerate(mapped):
-            train_idx, test_idx = trains[f], folds.test_indices(f)
+            train_idx, test_idx = trains[f], np.flatnonzero(folds == f)
             train, test = neighbor[train_idx], neighbor[test_idx]
             predicted = knn_classify(train, labels[train_idx], test, knn_k)
             per_fold.append(accuracy(predicted, labels[test_idx]))
@@ -184,7 +170,7 @@ def lof_neighbor_count(n_rows: int) -> int:
 def run_anomaly(
     dataset: Dataset,
     preprocessor: str,
-    perturbation: PerturbationSpec | None = None,
+    perturbation: PerturbationSpec = PerturbationSpec(),
     *,
     seed: int,
     subsample_size: int = DEFAULT_SUBSAMPLE_SIZE,

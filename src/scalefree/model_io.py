@@ -60,9 +60,8 @@ def save_model(transformer: FittedTransformer, path) -> None:
         "fingerprint": _fingerprint(transformer.n_features),
     }
     if transformer.kind == "ares":
-        head["psi"] = transformer.subsample_size
-        head["t"] = transformer.n_subsamples
-        head["seed"] = transformer.seed
+        _, t, psi = transformer.params.shape
+        head.update(psi=psi, t=t, seed=transformer.seed)
 
     with replacing(path) as fh:
         fh.write(json.dumps(head)[:-1] + ', "columns": [')
@@ -114,8 +113,8 @@ def load_model(path) -> FittedTransformer:
             params = _numbers([b["subsamples"] for b in raw_columns], 3)
         transformer = FittedTransformer(kind, params, seed)
         if kind == "ares":
-            header = (_header_int(doc["psi"], "psi"), _header_int(doc["t"], "t"))
-            if header != (transformer.subsample_size, transformer.n_subsamples):
+            psi, t = _header_int(doc["psi"], "psi"), _header_int(doc["t"], "t")
+            if (t, psi) != transformer.params.shape[1:]:
                 raise ValueError("sub-sample block shape disagrees with psi/t")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CorruptModel(f"{path}: malformed column parameters ({exc})") from None

@@ -26,9 +26,6 @@ class EvaluationReport:
     seed: int
     per_fold: list[float] = field(default_factory=list)
 
-    def sort_key(self):
-        return (self.dataset, self.preprocessor, self.perturbation)
-
 
 # A CSV row holds every field but the per-fold detail, floats as repr.
 REPORT_COLUMNS = tuple(f.name for f in fields(EvaluationReport) if f.name != "per_fold")
@@ -44,7 +41,7 @@ def write_report(reports, path) -> None:
     anything else CSV. A failed write leaves an existing report at path
     untouched (see `data.replacing`).
     """
-    reports = sorted(reports, key=EvaluationReport.sort_key)
+    reports = sorted(reports, key=lambda r: (r.dataset, r.preprocessor, r.perturbation))
     if not reports:
         raise EmptyInput("no reports to write")
     if Path(path).suffix.lower() != ".json":

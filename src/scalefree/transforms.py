@@ -104,7 +104,7 @@ def _in_sample_counter(x: np.ndarray):
     order, which a left search of the sorted column finds, as the model path
     searches its pool. The returned `counts(kind, rows, psi, t, seed)` equals
     `fit_transformer(x[rows], kind, psi, t, seed=seed).counts(x)` bitwise
-    and raises as it does for a bad psi, t or seed."""
+    and raises as it does for no rows or a bad psi, t or seed."""
     n, m = x.shape
     xt = np.ascontiguousarray(x.T)
     order = np.argsort(xt, axis=1)
@@ -119,6 +119,8 @@ def _in_sample_counter(x: np.ndarray):
 
     def counts(kind, rows, subsample_size, n_subsamples, seed):
         rows = np.arange(n)[rows]
+        if not len(rows):
+            _check_matrix(x[:0], "fit on")  # raises EmptyDataset, as a fit on no rows does
         idx = _draw(kind, len(rows), subsample_size, n_subsamples, seed, m)
         taken = rows[idx] + n * np.arange(m)[:, None, None]
         weights = np.bincount(taken.ravel(), minlength=n * m)
@@ -184,16 +186,6 @@ class FittedTransformer:
     @property
     def n_features(self) -> int:
         return len(self.params)
-
-    @property
-    def subsample_size(self) -> int | None:
-        """The ARES psi; None for other kinds."""
-        return self.params.shape[2] if self.kind == "ares" else None
-
-    @property
-    def n_subsamples(self) -> int | None:
-        """The ARES t; None for other kinds."""
-        return self.params.shape[1] if self.kind == "ares" else None
 
     def _checked(self, features) -> np.ndarray:
         """A feature matrix as float64, validated once for every column."""

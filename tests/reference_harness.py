@@ -36,8 +36,8 @@ def run_classification(
 
     per_fold = []
     for f in range(n_folds):
-        train_idx = folds.train_indices(f)
-        test_idx = folds.test_indices(f)
+        train_idx = np.flatnonzero(folds != f)
+        test_idx = np.flatnonzero(folds == f)
         transformer = fit_transformer(
             features[train_idx],
             preprocessor,

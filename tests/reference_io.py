@@ -33,9 +33,8 @@ def save_model(transformer, path) -> None:
         "fingerprint": _fingerprint(transformer.n_features),
     }
     if transformer.kind == "ares":
-        doc["psi"] = transformer.subsample_size
-        doc["t"] = transformer.n_subsamples
-        doc["seed"] = transformer.seed
+        _, t, psi = transformer.params.shape
+        doc.update(psi=psi, t=t, seed=transformer.seed)
 
     columns = []
     for params in transformer.params.tolist():

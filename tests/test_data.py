@@ -1,7 +1,10 @@
 """CSV ingestion, validation errors, and round-tripping."""
 
+import errno
 import os
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -291,6 +294,50 @@ class TestSaveCsv:
         save_csv(ds, p1)
         save_csv(ds, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_path_through_a_file_is_named(self, tmp_path):
+        # stat fails with an error other than "not found": written in place,
+        # and the open names the path
+        (tmp_path / "file.csv").write_bytes(b"a\n1\n")
+        target = tmp_path / "file.csv" / "out.csv"
+        with pytest.raises(NotADirectoryError) as exc_info:
+            save_csv(Dataset("d", np.ones((2, 1))), target)
+        assert exc_info.value.filename == str(target)
+        assert (tmp_path / "file.csv").read_bytes() == b"a\n1\n"
+
+    def test_failed_rename_names_the_target_and_keeps_it(self, tmp_path, monkeypatch):
+        def cross_device(src, dst):
+            raise OSError(errno.EXDEV, os.strerror(errno.EXDEV), src, None, dst)
+
+        path = tmp_path / "out.csv"
+        save_csv(Dataset("old", np.ones((3, 2))), path)
+        before = path.read_bytes()
+        monkeypatch.setattr(data.os, "replace", cross_device)
+        with pytest.raises(OSError) as exc_info:
+            save_csv(Dataset("new", np.zeros((3, 2))), path)
+        assert exc_info.value.errno == errno.EXDEV and exc_info.value.filename == path
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_closed_stdout_still_replaces_by_rename(self, tmp_path):
+        # With fd 1 closed, the check for the file standard output is open on
+        # cannot stat it, and a regular file is still replaced, not appended to.
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"OLD\n")
+        old_inode = path.stat().st_ino
+        code = (
+            "import os\n"
+            "import numpy as np\n"
+            "from scalefree.data import Dataset, save_csv\n"
+            "os.close(1)\n"
+            f"save_csv(Dataset('d', np.array([[0.5, 2.0]])), {str(path)!r})\n"
+        )
+        path_dirs = [str(Path(data.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path_dirs))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert path.read_bytes() == b"f0,f1\r\n0.5,2.0\r\n"
+        assert path.stat().st_ino != old_inode
 
 
 class TestDatasetValidation:

@@ -77,37 +77,38 @@ def tied_anomaly_dataset():
 class TestKfoldSplit:
     def test_forced_singleton_folds(self):
         folds = kfold_split(10, 10, seed=1)
-        sizes = [folds.test_indices(f).size for f in range(10)]
+        sizes = [np.flatnonzero(folds == f).size for f in range(10)]
         assert sizes == [1] * 10
 
     def test_one_fold_of_two(self):
         folds = kfold_split(11, 10, seed=1)
-        sizes = sorted(folds.test_indices(f).size for f in range(10))
+        sizes = sorted(np.flatnonzero(folds == f).size for f in range(10))
         assert sizes == [1] * 9 + [2]
 
     def test_glass_sized_split(self):
         # 214 = 4 * 22 + 6 * 21
         folds = kfold_split(214, 10, seed=2)
-        sizes = sorted(folds.test_indices(f).size for f in range(10))
+        sizes = sorted(np.flatnonzero(folds == f).size for f in range(10))
         assert sizes == [21] * 6 + [22] * 4
         assert sum(sizes) == 214
 
     def test_partition_is_exact(self):
         folds = kfold_split(57, 5, seed=3)
-        seen = np.concatenate([folds.test_indices(f) for f in range(5)])
+        seen = np.concatenate([np.flatnonzero(folds == f) for f in range(5)])
         assert np.array_equal(np.sort(seen), np.arange(57))
         for f in range(5):
-            assert not np.intersect1d(folds.test_indices(f), folds.train_indices(f)).size
+            test, train = np.flatnonzero(folds == f), np.flatnonzero(folds != f)
+            assert not np.intersect1d(test, train).size
 
     def test_deterministic(self):
         a = kfold_split(100, 10, seed=9)
         b = kfold_split(100, 10, seed=9)
-        assert np.array_equal(a.fold_of_row, b.fold_of_row)
+        assert np.array_equal(a, b)
 
     def test_seed_changes_split(self):
         a = kfold_split(100, 10, seed=9)
         b = kfold_split(100, 10, seed=10)
-        assert not np.array_equal(a.fold_of_row, b.fold_of_row)
+        assert not np.array_equal(a, b)
 
     @pytest.mark.parametrize(
         "seed, fold_of_row",
@@ -120,7 +121,8 @@ class TestKfoldSplit:
     def test_golden_folds(self, seed, fold_of_row):
         """Pins the fold stream: a changed permutation changes every
         classification report."""
-        assert kfold_split(20, 5, seed=seed).fold_of_row.tolist() == fold_of_row
+        folds = kfold_split(20, 5, seed=seed)
+        assert folds.dtype == np.int64 and folds.tolist() == fold_of_row
 
     def test_too_few_rows(self):
         with pytest.raises(TooFewRows):
@@ -182,8 +184,8 @@ class TestRunClassification:
         features = perturb_matrix(class_dataset.features, PerturbationSpec("identity"))
         folds = kfold_split(class_dataset.n_rows, n_folds, seed=fold_seed(seed))
         for f in range(n_folds):
-            train = features[folds.train_indices(f)]
-            test = features[folds.test_indices(f)]
+            train = features[np.flatnonzero(folds != f)]
+            test = features[np.flatnonzero(folds == f)]
             ft = fit_transformer(train, "ares", seed=cv_fit_seed(seed, f))
             for c, subsamples in enumerate(ft.params):
                 assert sample_collisions(subsamples, test[:, c]).sum() == 0
@@ -269,7 +271,7 @@ def test_bad_psi_or_t_raises_the_fit_error(task, psi, t, class_dataset, anomaly_
         "anomaly": (anomaly_dataset, run_anomaly),
     }[task]
     if task == "classify":
-        rows = kfold_split(dataset.n_rows, 10, seed=fold_seed(5)).train_indices(0)
+        rows = np.flatnonzero(kfold_split(dataset.n_rows, 10, seed=fold_seed(5)) != 0)
     else:
         rows = np.arange(dataset.n_rows)
     n_fit = len(rows)
@@ -478,8 +480,8 @@ class TestEvaluationGrid:
             else:
                 folds = kfold_split(dataset.n_rows, 10, seed=fold_seed(19))
                 fits = [
-                    (folds.train_indices(f), cv_fit_seed(19, f),
-                     [folds.train_indices(f), folds.test_indices(f)])
+                    (np.flatnonzero(folds != f), cv_fit_seed(19, f),
+                     [np.flatnonzero(folds != f), np.flatnonzero(folds == f)])
                     for f in range(10)
                 ]  # fmt: skip
             for rows, fit_seed, parts in fits:

@@ -37,8 +37,7 @@ def test_ares_metadata_round_trip(features, tmp_path):
     path = tmp_path / "model.json"
     save_model(ft, path)
     back = load_model(path)
-    assert back.subsample_size == 5
-    assert back.n_subsamples == 12
+    assert back.params.shape == (3, 12, 5)
     assert back.seed == 99
 
 
@@ -48,7 +47,7 @@ def test_ares_built_from_columns_round_trip(features, tmp_path):
     path = tmp_path / "model.json"
     save_model(ft, path)
     back = load_model(path)
-    assert (back.subsample_size, back.n_subsamples, back.seed) == (6, 4, 31)
+    assert (back.params.shape, back.seed) == ((3, 4, 6), 31)
     assert back.transform(features).tobytes() == ft.transform(features).tobytes()
 
 
@@ -79,6 +78,11 @@ def test_file_format_keys(features, tmp_path):
     assert doc["kind"] == "ares"
     assert doc["psi"] == 7 and doc["t"] == 10 and doc["seed"] == 7
     assert len(doc["columns"]) == 3
+    # the header keys come in this order, which fixes the file bytes
+    head = ["format_version", "kind", "fingerprint"]
+    for kind, keys in [("minmax", head), ("rank", head), ("ares", [*head, "psi", "t", "seed"])]:
+        save_model(fit_transformer(features, kind, seed=7), path)
+        assert list(json.loads(path.read_text())) == [*keys, "columns"], kind
 
 
 def test_truncated_file(features, tmp_path):

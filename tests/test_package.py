@@ -42,6 +42,18 @@ def run_fresh(code: str, **env) -> object:
     return json.loads(done.stdout.splitlines()[-1])
 
 
+def test_public_names_are_pinned():
+    # adding or deleting a public name is an edit here
+    assert scalefree.__all__ == [
+        "Dataset", "EvaluationReport", "FittedTransformer", "PERTURBATION_KINDS",
+        "PerturbationSpec", "ScaleFreeError", "accuracy", "auc", "average_ranks",
+        "derive_seed", "evaluation_grid", "fit_transformer", "kfold_split", "knn_classify",
+        "load_csv", "load_model", "lof_neighbor_count", "lof_scores", "perturb_matrix",
+        "run_anomaly", "run_classification", "save_csv", "save_model", "subsample_indices",
+        "subsample_seed", "write_report",
+    ]  # fmt: skip
+
+
 @pytest.mark.parametrize("name", scalefree.__all__)
 def test_public_name_is_its_modules_attribute(name):
     module = importlib.import_module(f"scalefree.{scalefree._EXPORTS[name]}")

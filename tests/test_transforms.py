@@ -230,6 +230,17 @@ class TestAresFit:
             assert counter("ares", rows, n, t, seed).tobytes() == want.tobytes()
             assert counter("rank", rows, n, t, seed).tobytes() == rank.counts(x).tobytes()
 
+    @pytest.mark.parametrize("empty", [np.array([], dtype=int), np.zeros(6, dtype=bool)])
+    @pytest.mark.parametrize("kind, psi", [("rank", 7), ("ares", 0), ("ares", 3)])
+    def test_in_sample_counts_on_no_rows_raise_the_fit_error(self, empty, kind, psi):
+        x = np.arange(12.0).reshape(6, 2)
+        with pytest.raises(EmptyDataset) as from_fit:
+            fit_transformer(x[empty], kind, psi, 10, seed=5)
+        with pytest.raises(EmptyDataset) as from_counter:
+            _in_sample_counter(x)(kind, empty, psi, 10, seed=5)
+        got, want = from_counter.value, from_fit.value
+        assert (type(got), str(got)) == (type(want), str(want))
+
     def test_singleton_subsamples(self):
         col = np.random.default_rng(4).normal(size=30)
         m = fit_ares(col, subsample_size=1, n_subsamples=10, seed=5)
@@ -454,11 +465,9 @@ class TestFittedTransformerColumns:
 
     def test_ensemble_read_from_columns(self):
         ft = fit_transformer(np.column_stack([self.col] * 3), "ares", 6, 4, seed=8)
-        assert ft.params.shape == (3, 4, 6)
-        assert (ft.subsample_size, ft.n_subsamples, ft.seed) == (6, 4, 8)
+        assert (ft.params.shape, ft.seed) == ((3, 4, 6), 8)
         rank = fit_transformer(self.col[:, None], "rank", seed=8)
-        assert rank.params.shape == (1, 1, 30)
-        assert (rank.subsample_size, rank.n_subsamples, rank.seed) == (None, None, None)
+        assert (rank.params.shape, rank.seed) == ((1, 1, 30), None)
 
     @pytest.mark.parametrize(
         "kind, fit", [("rank", lambda col: fit_ares(col, seed=1)), ("minmax", fit_rank)]

@@ -6,21 +6,23 @@ and LOF takes every row tied at the k-distance into the neighbourhood, so
 repeated runs (and runs on bitwise-equal feature matrices) give identical
 results.
 
-The public functions, `knn_classify` and `lof_scores`, check, then search
-and score. They reject matrices of no columns with `EmptyDataset`, then
-validate each input once, from its min and max: `NonFiniteValue` for NaN
-and infinite features, whose distances have no order to select neighbours
-by, then `InexactDistances` unless ``4·m·max|x|²``, for m columns, is below
-2**53 for integer input and finite for float input. That quantity bounds
-every Gram term and every squared distance. Each then runs the one
-neighbour search, `_k_nearest_with_ties`, and its own vote or LOF sums. The
-private helpers only compute, on C-contiguous finite arrays. The search
-handles one block of queries at a time in a float64 distance buffer of at
-most `_BLOCK_BYTES`. For every dtype it fills the block with one Gram pass,
+The public functions, `knn_classify` and `lof_scores`, first pass their
+matrices to one check, `_as_features`, which raises in order: ValueError
+for a matrix that is not 2-D, `DimensionMismatch` for unequal column
+counts, `EmptyDataset` for no columns, then, from each input's min and max,
+`NonFiniteValue` for NaN and infinite features, whose distances have no
+order to select neighbours by, and `InexactDistances` unless
+``4·m·max|x|²``, for m columns, is below 2**53 for integer input and finite
+for float input. That quantity bounds every Gram term and every squared
+distance. Each then checks its own arguments, runs the one neighbour
+search, `_k_nearest_with_ties`, and its own vote or LOF sums. The private
+helpers only compute, on C-contiguous finite arrays. The search handles one
+block of queries at a time in a float64 distance buffer of at most
+`_BLOCK_BYTES`. For every dtype it fills the block with one Gram pass,
 ``|r|² − 2·q·rᵀ`` in float64, as one `np.matmul`: ``|r|²`` rides along as
 an extra row of the reference, against a column of ones beside ``−2q``.
-``|q|²`` is the same along a query's row, so it changes no selection and
-is left out of the fill. One rule, `_first_k`, picks a row's k nearest
+``|q|²`` is the same along a query's row, so it changes no selection and is
+left out of the fill. One rule, `_first_k`, picks a row's k nearest
 entries: by distance, then by lower index.
 
 * Integer input (the rank and ARES counts) stays int64. Every product and
@@ -207,35 +209,33 @@ def _k_nearest_with_ties(
 
 
 def _as_features(*matrices) -> list[np.ndarray]:
-    """The matrices, C-contiguous: int64 when every one has an integer dtype
-    that int64 holds exactly, float64 otherwise. Raises ValueError unless
-    every one is 2-D."""
+    """The learners' one input check. It raises, in order, ValueError unless
+    every matrix is 2-D, `DimensionMismatch` unless all share one column
+    count (KNN passes train, then test) and `EmptyDataset` for no columns,
+    then converts them, C-contiguous: int64 when every dtype is an integer
+    one that int64 holds exactly, float64 otherwise. Last, from each input's
+    min and max, `NonFiniteValue` for NaN or ±inf, then `InexactDistances`
+    unless 4·m·max|x|² is below 2**53 for integers or finite for floats."""
     arrays = [np.asarray(x) for x in matrices]
     if any(a.ndim != 2 for a in arrays):
         raise ValueError("expected a 2-D feature matrix")
-    exact = all(np.can_cast(a.dtype, np.int64) for a in arrays)
-    dtype = np.int64 if exact else np.float64
-    return [np.ascontiguousarray(a, dtype=dtype) for a in arrays]
-
-
-def _require_exact(*matrices):
-    """Raise `EmptyDataset` for matrices of no columns, whose rows have no
-    distance to tell them apart. Then read each input once, for its min and
-    max. Raise `NonFiniteValue` for NaN or ±inf, then `InexactDistances`
-    unless 4·m·max|x|² is below 2**53 for integer features, so that every
-    squared distance and Gram term is exact in float64, or finite for float
-    features, so that none overflows."""
-    m = matrices[0].shape[1]
+    m = arrays[0].shape[1]
+    if any(a.shape[1] != m for a in arrays):
+        widths = (a.shape[1] for a in arrays)
+        raise DimensionMismatch("train has {} columns, test has {}".format(*widths))
     if m == 0:
         raise EmptyDataset("feature matrix has no columns")
+    exact = all(np.can_cast(a.dtype, np.int64) for a in arrays)
+    dtype = np.int64 if exact else np.float64
+    arrays = [np.ascontiguousarray(a, dtype=dtype) for a in arrays]
     # Python ints and floats: no int64 wrap-around, and overflow gives inf;
     # NaN and ±inf reach the min or the max
-    ends = [v for x in matrices if x.size for v in (-x.min().item(), x.max().item())]
+    ends = [v for x in arrays if x.size for v in (-x.min().item(), x.max().item())]
     if not all(map(math.isfinite, ends)):
         raise NonFiniteValue("feature matrix contains NaN or infinite values")
     peak = max(ends, default=0)
     bound = 4 * m * peak * peak
-    if matrices[0].dtype == np.int64:
+    if exact:
         if bound >= 2**53:
             raise InexactDistances(
                 f"integer features up to {peak} in {m} columns exceed the exact float64 "
@@ -246,6 +246,7 @@ def _require_exact(*matrices):
             f"float features up to {peak:g} in {m} columns overflow the float64 "
             "range of squared distances (4·m·max|x|² must be finite)"
         )
+    return arrays
 
 
 def knn_classify(train_x, train_y, test_x, k: int = 5):
@@ -257,17 +258,12 @@ def knn_classify(train_x, train_y, test_x, k: int = 5):
     """
     train_x, test_x = _as_features(train_x, test_x)
     train_y = np.asarray(train_y)
-    if train_x.shape[1] != test_x.shape[1]:
-        raise DimensionMismatch(
-            f"train has {train_x.shape[1]} columns, test has {test_x.shape[1]}"
-        )
     if train_y.shape[0] != train_x.shape[0]:
         raise ValueError("train labels length does not match train rows")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k > train_x.shape[0]:
         raise KExceedsTrainSize(f"k={k} exceeds {train_x.shape[0]} training rows")
-    _require_exact(train_x, test_x)
 
     # the voters are each query's first k rows by distance, then by lower
     # index (`_first_k`); a vote tie goes to the smallest code
@@ -304,7 +300,6 @@ def lof_scores(x, n_neighbors: int) -> np.ndarray:
         raise TooFewRows(
             f"need more than n_neighbors={n_neighbors} rows, got {x.shape[0]}"
         )
-    _require_exact(x)
     n = x.shape[0]
     indptr, indices, dist2, kdist2 = _k_nearest_with_ties(x, x, n_neighbors, skip_self=True)
     counts = np.diff(indptr)

@@ -215,5 +215,5 @@ class TestExactnessBound:
         assert train.dtype == test.dtype == np.float64
         (wide,) = neighbors._as_features(np.array([[2**64 - 1]], dtype=np.uint64))
         assert wide.dtype == np.float64
-        small = (np.array([[1]], dtype=np.uint32), np.array([[True]]), [[1, 2]])
+        small = (np.array([[1]], dtype=np.uint32), np.array([[True]]), [[1]])
         assert all(a.dtype == np.int64 for a in neighbors._as_features(*small))

@@ -8,6 +8,7 @@ import pytest
 from scalefree.errors import (
     DimensionMismatch,
     EmptyDataset,
+    InexactDistances,
     KExceedsTrainSize,
     NonFiniteValue,
     TooFewRows,
@@ -114,6 +115,10 @@ class TestKnnContracts:
         with pytest.raises(ValueError):
             knn_classify(np.zeros((2, 1)), [0, 1], np.zeros((1, 1)), k=0)
 
+    def test_matrix_fault_is_reported_before_k(self):
+        with pytest.raises(NonFiniteValue):
+            knn_classify(np.array([[0.0], [np.nan]]), [0, 1], np.zeros((1, 1)), k=0)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_rejected(self, bad):
         train = np.zeros((4, 2))
@@ -207,3 +212,63 @@ class TestLofProperties:
     def test_neighbor_count_below_one(self):
         with pytest.raises(ValueError):
             lof_scores(np.zeros((3, 2)), 0)
+
+    def test_matrix_fault_is_reported_before_n_neighbors(self):
+        with pytest.raises(NonFiniteValue):
+            lof_scores(np.array([[0.0], [np.nan], [1.0]]), 0)
+
+
+_TRAIN, _TEST, _LOF = "knn-train", "knn-test", "lof"
+_ANY = (_TRAIN, _TEST, _LOF)
+
+
+def _with(value, dtype=np.float64):
+    """Four rows of two features, one of them ``value``."""
+    x = np.array([[0, 0], [1, 2], [2, 1], [3, 3]], dtype=dtype)
+    x[1, 0] = value
+    return x
+
+
+_NOT_FINITE = "feature matrix contains NaN or infinite values"
+# (fault, the learner inputs it is put in, the faulty matrix, a healthy one
+# for KNN's other input, the error, its message)
+_INPUT_FAULTS = [
+    ("1-D", _ANY, np.zeros(4), np.zeros((3, 1)), ValueError, "expected a 2-D feature matrix"),
+    ("no-columns", _ANY, np.empty((4, 0)), np.empty((3, 0)), EmptyDataset,
+     "feature matrix has no columns"),
+    ("nan", _ANY, _with(np.nan), np.zeros((3, 2)), NonFiniteValue, _NOT_FINITE),
+    ("+inf", _ANY, _with(np.inf), np.zeros((3, 2)), NonFiniteValue, _NOT_FINITE),
+    ("-inf", _ANY, _with(-np.inf), np.zeros((3, 2)), NonFiniteValue, _NOT_FINITE),
+    # 4·2·(2**25)² = 2**53, the least integer bound that fails
+    ("int64-bound", _ANY, _with(-(2**25), np.int64), np.zeros((3, 2), np.int64),
+     InexactDistances, "integer features up to 33554432 in 2 columns exceed the exact "
+     "float64 range of squared distances (4·m·max|x|² must be below 2**53)"),
+    # 4·2·(1e154)² = 8e308 overflows
+    ("float-overflow", _ANY, _with(1e154), np.zeros((3, 2)), InexactDistances,
+     "float features up to 1e+154 in 2 columns overflow the float64 range of squared "
+     "distances (4·m·max|x|² must be finite)"),
+    ("unequal-columns", (_TRAIN,), np.zeros((4, 3)), np.zeros((3, 2)), DimensionMismatch,
+     "train has 3 columns, test has 2"),
+    ("unequal-columns", (_TEST,), np.zeros((4, 3)), np.zeros((3, 2)), DimensionMismatch,
+     "train has 2 columns, test has 3"),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize(
+    "position, bad, other, error, message",
+    [
+        pytest.param(position, *case, id=f"{position}-{fault}")
+        for fault, positions, *case in _INPUT_FAULTS
+        for position in positions
+    ],
+)
+def test_each_input_fault_raises_its_error_and_message(position, bad, other, error, message):
+    with pytest.raises(error) as raised:
+        if position == _TRAIN:
+            knn_classify(bad, np.arange(len(bad)) % 2, other, k=1)
+        elif position == _TEST:
+            knn_classify(other, np.arange(len(other)) % 2, bad, k=1)
+        else:
+            lof_scores(bad, 1)
+    assert type(raised.value) is error
+    assert str(raised.value) == message

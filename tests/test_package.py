@@ -9,11 +9,13 @@ fingerprint, and never `numpy.random`. The fresh-interpreter tests run in
 subprocesses, since this process has long since imported numpy.
 """
 
+import ast
 import importlib
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -58,6 +60,45 @@ def test_public_names_are_pinned():
 def test_public_name_is_its_modules_attribute(name):
     module = importlib.import_module(f"scalefree.{scalefree._EXPORTS[name]}")
     assert getattr(scalefree, name) is getattr(module, name)
+
+
+def _references(node) -> Counter:
+    """Names ``node`` uses: loaded names, attributes and imports."""
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            found[sub.name] += 1
+    return found
+
+
+def test_every_private_module_name_is_used():
+    """Each module-level function, class or assignment whose name has one
+    leading underscore is used somewhere in the package outside its own
+    definition."""
+    used, private = Counter(), []
+    for path in sorted((SRC / "scalefree").glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = _references(stmt)
+            used += own
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            private += [
+                (path.name, name, own[name])
+                for name in names
+                if name.startswith("_") and not name.startswith("__")
+            ]
+    assert private
+    dead = [f"{module}: {name}" for module, name, own in private if used[name] == own]
+    assert not dead
 
 
 def test_star_import_binds_every_public_name():

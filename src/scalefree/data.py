@@ -78,8 +78,8 @@ def _resolve_label_index(header: list[str], label_column) -> int:
 
 
 def _parse(rows, width, feature_idx, label_idx):
-    """(features, labels) of every row in one pass; None if any row is ragged
-    or any feature cell is not a finite number.
+    """The feature matrix of every row in one pass, label cells skipped;
+    None if any row is ragged or any feature cell is not a finite number.
 
     Python's float stays the parser, so accepted syntax and rounding are the
     same as in _scan.
@@ -95,16 +95,13 @@ def _parse(rows, width, feature_idx, label_idx):
         return None
     if not np.isfinite(values).all():
         return None
-    labels = None if label_idx is None else [row[label_idx] for row in rows]
-    return values.reshape(len(rows), len(feature_idx)), labels
+    return values.reshape(len(rows), len(feature_idx))
 
 
-def _scan(path, header, rows, feature_idx, label_idx):
-    """(features, labels) checked cell by cell; raises at the first fault in
+def _scan(path, header, rows, feature_idx):
+    """The feature matrix checked cell by cell; raises at the first fault in
     file order, with its 1-based row and column name."""
     features = np.empty((len(rows), len(feature_idx)), dtype=np.float64)
-    labels = [] if label_idx is not None else None
-
     for r, row in enumerate(rows, start=2):
         if len(row) != len(header):
             raise ParseError(
@@ -127,9 +124,7 @@ def _scan(path, header, rows, feature_idx, label_idx):
                     f"{path}: row {r}, column {header[c]!r}: non-finite value {cell!r}"
                 )
             features[r - 2, out_c] = value
-        if labels is not None:
-            labels.append(row[label_idx])
-    return features, labels
+    return features
 
 
 def load_csv(path, label_column=None) -> Dataset:
@@ -139,7 +134,10 @@ def load_csv(path, label_column=None) -> Dataset:
     None means every column is a feature. Parse failures report the 1-based
     file row (header is row 1) and the offending column name. A file that
     parses cleanly is read in one vectorised pass; any fault sends it through
-    the cell-by-cell scan, which finds and reports the first one.
+    the cell-by-cell scan, which finds and reports the first one. The label
+    column is read once, as text, after the features parse, when every row
+    is known to have the header's width. A field csv cannot read (an
+    unclosed quote, a cell over csv's field size limit) is a ParseError.
     """
     path = Path(path)
     # utf-8-sig drops the byte-order mark that Excel writes before the header
@@ -152,6 +150,8 @@ def load_csv(path, label_column=None) -> Dataset:
             raise EmptyFile(f"{path}: no header row") from None
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not valid UTF-8 ({exc})") from None
+        except csv.Error as exc:
+            raise ParseError(f"{path}: not readable as CSV ({exc})") from None
 
     if not header or all(h.strip() == "" for h in header):
         raise EmptyFile(f"{path}: empty header row")
@@ -163,16 +163,16 @@ def load_csv(path, label_column=None) -> Dataset:
     if not feature_idx:
         raise ParseError(f"{path}: no feature columns besides the label", row=1)
 
-    parsed = _parse(rows, len(header), feature_idx, label_idx)
-    if parsed is None:
-        parsed = _scan(path, header, rows, feature_idx, label_idx)
-    features, labels = parsed
+    features = _parse(rows, len(header), feature_idx, label_idx)
+    if features is None:
+        features = _scan(path, header, rows, feature_idx)
 
     return Dataset(
         name=path.stem,
         features=features,
         feature_names=[header[i] for i in feature_idx],
-        labels=np.array(labels) if labels is not None else None,
+        # every row now has the header's width, so each has a label cell
+        labels=None if label_idx is None else np.array([row[label_idx] for row in rows]),
         label_name=header[label_idx] if label_idx is not None else None,
     )
 
@@ -247,10 +247,9 @@ def save_csv(dataset: Dataset, path) -> None:
     for bit. Rows are formatted one at a time, so no whole-file copy is held.
     """
     header = list(dataset.feature_names)
-    if dataset.labels is not None:
-        header.append(dataset.label_name)
     rows = map(np.ndarray.tolist, dataset.features)
     if dataset.labels is not None:
+        header.append(dataset.label_name)
         rows = ([*row, label] for row, label in zip(rows, map(str, dataset.labels)))
     with replacing(path) as fh:
         writer = csv.writer(fh)

@@ -82,7 +82,8 @@ def load_model(path) -> FittedTransformer:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and the int digit limit
+        except (ValueError, RecursionError) as exc:
             raise CorruptModel(f"{path}: not valid JSON ({exc})") from None
 
     if not isinstance(doc, dict):

@@ -27,18 +27,17 @@ class EvaluationReport:
     per_fold: list[float] = field(default_factory=list)
 
 
-# A CSV row holds every field but the per-fold detail, floats as repr.
+# A CSV row holds every field but the per-fold detail.
 REPORT_COLUMNS = tuple(f.name for f in fields(EvaluationReport) if f.name != "per_fold")
-_FLOAT_COLUMNS = {f.name for f in fields(EvaluationReport) if f.type is float}
 
 
 def write_report(reports, path) -> None:
     """Write reports to CSV (aggregate rows) or JSON (with per-fold detail).
 
-    Rows are sorted by (dataset, preprocessor, perturbation) and floats are
-    rendered with shortest round-trip precision, so equal report lists
-    always produce byte-identical files. A '.json' path suffix selects JSON,
-    anything else CSV. A failed write leaves an existing report at path
+    Rows are sorted by (dataset, preprocessor, perturbation). csv and json
+    both write a float as its shortest round-trip repr, so equal report
+    lists always produce byte-identical files. A '.json' path suffix selects
+    JSON, anything else CSV. A failed write leaves an existing report at path
     untouched (see `data.replacing`).
     """
     reports = sorted(reports, key=lambda r: (r.dataset, r.preprocessor, r.perturbation))
@@ -48,11 +47,7 @@ def write_report(reports, path) -> None:
         with replacing(path) as fh:
             writer = csv.writer(fh)
             writer.writerow(REPORT_COLUMNS)
-            for r in reports:
-                writer.writerow(
-                    repr(float(getattr(r, name))) if name in _FLOAT_COLUMNS else getattr(r, name)
-                    for name in REPORT_COLUMNS
-                )
+            writer.writerows([getattr(r, name) for name in REPORT_COLUMNS] for r in reports)
         return
 
     payload = [asdict(r) for r in reports]

@@ -141,6 +141,33 @@ def test_undecodable_csv_is_named(command, tmp_path, capsys):
     assert not out.exists()
 
 
+# a stray quote in a long CSV runs past csv's field limit; JSON nested past
+# the decoder's recursion limit, or an integer past Python's digit limit
+_UNREADABLE = {
+    "stray-quote.csv": 'a,label\n1.5,"x\n' + "1.5,x\n" * 30_000,
+    "deep.json": "[" * 100_000 + "]" * 100_000,
+    "digits.json": '{"format_version": ' + "1" * 5000 + "}",
+}
+
+
+@pytest.mark.parametrize("name", _UNREADABLE)
+def test_unreadable_input_is_one_error_line(name, class_csv, tmp_path, capsys):
+    bad = tmp_path / name
+    bad.write_text(_UNREADABLE[name])
+    out = tmp_path / "out.csv"
+    if name.endswith(".csv"):
+        command, error = ["perturb", "--input", str(bad)], "ParseError"
+    else:
+        command = ["transform", "--model", str(bad), "--input", str(class_csv)]
+        error = "CorruptModel"
+    rc = main([*command, "--label-col", "label", "--output", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {error}: {bad}: ") and err.endswith("\n")
+    assert err.count("\n") == 1, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([name, class_csv.name])
+
+
 class TestPerturb:
     def test_matches_library_output(self, class_csv, tmp_path):
         out = tmp_path / "perturbed.csv"

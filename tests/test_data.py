@@ -66,6 +66,23 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="not valid UTF-8"):
             load_csv(path)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # an unclosed quote runs to the end of the file, past csv's field limit
+            "a,b\n" + "1.5,2.5\n" * 7 + '1.5,"2.5\n' + "1.5,2.5\n" * 19992,
+            "a,b\n1," + "2" * 140_000 + "\n",
+        ],
+        ids=["stray-quote", "over-long-cell"],
+    )
+    def test_unreadable_csv_field_is_a_parse_error(self, text, tmp_path):
+        path = _write(tmp_path, text)
+        with pytest.raises(ParseError) as exc_info:
+            load_csv(path)
+        assert str(exc_info.value) == (
+            f"{path}: not readable as CSV (field larger than field limit (131072))"
+        )
+
     def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
         """Excel's "CSV UTF-8" starts the file with a BOM."""
         path = tmp_path / "data.csv"
@@ -157,6 +174,9 @@ LOAD_CORPUS = [
     ("a,b\n1,\n", None),
     ("a,b\n1,2,3\n", None),
     ("a,cls\nx,1\n", "cls"),
+    # a short row lacks the label cell: its width is reported before any label is read
+    ("a,b,cls\n1,2,x\n3,4\n", "cls"),
+    ("a,cls,b\n1,x,2\n3\n", 1),
     # several faults: the first one in file order is reported
     ("a,b\n1,2\n1,nan\n3,4\n5\n", None),
     ("a,b\n1,2\n5\n3,4\n1,nan\n", None),

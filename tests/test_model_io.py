@@ -104,6 +104,23 @@ def test_invalid_utf8_rejected(features, tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("fault", ["nesting", "seed", "format_version"])
+def test_json_beyond_the_decoder_limits_rejected(fault, features, tmp_path):
+    """100 000 nested arrays exhaust the decoder's recursion; a 5 000-digit
+    integer exceeds Python's int digit limit."""
+    path = tmp_path / "model.json"
+    save_model(fit_transformer(features, "ares", seed=7), path)
+    text = path.read_text()
+    if fault == "nesting":
+        text = "[" * 100_000 + "]" * 100_000
+    else:
+        value = json.loads(text)[fault]
+        text = text.replace(f'"{fault}": {value}', f'"{fault}": ' + "7" * 5000)
+    path.write_text(text)
+    with pytest.raises(CorruptModel, match="not valid JSON"):
+        load_model(path)
+
+
 @pytest.mark.parametrize("key", ["seed", "psi", "t"])
 def test_overflowing_header_integer_rejected(key, features, tmp_path):
     ft = fit_transformer(features, "ares", seed=7)

@@ -98,6 +98,18 @@ def _parse(rows, width, feature_idx, label_idx):
     return values.reshape(len(rows), len(feature_idx))
 
 
+# characters of a bad cell that an error message quotes
+_QUOTED_CHARS = 40
+
+
+def _quoted(cell: str) -> str:
+    """The cell's repr, cut to its first _QUOTED_CHARS characters and its
+    length when longer, so one bad cell cannot flood a one-line error."""
+    if len(cell) <= _QUOTED_CHARS:
+        return repr(cell)
+    return f"{cell[:_QUOTED_CHARS]!r}... ({len(cell)} characters)"
+
+
 def _scan(path, header, rows, feature_idx):
     """The feature matrix checked cell by cell; raises at the first fault in
     file order, with its 1-based row and column name."""
@@ -115,13 +127,13 @@ def _scan(path, header, rows, feature_idx):
             except ValueError:
                 raise ParseError(
                     f"{path}: row {r}, column {header[c]!r}: "
-                    f"cannot parse {cell!r} as a number",
+                    f"cannot parse {_quoted(cell)} as a number",
                     row=r,
                     column=header[c],
                 ) from None
             if not np.isfinite(value):
                 raise NonFiniteValue(
-                    f"{path}: row {r}, column {header[c]!r}: non-finite value {cell!r}"
+                    f"{path}: row {r}, column {header[c]!r}: non-finite value {_quoted(cell)}"
                 )
             features[r - 2, out_c] = value
     return features
@@ -136,13 +148,16 @@ def load_csv(path, label_column=None) -> Dataset:
     parses cleanly is read in one vectorised pass; any fault sends it through
     the cell-by-cell scan, which finds and reports the first one. The label
     column is read once, as text, after the features parse, when every row
-    is known to have the header's width. A field csv cannot read (an
-    unclosed quote, a cell over csv's field size limit) is a ParseError.
+    is known to have the header's width. A field csv cannot read (a quote
+    left open at the end of the file, text after a closing quote, a cell
+    over csv's field size limit) is a ParseError.
     """
     path = Path(path)
     # utf-8-sig drops the byte-order mark that Excel writes before the header
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+        # strict: an unclosed quote or text after a closing quote is an error,
+        # not a field that swallows the rest of the file or the quote
+        reader = csv.reader(fh, strict=True)
         try:
             header = next(reader)
             rows = list(reader)

@@ -22,15 +22,27 @@ block of queries at a time in a float64 distance buffer of at most
 ``|r|² − 2·q·rᵀ`` in float64, as one `np.matmul`: ``|r|²`` rides along as
 an extra row of the reference, against a column of ones beside ``−2q``.
 ``|q|²`` is the same along a query's row, so it changes no selection and is
-left out of the fill. One rule, `_first_k`, picks a row's k nearest
-entries: by distance, then by lower index.
+left out of the fill. With ``skip_self`` a query's own entry is set above
+every fill: INT32_MAX on an int32 copy, inf otherwise. One rule,
+`_first_k`, picks a row's k nearest entries: by distance, then by lower
+index; a query with exactly k entries keeps them all.
 
 * Integer input (the rank and ARES counts) stays int64. Every product and
   partial sum of the Gram pass is an integer of magnitude at most
   ``3·m·max|x|²``, below ``4·m·max|x|²`` and so below 2**53: the fill is
   the exact integer ``|r|² − 2·q·r``, in any summation order and for any
   block size. ``|q|²`` goes back on the kept entries and the k-th value
-  alone, exactly, which gives the exact distances.
+  alone, exactly, which gives the exact distances. Each column adds
+  ``r² − 2·q·r``, which lies in ``[−max|x|², 3·max|x|²]``. So when
+  ``3·m·max|x|² < 2**31 − 1``, for the max that `_as_features` reads,
+  every fill is an integer below INT32_MAX, and the k-th value and the
+  members are taken from an int32 copy of the block, where `np.partition`
+  runs about 2.5× and the comparison 2× as fast (a 16 × 2000 block). The
+  copy holds the same integers, so it selects the same entries; the kept
+  distances are still read from the float64 fill. Default ARES counts (at
+  most t·psi = 70) always qualify, and so do rank counts up to 6688 at
+  m = 16 (fits on up to 6688 rows); larger inputs select on the float64
+  fill.
 * Float input (min-max) uses the block only as a filter. With unit roundoff
   ``u = 2**-53``, ``γ_n = n·u/(1 − n·u)`` and ``s = |q| + max_r |r|``, every
   row's fill plus the exact ``|q|²`` differs from the reference distance
@@ -45,8 +57,12 @@ entries: by distance, then by lower index.
   alone the search recomputes ``((ref[col] - q) ** 2).sum(axis=1)``; numpy
   sums each row on its own, so every refined value is bitwise the
   reference's, and the k-th distance and the neighbourhood are taken from
-  the refined values. Integer input keeps its exact path: through the
-  refine, perfbench's `anomaly-grid` ran about 1.5× slower.
+  the refined values. Every row has at least k candidates, its k smallest
+  fills, so a block with exactly k candidates per row in all has exactly k
+  in each row: they are all kept, and the largest is the k-th. Only a block
+  with more, which takes float ties, sorts its candidates with `_first_k`.
+  Integer input keeps its exact path: through the refine, perfbench's
+  `anomaly-grid` ran about 1.5× slower.
 
 The block product is one `np.matmul`, the package's only BLAS call. The
 package never sets the BLAS thread count: the CLI starts numpy's OpenBLAS on
@@ -82,6 +98,7 @@ from .errors import (
 _BLOCK_BYTES = 256 << 10
 _MIN_BLOCK_ROWS = 16
 _UNIT_ROUNDOFF = 2.0**-53
+_INT32_MAX = 2**31 - 1
 
 
 def _block_rows(n_cols: int) -> int:
@@ -137,7 +154,7 @@ def _first_k(values: np.ndarray, rows: np.ndarray, k: int, n_rows: int) -> np.nd
 
 
 def _k_nearest_with_ties(
-    ref: np.ndarray, queries: np.ndarray, k: int, skip_self: bool = False
+    ref: np.ndarray, queries: np.ndarray, k: int, skip_self: bool = False, peak=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Tie-inclusive k-neighbourhood of every query, in CSR form.
 
@@ -148,7 +165,8 @@ def _k_nearest_with_ties(
     are more than k of them. With ``skip_self`` the queries are the reference
     rows themselves, and row i is left out of its own neighbourhood and k-th
     distance. ``ref`` and ``queries`` are both int64 or both float64.
-    ``indices`` is int32 below 2**31 reference rows.
+    ``peak`` is the largest |x| in either, as `_as_features` reads it; None
+    reads it here. ``indices`` is int32 below 2**31 reference rows.
 
     Each block's entries go straight into ``indices`` and ``dist2``, sized
     for k per query and grown in place (`ndarray.resize`, a realloc) to the
@@ -160,6 +178,14 @@ def _k_nearest_with_ties(
     buf = np.empty((min(rows, n_q), n_ref))
     member_buf = np.empty(buf.shape, dtype=bool)
     q, ref_t, qn, slack = _distance_rows(ref, queries)
+    if peak is None and slack is None:
+        peak = max(abs(v.item()) for v in (ref.min(), ref.max(), queries.min(), queries.max()))
+    # each column adds r² − 2·q·r, in [−peak², 3·peak²]: integer fills below
+    # INT32_MAX, which a self entry gets, are selected on an int32 copy, and
+    # everything else on the float64 block itself
+    narrow = slack is None and 3 * ref.shape[1] * peak * peak < _INT32_MAX
+    select_buf = np.empty(buf.shape, dtype=np.int32) if narrow else buf
+    beyond = _INT32_MAX if narrow else np.inf
     kth2 = np.empty(n_q)
     indptr = np.zeros(n_q + 1, dtype=np.int64)
     # every query keeps at least k rows
@@ -169,16 +195,21 @@ def _k_nearest_with_ties(
     for start in range(0, n_q, rows):
         stop = min(start + rows, n_q)
         block, member = buf[: stop - start], member_buf[: stop - start]
+        select = select_buf[: stop - start]
         np.matmul(q[start:stop], ref_t, out=block)
+        if narrow:
+            np.copyto(select, block, casting="unsafe")
         # with skip_self, row j of the block is query start + j: its own
         # entries sit at flat positions start + j * (n_ref + 1)
         if skip_self:
-            block.reshape(-1)[start :: n_ref + 1] = np.inf
+            select.reshape(-1)[start :: n_ref + 1] = beyond
+        limit = np.partition(select, k - 1, axis=1)[:, k - 1 : k]
         kth = kth2[start:stop]
-        kth[:] = np.partition(block, k - 1, axis=1)[:, k - 1]
-        limit = kth if slack is None else kth + slack[start:stop]
-        # a self entry is inf, above every finite limit, so it is never a member
-        np.less_equal(block, limit[:, None], out=member)
+        kth[:] = limit[:, 0]
+        if slack is not None:
+            limit = limit + slack[start:stop, None]
+        # a self entry is above every fill and every limit: never a member
+        np.less_equal(select, limit, out=member)
         # the row and column of each flat position; faster than 2-D np.nonzero
         flat = np.flatnonzero(member)
         owner, cols = np.divmod(flat, n_ref)
@@ -189,9 +220,14 @@ def _k_nearest_with_ties(
             kth += qn[start:stop]
         else:
             dist = _refine(ref, queries, cols, owner + start)
-            kth[:] = dist[_first_k(dist, owner, k, stop - start)[:, -1]]
-            keep = dist <= kth[owner]
-            owner, cols, dist = owner[keep], cols[keep], dist[keep]
+            if dist.shape[0] == k * (stop - start):
+                # every row has at least k candidates, so here exactly k:
+                # all are kept, and the k-th is the largest
+                np.max(dist.reshape(-1, k), axis=1, out=kth)
+            else:
+                kth[:] = dist[_first_k(dist, owner, k, stop - start)[:, -1]]
+                keep = dist <= kth[owner]
+                owner, cols, dist = owner[keep], cols[keep], dist[keep]
         indptr[start + 1 : stop + 1] = np.bincount(owner, minlength=stop - start)
         grown = end + cols.shape[0]
         if grown > indices.shape[0]:
@@ -208,14 +244,16 @@ def _k_nearest_with_ties(
     return indptr, indices, dist2, kth2
 
 
-def _as_features(*matrices) -> list[np.ndarray]:
+def _as_features(*matrices) -> tuple[list[np.ndarray], int | float]:
     """The learners' one input check. It raises, in order, ValueError unless
     every matrix is 2-D, `DimensionMismatch` unless all share one column
     count (KNN passes train, then test) and `EmptyDataset` for no columns,
     then converts them, C-contiguous: int64 when every dtype is an integer
     one that int64 holds exactly, float64 otherwise. Last, from each input's
     min and max, `NonFiniteValue` for NaN or ±inf, then `InexactDistances`
-    unless 4·m·max|x|² is below 2**53 for integers or finite for floats."""
+    unless 4·m·max|x|² is below 2**53 for integers or finite for floats.
+    Returns the arrays and that max|x|, which sets the search's selection
+    width."""
     arrays = [np.asarray(x) for x in matrices]
     if any(a.ndim != 2 for a in arrays):
         raise ValueError("expected a 2-D feature matrix")
@@ -246,7 +284,7 @@ def _as_features(*matrices) -> list[np.ndarray]:
             f"float features up to {peak:g} in {m} columns overflow the float64 "
             "range of squared distances (4·m·max|x|² must be finite)"
         )
-    return arrays
+    return arrays, peak
 
 
 def knn_classify(train_x, train_y, test_x, k: int = 5):
@@ -256,7 +294,7 @@ def knn_classify(train_x, train_y, test_x, k: int = 5):
     to the smallest label under the training labels' sorted order. Integer
     features take the exact integer distance path.
     """
-    train_x, test_x = _as_features(train_x, test_x)
+    (train_x, test_x), peak = _as_features(train_x, test_x)
     train_y = np.asarray(train_y)
     if train_y.shape[0] != train_x.shape[0]:
         raise ValueError("train labels length does not match train rows")
@@ -266,12 +304,15 @@ def knn_classify(train_x, train_y, test_x, k: int = 5):
         raise KExceedsTrainSize(f"k={k} exceeds {train_x.shape[0]} training rows")
 
     # the voters are each query's first k rows by distance, then by lower
-    # index (`_first_k`); a vote tie goes to the smallest code
+    # index (`_first_k`), or all of them when every query has exactly k;
+    # a vote tie goes to the smallest code
     classes, codes = np.unique(train_y, return_inverse=True)
-    indptr, indices, dist2, _ = _k_nearest_with_ties(train_x, test_x, k)
+    indptr, indices, dist2, _ = _k_nearest_with_ties(train_x, test_x, k, peak=peak)
     n_q, n_classes = test_x.shape[0], len(classes)
-    owner = np.repeat(np.arange(n_q), np.diff(indptr))
-    votes = codes.astype(np.int64)[indices[_first_k(dist2, owner, k, n_q)]]
+    if indices.shape[0] > n_q * k:
+        owner = np.repeat(np.arange(n_q), np.diff(indptr))
+        indices = indices[_first_k(dist2, owner, k, n_q)]
+    votes = codes.astype(np.int64)[indices.reshape(n_q, k)]
     votes += np.arange(n_q)[:, None] * n_classes
     tally = np.bincount(votes.ravel(), minlength=n_q * n_classes)
     return classes[tally.reshape(n_q, n_classes).argmax(axis=1)]
@@ -293,7 +334,7 @@ def lof_scores(x, n_neighbors: int) -> np.ndarray:
     the peak three N * k' arrays are held: the int32 neighbor indices and two
     8-byte ones, 20 bytes per neighborhood entry.
     """
-    (x,) = _as_features(x)
+    (x,), peak = _as_features(x)
     if n_neighbors < 1:
         raise ValueError(f"n_neighbors must be >= 1, got {n_neighbors}")
     if x.shape[0] <= n_neighbors:
@@ -301,7 +342,7 @@ def lof_scores(x, n_neighbors: int) -> np.ndarray:
             f"need more than n_neighbors={n_neighbors} rows, got {x.shape[0]}"
         )
     n = x.shape[0]
-    indptr, indices, dist2, kdist2 = _k_nearest_with_ties(x, x, n_neighbors, skip_self=True)
+    indptr, indices, dist2, kdist2 = _k_nearest_with_ties(x, x, n_neighbors, True, peak)
     counts = np.diff(indptr)
 
     # beside `indices`, two 8-byte N·k′ arrays at a time: `dist2` is freed

@@ -141,10 +141,12 @@ def test_undecodable_csv_is_named(command, tmp_path, capsys):
     assert not out.exists()
 
 
-# a stray quote in a long CSV runs past csv's field limit; JSON nested past
-# the decoder's recursion limit, or an integer past Python's digit limit
+# a stray quote in a long CSV runs past csv's field limit, in a short one to
+# its end; JSON nested past the decoder's recursion limit, or an integer past
+# Python's digit limit
 _UNREADABLE = {
     "stray-quote.csv": 'a,label\n1.5,"x\n' + "1.5,x\n" * 30_000,
+    "short-stray-quote.csv": 'a,label\n1,"x\n2,y\n3,z\n',
     "deep.json": "[" * 100_000 + "]" * 100_000,
     "digits.json": '{"format_version": ' + "1" * 5000 + "}",
 }

@@ -67,21 +67,41 @@ class TestLoadCsv:
             load_csv(path)
 
     @pytest.mark.parametrize(
-        "text",
+        "text, reason",
         [
             # an unclosed quote runs to the end of the file, past csv's field limit
-            "a,b\n" + "1.5,2.5\n" * 7 + '1.5,"2.5\n' + "1.5,2.5\n" * 19992,
-            "a,b\n1," + "2" * 140_000 + "\n",
+            (
+                "a,b\n" + "1.5,2.5\n" * 7 + '1.5,"2.5\n' + "1.5,2.5\n" * 19992,
+                "field larger than field limit (131072)",
+            ),
+            ("a,b\n1," + "2" * 140_000 + "\n", "field larger than field limit (131072)"),
+            # in a short file it reaches the end: not one row whose label is the rest
+            ('a,label\n1,"x\n2,y\n3,z\n', "unexpected end of data"),
+            # not the cell 23
+            ('a,label\n1,"2"3\n', "',' expected after '\"'"),
         ],
-        ids=["stray-quote", "over-long-cell"],
+        ids=["stray-quote", "over-long-cell", "unclosed-quote", "text-after-quote"],
     )
-    def test_unreadable_csv_field_is_a_parse_error(self, text, tmp_path):
+    def test_unreadable_csv_field_is_a_parse_error(self, text, reason, tmp_path):
         path = _write(tmp_path, text)
         with pytest.raises(ParseError) as exc_info:
+            load_csv(path, label_column="label" if text.startswith("a,label") else None)
+        assert str(exc_info.value) == f"{path}: not readable as CSV ({reason})"
+
+    @pytest.mark.parametrize(
+        "cell, error, fault",
+        [
+            ("x" * 10_000, ParseError, "cannot parse {} as a number"),
+            ("9" * 10_000, NonFiniteValue, "non-finite value {}"),
+        ],
+        ids=["unparseable", "non-finite"],
+    )
+    def test_long_bad_cell_is_quoted_by_its_prefix(self, cell, error, fault, tmp_path):
+        path = _write(tmp_path, f"a,b\n1,{cell}\n")
+        with pytest.raises(error) as exc_info:
             load_csv(path)
-        assert str(exc_info.value) == (
-            f"{path}: not readable as CSV (field larger than field limit (131072))"
-        )
+        quoted = repr(cell[:40]) + "... (10000 characters)"
+        assert str(exc_info.value) == f"{path}: row 2, column 'b': " + fault.format(quoted)
 
     def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
         """Excel's "CSV UTF-8" starts the file with a BOM."""

@@ -38,6 +38,16 @@ def _jittered_grid(rng, n, m):
     return grid + rng.choice([-1e-16, 0.0, 1e-16], size=(n, m))
 
 
+def _ulp_cluster(rng, n, m):
+    """Every third row a few ULPs from one point of unit scale, among rows
+    spread at unit scale: in one block, a spread row has exactly k
+    candidates and a cluster row more."""
+    x = rng.normal(size=(n, m))
+    base = rng.normal(size=m)
+    x[::3] = base + rng.integers(-3, 4, size=x[::3].shape) * np.spacing(np.abs(base))
+    return x
+
+
 KINDS = {
     # every square underflows to zero: all distances tie at 0
     "subnormal": lambda rng, n, m: rng.normal(size=(n, m)) * 1e-320,
@@ -48,6 +58,7 @@ KINDS = {
     "mixed-scales": lambda rng, n, m: rng.normal(size=(n, m)) * 10.0 ** rng.uniform(-300, 150, m),
     "ulp-ties": _ulp_ties,
     "jittered-grid": _jittered_grid,
+    "ulp-cluster": _ulp_cluster,
 }
 
 

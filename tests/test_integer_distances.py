@@ -134,12 +134,10 @@ def test_single_column_and_all_other_rows():
     )
 
 
-def _near_bound(n, m, shape, seed):
-    """n x m integers up to the largest peak with 4·m·peak² below 2**53: two
-    rows at ±peak, a duplicate row, and the rest from five values at the ends
-    and zero ("ends", many ties) or uniform over [-peak, peak]."""
-    peak = math.isqrt((2**53 - 1) // (4 * m))
-    assert 4 * m * peak**2 < 2**53 <= 4 * m * (peak + 1) ** 2
+def _near_bound(n, m, shape, seed, peak):
+    """n x m integers within ±peak: two rows at ±peak, a duplicate row, and
+    the rest from five values at the ends and zero ("ends", many ties) or
+    uniform over [-peak, peak]."""
     rng = np.random.default_rng(seed)
     if shape == "ends":
         x = rng.choice(np.array([-peak, 1 - peak, 0, peak - 1, peak]), size=(n, m))
@@ -149,28 +147,58 @@ def _near_bound(n, m, shape, seed):
     return x
 
 
+def _largest_peak(m, limit):
+    """The largest peak with ``m·peak²`` below ``limit``."""
+    peak = math.isqrt((limit - 1) // m)
+    assert m * peak**2 < limit <= m * (peak + 1) ** 2
+    return peak
+
+
+# (m, peak): the largest peaks with 4·m·peak² below 2**53, the exact range;
+# and for m = 1 and 16 the largest with 3·m·peak², the largest fill, below
+# INT32_MAX, which is selected on int32, and one more, which is not
+_PEAKS = {
+    **{str(m): (m, _largest_peak(4 * m, 2**53)) for m in (32, 64, 130)},
+    **{f"{m}-int32": (m, _largest_peak(3 * m, 2**31 - 1)) for m in (1, 16)},
+    **{f"{m}-past-int32": (m, _largest_peak(3 * m, 2**31 - 1) + 1) for m in (1, 16)},
+}
+
+
 @pytest.mark.parametrize("shape", ["ends", "uniform"])
-@pytest.mark.parametrize("m", [32, 64, 130])
-def test_wide_inputs_near_the_bound_match_oracle(m, shape):
+@pytest.mark.parametrize("m, peak", _PEAKS.values(), ids=_PEAKS)
+def test_wide_inputs_near_the_bound_match_oracle(m, peak, shape, monkeypatch):
     """BLAS takes 1-row blocks to gemv and wider ones to gemm, whose kernels
     may sum in any order and fuse multiply-adds; below the bound every
     partial sum is an exact integer, so all of them give the oracle's
-    neighbourhoods, KNN votes and LOF scores."""
+    neighbourhoods, KNN votes and LOF scores. Rows 0 and 1 reach the largest
+    fill, 3·m·peak²: selection is on int32 exactly when that is below
+    INT32_MAX, with and without `skip_self`."""
     n, k = 48, 5
-    x = _near_bound(n, m, shape, seed=m)
-    want = _oracle_neighbourhoods(x, x, k, True)
+    x = _near_bound(n, m, shape, m, peak)
+    assert 4 * m * peak**2 < 2**53
+    width = np.int32 if 3 * m * peak**2 < 2**31 - 1 else np.float64
+    selected = []
+    partition = np.partition
+
+    def spy(a, *args, **kwargs):
+        selected.append(a.dtype)
+        return partition(a, *args, **kwargs)
+
     with np.errstate(invalid="ignore", divide="ignore"):
         want_lof = _lof_np(x.astype(np.float64), k)
-    for n_bytes in _block_sizes(n):
-        with block_budget(n_bytes):
-            indptr, indices, dist2, kth2 = _k_nearest_with_ties(x, x, k, True)
-            got_lof = lof_scores(x, k)
-        for i, (kth, members, d2) in enumerate(want):
-            lo, hi = indptr[i], indptr[i + 1]
-            assert kth2[i] == kth
-            assert np.array_equal(indices[lo:hi], members)
-            assert np.array_equal(dist2[lo:hi], d2)
-        assert got_lof.tobytes() == want_lof.tobytes()
+    monkeypatch.setattr(np, "partition", spy)
+    for skip_self in (True, False):
+        want = _oracle_neighbourhoods(x, x, k, skip_self)
+        for n_bytes in _block_sizes(n):
+            with block_budget(n_bytes):
+                indptr, indices, dist2, kth2 = _k_nearest_with_ties(x, x, k, skip_self)
+                got_lof = lof_scores(x, k)
+            for i, (kth, members, d2) in enumerate(want):
+                lo, hi = indptr[i], indptr[i + 1]
+                assert kth2[i] == kth
+                assert np.array_equal(indices[lo:hi], members)
+                assert np.array_equal(dist2[lo:hi], d2)
+            assert got_lof.tobytes() == want_lof.tobytes()
 
     train, test = x[:36], x[36:]
     labels = np.arange(36) % 3
@@ -178,6 +206,7 @@ def test_wide_inputs_near_the_bound_match_oracle(m, shape):
     for n_bytes in _block_sizes(train.shape[0]):
         with block_budget(n_bytes):
             assert np.array_equal(knn_classify(train, labels, test, k=k), want_knn)
+    assert selected and set(selected) == {np.dtype(width)}
 
 
 class TestExactnessBound:
@@ -211,9 +240,9 @@ class TestExactnessBound:
         assert lof_scores(x, 1).shape == (3,)
 
     def test_only_dtypes_int64_holds_take_the_integer_path(self):
-        train, test = neighbors._as_features(np.arange(4).reshape(2, 2), [[0.5, 1.0]])
+        (train, test), _ = neighbors._as_features(np.arange(4).reshape(2, 2), [[0.5, 1.0]])
         assert train.dtype == test.dtype == np.float64
-        (wide,) = neighbors._as_features(np.array([[2**64 - 1]], dtype=np.uint64))
+        (wide,), _ = neighbors._as_features(np.array([[2**64 - 1]], dtype=np.uint64))
         assert wide.dtype == np.float64
         small = (np.array([[1]], dtype=np.uint32), np.array([[True]]), [[1]])
-        assert all(a.dtype == np.int64 for a in neighbors._as_features(*small))
+        assert all(a.dtype == np.int64 for a in neighbors._as_features(*small)[0])

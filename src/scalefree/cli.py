@@ -22,7 +22,7 @@ import sys
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .data import load_csv, save_csv
+from .data import _quoted, load_csv, save_csv
 from .errors import ScaleFreeError
 from .evaluate import DEFAULT_FOLDS, DEFAULT_KNN_K, TASKS, evaluation_grid
 from .model_io import load_model, save_model
@@ -79,7 +79,7 @@ def resolve_seed(value: int | None) -> int:
     try:
         return int(env) if env else DEFAULT_SEED
     except ValueError:
-        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
+        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {_quoted(env)}") from None
 
 
 def _add_io_args(parser):

@@ -69,12 +69,12 @@ def _resolve_label_index(header: list[str], label_column) -> int:
     if isinstance(label_column, int):
         if not 0 <= label_column < len(header):
             raise MissingLabelColumn(
-                f"label column index {label_column} out of range for {len(header)} columns"
+                f"label column index {_quoted(label_column)} out of range for {len(header)} columns"
             )
         return label_column
     if label_column in header:
         return header.index(label_column)
-    raise MissingLabelColumn(f"no column named {label_column!r} in header {header}")
+    raise MissingLabelColumn(f"no column named {_quoted(label_column)} in header {_quoted(header)}")
 
 
 def _parse(rows, width, feature_idx, label_idx):
@@ -98,16 +98,17 @@ def _parse(rows, width, feature_idx, label_idx):
     return values.reshape(len(rows), len(feature_idx))
 
 
-# characters of a bad cell that an error message quotes
+# characters of a bad value that an error message quotes
 _QUOTED_CHARS = 40
 
 
-def _quoted(cell: str) -> str:
-    """The cell's repr, cut to its first _QUOTED_CHARS characters and its
-    length when longer, so one bad cell cannot flood a one-line error."""
-    if len(cell) <= _QUOTED_CHARS:
-        return repr(cell)
-    return f"{cell[:_QUOTED_CHARS]!r}... ({len(cell)} characters)"
+def _quoted(value) -> str:
+    """The value's repr; a str (or other value's repr) longer than _QUOTED_CHARS
+    is cut to that many characters and its length, so no one-line error floods."""
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= _QUOTED_CHARS:
+        return repr(value)
+    return f"{text[:_QUOTED_CHARS]!r}... ({len(text)} characters)"
 
 
 def _scan(path, header, rows, feature_idx):
@@ -126,14 +127,15 @@ def _scan(path, header, rows, feature_idx):
                 value = float(cell)
             except ValueError:
                 raise ParseError(
-                    f"{path}: row {r}, column {header[c]!r}: "
+                    f"{path}: row {r}, column {_quoted(header[c])}: "
                     f"cannot parse {_quoted(cell)} as a number",
                     row=r,
                     column=header[c],
                 ) from None
             if not np.isfinite(value):
                 raise NonFiniteValue(
-                    f"{path}: row {r}, column {header[c]!r}: non-finite value {_quoted(cell)}"
+                    f"{path}: row {r}, column {_quoted(header[c])}: "
+                    f"non-finite value {_quoted(cell)}"
                 )
             features[r - 2, out_c] = value
     return features

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import replacing
+from .data import _quoted, replacing
 from .errors import CorruptModel, UnsupportedVersion
 from .transforms import KINDS, FittedTransformer
 
@@ -31,7 +31,7 @@ def _header_int(value, key: str) -> int:
     """A header integer, which must be a JSON integer: not a fraction, a
     boolean or a string, and not 1e400, which parses as infinity."""
     if type(value) is not int:
-        got = "infinity" if value in (math.inf, -math.inf) else repr(value)
+        got = "infinity" if value in (math.inf, -math.inf) else _quoted(value)
         raise ValueError(f"{key} must be a JSON integer, got {got}")
     return value
 
@@ -93,12 +93,12 @@ def load_model(path) -> FittedTransformer:
         raise CorruptModel(f"{path}: missing or invalid format_version")
     if version != FORMAT_VERSION:
         raise UnsupportedVersion(
-            f"{path}: format_version {version} not supported (expected {FORMAT_VERSION})"
+            f"{path}: format_version {_quoted(version)} not supported (expected {FORMAT_VERSION})"
         )
 
     kind = doc.get("kind")
     if kind not in KINDS:
-        raise CorruptModel(f"{path}: unknown transformer kind {kind!r}")
+        raise CorruptModel(f"{path}: unknown transformer kind {_quoted(kind)}")
     raw_columns = doc.get("columns")
     if not isinstance(raw_columns, list) or not raw_columns:
         raise CorruptModel(f"{path}: missing or empty columns")

@@ -32,17 +32,17 @@ index; a query with exactly k entries keeps them all.
   ``3·m·max|x|²``, below ``4·m·max|x|²`` and so below 2**53: the fill is
   the exact integer ``|r|² − 2·q·r``, in any summation order and for any
   block size. ``|q|²`` goes back on the kept entries and the k-th value
-  alone, exactly, which gives the exact distances. Each column adds
-  ``r² − 2·q·r``, which lies in ``[−max|x|², 3·max|x|²]``. So when
-  ``3·m·max|x|² < 2**31 − 1``, for the max that `_as_features` reads,
-  every fill is an integer below INT32_MAX, and the k-th value and the
-  members are taken from an int32 copy of the block, where `np.partition`
-  runs about 2.5× and the comparison 2× as fast (a 16 × 2000 block). The
-  copy holds the same integers, so it selects the same entries; the kept
-  distances are still read from the float64 fill. Default ARES counts (at
-  most t·psi = 70) always qualify, and so do rank counts up to 6688 at
-  m = 16 (fits on up to 6688 rows); larger inputs select on the float64
-  fill.
+  alone, exactly, which gives the exact distances. As
+  ``|2·q·r| ≤ |q|² + |r|²``, a fill lies in ``[−|q|², 2·|r|² + |q|²]``. So
+  when ``2·max|r|² + max|q|² < 2**31 − 1``, from the norms the fill holds,
+  every fill is an integer of magnitude below INT32_MAX, and the k-th value
+  and the members are taken from an int32 copy of the block, where
+  `np.partition` runs about 2.5× and the comparison 2× as fast (a 16 × 2000
+  block). The copy holds the same integers, so it selects the same entries;
+  the kept distances are still read from the float64 fill. Each |x|² is at
+  most m·max|x|², so default ARES counts (at most t·psi = 70) always
+  qualify, and so do rank counts up to at least 6688 at m = 16; larger
+  inputs may select on the float64 fill.
 * Float input (min-max) uses the block only as a filter. With unit roundoff
   ``u = 2**-53``, ``γ_n = n·u/(1 − n·u)`` and ``s = |q| + max_r |r|``, every
   row's fill plus the exact ``|q|²`` differs from the reference distance
@@ -154,7 +154,7 @@ def _first_k(values: np.ndarray, rows: np.ndarray, k: int, n_rows: int) -> np.nd
 
 
 def _k_nearest_with_ties(
-    ref: np.ndarray, queries: np.ndarray, k: int, skip_self: bool = False, peak=None
+    ref: np.ndarray, queries: np.ndarray, k: int, skip_self: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Tie-inclusive k-neighbourhood of every query, in CSR form.
 
@@ -165,8 +165,8 @@ def _k_nearest_with_ties(
     are more than k of them. With ``skip_self`` the queries are the reference
     rows themselves, and row i is left out of its own neighbourhood and k-th
     distance. ``ref`` and ``queries`` are both int64 or both float64.
-    ``peak`` is the largest |x| in either, as `_as_features` reads it; None
-    reads it here. ``indices`` is int32 below 2**31 reference rows.
+    ``indices`` is int32 below 2**31 reference rows; integer fills select
+    on int32 when their norms allow (module docstring).
 
     Each block's entries go straight into ``indices`` and ``dist2``, sized
     for k per query and grown in place (`ndarray.resize`, a realloc) to the
@@ -178,12 +178,10 @@ def _k_nearest_with_ties(
     buf = np.empty((min(rows, n_q), n_ref))
     member_buf = np.empty(buf.shape, dtype=bool)
     q, ref_t, qn, slack = _distance_rows(ref, queries)
-    if peak is None and slack is None:
-        peak = max(abs(v.item()) for v in (ref.min(), ref.max(), queries.min(), queries.max()))
-    # each column adds r² − 2·q·r, in [−peak², 3·peak²]: integer fills below
+    # a fill |r|² − 2·q·r lies in [−|q|², 2·|r|² + |q|²]: integer fills below
     # INT32_MAX, which a self entry gets, are selected on an int32 copy, and
-    # everything else on the float64 block itself
-    narrow = slack is None and 3 * ref.shape[1] * peak * peak < _INT32_MAX
+    # everything else on the float64 block itself; no queries, no fills
+    narrow = slack is None and 2 * ref_t[-1].max() + qn.max(initial=0) < _INT32_MAX
     select_buf = np.empty(buf.shape, dtype=np.int32) if narrow else buf
     beyond = _INT32_MAX if narrow else np.inf
     kth2 = np.empty(n_q)
@@ -244,7 +242,7 @@ def _k_nearest_with_ties(
     return indptr, indices, dist2, kth2
 
 
-def _as_features(*matrices) -> tuple[list[np.ndarray], int | float]:
+def _as_features(*matrices) -> list[np.ndarray]:
     """The learners' one input check. It raises, in order, ValueError unless
     every matrix is 2-D, `DimensionMismatch` unless all share one column
     count (KNN passes train, then test) and `EmptyDataset` for no columns,
@@ -252,8 +250,7 @@ def _as_features(*matrices) -> tuple[list[np.ndarray], int | float]:
     one that int64 holds exactly, float64 otherwise. Last, from each input's
     min and max, `NonFiniteValue` for NaN or ±inf, then `InexactDistances`
     unless 4·m·max|x|² is below 2**53 for integers or finite for floats.
-    Returns the arrays and that max|x|, which sets the search's selection
-    width."""
+    Returns the arrays."""
     arrays = [np.asarray(x) for x in matrices]
     if any(a.ndim != 2 for a in arrays):
         raise ValueError("expected a 2-D feature matrix")
@@ -284,7 +281,7 @@ def _as_features(*matrices) -> tuple[list[np.ndarray], int | float]:
             f"float features up to {peak:g} in {m} columns overflow the float64 "
             "range of squared distances (4·m·max|x|² must be finite)"
         )
-    return arrays, peak
+    return arrays
 
 
 def knn_classify(train_x, train_y, test_x, k: int = 5):
@@ -294,7 +291,7 @@ def knn_classify(train_x, train_y, test_x, k: int = 5):
     to the smallest label under the training labels' sorted order. Integer
     features take the exact integer distance path.
     """
-    (train_x, test_x), peak = _as_features(train_x, test_x)
+    train_x, test_x = _as_features(train_x, test_x)
     train_y = np.asarray(train_y)
     if train_y.shape[0] != train_x.shape[0]:
         raise ValueError("train labels length does not match train rows")
@@ -307,7 +304,7 @@ def knn_classify(train_x, train_y, test_x, k: int = 5):
     # index (`_first_k`), or all of them when every query has exactly k;
     # a vote tie goes to the smallest code
     classes, codes = np.unique(train_y, return_inverse=True)
-    indptr, indices, dist2, _ = _k_nearest_with_ties(train_x, test_x, k, peak=peak)
+    indptr, indices, dist2, _ = _k_nearest_with_ties(train_x, test_x, k)
     n_q, n_classes = test_x.shape[0], len(classes)
     if indices.shape[0] > n_q * k:
         owner = np.repeat(np.arange(n_q), np.diff(indptr))
@@ -334,7 +331,7 @@ def lof_scores(x, n_neighbors: int) -> np.ndarray:
     the peak three N * k' arrays are held: the int32 neighbor indices and two
     8-byte ones, 20 bytes per neighborhood entry.
     """
-    (x,), peak = _as_features(x)
+    (x,) = _as_features(x)
     if n_neighbors < 1:
         raise ValueError(f"n_neighbors must be >= 1, got {n_neighbors}")
     if x.shape[0] <= n_neighbors:
@@ -342,7 +339,7 @@ def lof_scores(x, n_neighbors: int) -> np.ndarray:
             f"need more than n_neighbors={n_neighbors} rows, got {x.shape[0]}"
         )
     n = x.shape[0]
-    indptr, indices, dist2, kdist2 = _k_nearest_with_ties(x, x, n_neighbors, True, peak)
+    indptr, indices, dist2, kdist2 = _k_nearest_with_ties(x, x, n_neighbors, True)
     counts = np.diff(indptr)
 
     # beside `indices`, two 8-byte N·k′ arrays at a time: `dist2` is freed

@@ -170,6 +170,27 @@ def test_unreadable_input_is_one_error_line(name, class_csv, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([name, class_csv.name])
 
 
+@pytest.mark.parametrize("fault", ["label-name", "model-kind"])
+def test_a_long_bad_value_is_one_short_error_line(fault, class_csv, tmp_path, capsys):
+    """A 5 000-character label name or model kind is quoted by its prefix."""
+    long = "x" * 5000
+    if fault == "label-name":
+        command = ["perturb", "--perturb", "log", "--label-col", long]
+        error = "MissingLabelColumn"
+    else:
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"format_version": 1, "kind": long, "columns": [{}]}))
+        command, error = ["transform", "--model", str(model), "--label-col", "label"], "CorruptModel"
+    out = tmp_path / "out.csv"
+    rc = main([*command, "--input", str(class_csv), "--output", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {error}: ") and err.count("\n") == 1, err
+    assert f"{'x' * 40!r}... (5000 characters)" in err
+    assert len(err) < len(str(tmp_path)) + 200
+    assert not out.exists()
+
+
 class TestPerturb:
     def test_matches_library_output(self, class_csv, tmp_path):
         out = tmp_path / "perturbed.csv"
@@ -406,6 +427,17 @@ class TestSeedResolution:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "SCALEFREE_SEED" in err and "'abc'" in err
         assert not out.exists()
+
+    def test_long_malformed_env_var_is_quoted_by_its_prefix(
+        self, class_csv, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("SCALEFREE_SEED", "9" * 5000)
+        with pytest.raises(SystemExit) as exc_info:
+            main(["fit", "--input", str(class_csv), "--label-col", "label",
+                  "--kind", "ares", "--output", str(tmp_path / "m.json")])
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"got {'9' * 40!r}... (5000 characters)\n") and err.count("\n") == 1
 
     def test_malformed_env_var_is_unused_by_a_flag(self, class_csv, tmp_path, monkeypatch):
         monkeypatch.setenv("SCALEFREE_SEED", "abc")

@@ -103,6 +103,45 @@ class TestLoadCsv:
         quoted = repr(cell[:40]) + "... (10000 characters)"
         assert str(exc_info.value) == f"{path}: row 2, column 'b': " + fault.format(quoted)
 
+    @pytest.mark.parametrize(
+        "text, label_column, error, message",
+        [
+            (
+                "a,b\n1,2\n",
+                "x" * 5000,
+                MissingLabelColumn,
+                f"no column named {'x' * 40!r}... (5000 characters) in header ['a', 'b']",
+            ),
+            (
+                "h" * 5000 + ",b\n1,2\n",
+                "nope",
+                MissingLabelColumn,
+                "no column named 'nope' in header " + repr("['" + "h" * 38) + "... (5009 characters)",
+            ),
+            (
+                "a,b\n1,2\n",
+                10**4000,
+                MissingLabelColumn,
+                f"label column index '1{'0' * 39}'... (4001 characters) out of range for 2 columns",
+            ),
+            (
+                "a," + "h" * 5000 + "\n1,x\n",
+                None,
+                ParseError,
+                f"{{path}}: row 2, column {'h' * 40!r}... (5000 characters): "
+                "cannot parse 'x' as a number",
+            ),
+        ],
+        ids=["label-name", "header-cell", "label-index", "column-name"],
+    )
+    def test_long_names_are_quoted_by_their_prefix(
+        self, text, label_column, error, message, tmp_path
+    ):
+        path = _write(tmp_path, text)
+        with pytest.raises(error) as exc_info:
+            load_csv(path, label_column=label_column)
+        assert str(exc_info.value) == message.format(path=path)
+
     def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
         """Excel's "CSV UTF-8" starts the file with a BOM."""
         path = tmp_path / "data.csv"

@@ -399,6 +399,31 @@ def test_learners_see_counts_for_rank_and_ares(
     assert np.array_equal(seen[-1], expected)
 
 
+@pytest.mark.parametrize("preproc", ["rank", "ares"])
+def test_rank_and_ares_cells_select_neighbours_on_int32(monkeypatch, preproc):
+    """A performance guard without a timer: at default psi and t, the counts
+    of a 2000 × 16 dataset of log-normal and tied integer columns are small
+    enough that every neighbour selection, in both runners, is on int32. A
+    silent fall back to float64 selection fails here, not only in the
+    benchmark."""
+    rng = np.random.default_rng(73)
+    x = _tied(rng, np.zeros((2000, 16)))
+    labels, flags = rng.integers(0, 4, 2000), (np.arange(2000) % 33 == 0).astype(int)
+    selected = []
+    partition = np.partition
+
+    def spy(a, *args, **kwargs):
+        selected.append(a.dtype)
+        return partition(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "partition", spy)
+    run_classification(Dataset("tied", x, labels=labels), preproc, seed=5)
+    n_classify = len(selected)
+    run_anomaly(Dataset("tied", x, labels=flags), preproc, seed=5)
+    assert 0 < n_classify < len(selected)
+    assert set(selected) == {np.dtype(np.int32)}
+
+
 class TestEvaluationGrid:
     def test_full_grid_size(self):
         ds = gaussian_classification("grid", 60, 3, 2, seed=74)

@@ -10,6 +10,7 @@ exact float64 distances.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -110,6 +111,39 @@ def test_lof_neighbourhood_sizes_match_oracle(x, data):
         assert got.tobytes() == want.tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_int32_selection_equals_float64_selection(data):
+    """Small tied counts select on int32. Forcing float64 selection, by an
+    INT32_MAX of 0, changes no bit of the neighbourhoods, k-th distances,
+    KNN votes or LOF scores."""
+    n = data.draw(st.integers(3, 40))
+    x = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).integers(
+        0, data.draw(st.integers(2, 8)), size=(n, data.draw(st.integers(1, 6)))
+    )
+    skip_self = data.draw(st.booleans())
+    k = data.draw(st.integers(1, n - 1))
+    train = x[: data.draw(st.integers(k, n))]
+    labels = np.arange(train.shape[0]) % 3
+    n_bytes = data.draw(st.sampled_from(_block_sizes(n)))
+
+    def outputs(width):
+        with block_budget(n_bytes), mock.patch.object(np, "partition", wraps=np.partition) as spy:
+            out = (
+                *_k_nearest_with_ties(x, x, k, skip_self),
+                knn_classify(train, labels, x, k=k),
+                lof_scores(x, k),
+            )
+        assert {c.args[0].dtype for c in spy.call_args_list} == {np.dtype(width)}
+        return out
+
+    narrow = outputs(np.int32)
+    with mock.patch.object(neighbors, "_INT32_MAX", 0):
+        wide = outputs(np.float64)
+    for got, want in zip(narrow, wide, strict=True):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("k", [1, 7, 1199])
 def test_ares_counts_span_several_blocks(k):
     """The default block over ARES counts at N = 1200: the same LOF scores
@@ -154,6 +188,13 @@ def _largest_peak(m, limit):
     return peak
 
 
+def _width(ref, queries):
+    """The search's selection width for integer operands: int32 when every
+    fill, |r|² − 2·q·r in [−|q|², 2·|r|² + |q|²], lies below INT32_MAX."""
+    reach = 2 * (ref**2).sum(axis=1).max().item() + (queries**2).sum(axis=1).max().item()
+    return np.dtype(np.int32 if reach < 2**31 - 1 else np.float64)
+
+
 # (m, peak): the largest peaks with 4·m·peak² below 2**53, the exact range;
 # and for m = 1 and 16 the largest with 3·m·peak², the largest fill, below
 # INT32_MAX, which is selected on int32, and one more, which is not
@@ -171,18 +212,22 @@ def test_wide_inputs_near_the_bound_match_oracle(m, peak, shape, monkeypatch):
     may sum in any order and fuse multiply-adds; below the bound every
     partial sum is an exact integer, so all of them give the oracle's
     neighbourhoods, KNN votes and LOF scores. Rows 0 and 1 reach the largest
-    fill, 3·m·peak²: selection is on int32 exactly when that is below
-    INT32_MAX, with and without `skip_self`."""
+    fill over x, 3·m·peak²; each call selects on the width its own operands
+    give (`_width`), with and without `skip_self`."""
     n, k = 48, 5
     x = _near_bound(n, m, shape, m, peak)
     assert 4 * m * peak**2 < 2**53
-    width = np.int32 if 3 * m * peak**2 < 2**31 - 1 else np.float64
     selected = []
     partition = np.partition
 
     def spy(a, *args, **kwargs):
         selected.append(a.dtype)
         return partition(a, *args, **kwargs)
+
+    def widths():
+        got = set(selected)
+        selected.clear()
+        return got
 
     with np.errstate(invalid="ignore", divide="ignore"):
         want_lof = _lof_np(x.astype(np.float64), k)
@@ -192,7 +237,9 @@ def test_wide_inputs_near_the_bound_match_oracle(m, peak, shape, monkeypatch):
         for n_bytes in _block_sizes(n):
             with block_budget(n_bytes):
                 indptr, indices, dist2, kth2 = _k_nearest_with_ties(x, x, k, skip_self)
+                assert widths() == {_width(x, x)}
                 got_lof = lof_scores(x, k)
+                assert widths() == {_width(x, x)}
             for i, (kth, members, d2) in enumerate(want):
                 lo, hi = indptr[i], indptr[i + 1]
                 assert kth2[i] == kth
@@ -206,7 +253,7 @@ def test_wide_inputs_near_the_bound_match_oracle(m, peak, shape, monkeypatch):
     for n_bytes in _block_sizes(train.shape[0]):
         with block_budget(n_bytes):
             assert np.array_equal(knn_classify(train, labels, test, k=k), want_knn)
-    assert selected and set(selected) == {np.dtype(width)}
+            assert widths() == {_width(train, test)}
 
 
 class TestExactnessBound:
@@ -240,9 +287,9 @@ class TestExactnessBound:
         assert lof_scores(x, 1).shape == (3,)
 
     def test_only_dtypes_int64_holds_take_the_integer_path(self):
-        (train, test), _ = neighbors._as_features(np.arange(4).reshape(2, 2), [[0.5, 1.0]])
+        train, test = neighbors._as_features(np.arange(4).reshape(2, 2), [[0.5, 1.0]])
         assert train.dtype == test.dtype == np.float64
-        (wide,), _ = neighbors._as_features(np.array([[2**64 - 1]], dtype=np.uint64))
+        (wide,) = neighbors._as_features(np.array([[2**64 - 1]], dtype=np.uint64))
         assert wide.dtype == np.float64
         small = (np.array([[1]], dtype=np.uint32), np.array([[True]]), [[1]])
-        assert all(a.dtype == np.int64 for a in neighbors._as_features(*small)[0])
+        assert all(a.dtype == np.int64 for a in neighbors._as_features(*small))

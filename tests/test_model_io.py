@@ -212,6 +212,30 @@ def test_unknown_kind(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize(
+    "key, value, error, shown",
+    [
+        ("kind", "z" * 5000, CorruptModel,
+         f"unknown transformer kind {'z' * 40!r}... (5000 characters)"),
+        ("seed", "7" * 5000, CorruptModel,
+         f"seed must be a JSON integer, got {'7' * 40!r}... (5000 characters)"),
+        ("format_version", 10**4000, UnsupportedVersion,
+         f"format_version '1{'0' * 39}'... (4001 characters) not supported"),
+    ],
+    ids=["kind", "seed", "format_version"],
+)  # fmt: skip
+def test_long_header_value_is_quoted_by_its_prefix(key, value, error, shown, features, tmp_path):
+    path = tmp_path / "model.json"
+    save_model(fit_transformer(features, "ares", seed=7), path)
+    doc = json.loads(path.read_text())
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(error) as exc_info:
+        load_model(path)
+    assert shown in str(exc_info.value)
+    assert len(str(exc_info.value)) < len(str(path)) + 150
+
+
 def test_fingerprint_mismatch(features, tmp_path):
     ft = fit_transformer(features, "minmax")
     path = tmp_path / "model.json"

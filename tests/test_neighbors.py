@@ -92,6 +92,12 @@ class TestKnnExamples:
         pred = knn_classify(train, ["b", "a", "b", "a"], [[0.0]], k=4)
         assert pred.tolist() == ["a"]
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_no_test_rows_predict_nothing(self, dtype):
+        train = np.array([[0, 1], [2, 3], [4, 5]], dtype=dtype)
+        pred = knn_classify(train, ["a", "b", "a"], np.empty((0, 2), dtype=dtype), k=2)
+        assert pred.shape == (0,) and pred.dtype == np.array(["a"]).dtype
+
 
 class TestKnnContracts:
     def test_dimension_mismatch(self):

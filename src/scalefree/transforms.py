@@ -41,6 +41,11 @@ DEFAULT_N_SUBSAMPLES = 10
 KINDS = ("minmax", "rank", "ares")
 
 
+def _require_kind(kind: str) -> None:
+    if kind not in KINDS:
+        raise ValueError(f"unknown transformer kind {kind!r}; expected one of {KINDS}")
+
+
 def _unit(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """The affine map of each column of a finite N×m float64 matrix from
     [lo, hi] onto [0, 1], unchecked and unclamped; a constant column (lo ==
@@ -147,8 +152,7 @@ class FittedTransformer:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown transformer kind {self.kind!r}; expected one of {KINDS}")
+        _require_kind(self.kind)
         params = np.array(self.params, dtype=np.float64)
         if params.shape[:1] == (0,):
             raise ValueError("a fitted transformer needs at least one column")
@@ -232,8 +236,7 @@ def fit_transformer(
     replacement, t sub-samples of psi rows for each column, draw j of column
     c from (seed, c, j), and raises for a missing seed; rank takes every row
     once. Other kinds ignore psi, t and seed."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown transformer kind {kind!r}; expected one of {KINDS}")
+    _require_kind(kind)
     xt = np.ascontiguousarray(_check_matrix(features, "fit on").T)  # one row per column
     if kind == "minmax":
         return FittedTransformer(kind, np.stack([xt.min(axis=1), xt.max(axis=1)], axis=1))

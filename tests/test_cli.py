@@ -365,6 +365,30 @@ class TestEvaluate:
         assert payload[0]["per_fold"] == []
         assert 0.0 <= payload[0]["aggregate"] <= 1.0
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+    @pytest.mark.parametrize("task, data", [("classify", "class_csv"), ("anomaly", "anomaly_csv")])
+    def test_grid_pinned_to_one_cpu_equals_the_unpinned_grid(self, task, data, request, tmp_path):
+        """One usable CPU runs the cells in turn, the unpinned run on threads
+        where the machine has more; the JSON reports differ only in times."""
+        path = [str(Path(scalefree.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        cpu = min(os.sched_getaffinity(0))
+        payloads = []
+        for pin in (lambda: os.sched_setaffinity(0, {cpu}), None):
+            out = tmp_path / f"grid_{len(payloads)}.json"
+            done = subprocess.run(
+                [sys.executable, "-m", "scalefree.cli", "evaluate",
+                 "--input", str(request.getfixturevalue(data)), "--label-col", "label",
+                 "--task", task, "--grid", "--seed", "5", "--output", str(out)],
+                preexec_fn=pin, capture_output=True, env=env, timeout=120,
+            )  # fmt: skip
+            assert done.returncode == 0, done.stderr
+            payloads.append(json.loads(out.read_text()))
+        for report in payloads[0] + payloads[1]:
+            del report["wall_time_ms"]
+        assert len(payloads[0]) == 15
+        assert payloads[0] == payloads[1]
+
     def test_kind_is_a_usage_error(self, class_csv, tmp_path):
         out = tmp_path / "r.csv"
         with pytest.raises(SystemExit) as exc_info:

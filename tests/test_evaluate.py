@@ -1,6 +1,10 @@
 """Cross-validation split and the classification/anomaly runners."""
 
+import os
 import re
+import sys
+import threading
+import time
 from dataclasses import asdict
 
 import numpy as np
@@ -473,6 +477,7 @@ class TestEvaluationGrid:
         equals the reference runners', and every learner input, each fold's
         train and test rows, equals the reference model's counts bitwise."""
         dataset = request.getfixturevalue(fixture)
+        _usable_cpus(monkeypatch, 1)  # the spy records learner inputs in call order
         seen = []
 
         def spy(fn, *positions):
@@ -522,3 +527,142 @@ class TestEvaluationGrid:
         ds = gaussian_classification("grid", 60, 3, 2, seed=74)
         with pytest.raises(ValueError):
             evaluation_grid(ds, "cluster", seed=3)
+
+    def test_one_shot_name_iterables(self):
+        ds = gaussian_classification("grid", 60, 3, 2, seed=74)
+        reports = evaluation_grid(
+            ds, "classify", iter(["rank", "ares"]), (k for k in ["log", "sqrt"]), seed=1, n_folds=4
+        )
+        assert [(r.preprocessor, r.perturbation) for r in reports] == [
+            ("rank", "log"), ("rank", "sqrt"), ("ares", "log"), ("ares", "sqrt")
+        ]  # fmt: skip
+
+    @pytest.mark.parametrize(
+        "preprocessors, perturbations, message",
+        [
+            (["rank", "zscore"], ["log"], "unknown transformer kind 'zscore'"),
+            (["rank"], ["log", "cube"], "unknown perturbation 'cube'"),
+        ],
+    )
+    def test_a_bad_name_fails_before_any_cell(
+        self, preprocessors, perturbations, message, monkeypatch
+    ):
+        ds = gaussian_classification("grid", 60, 3, 2, seed=74)
+        ran = []
+        monkeypatch.setattr(evaluate, "run_classification", lambda *a, **k: ran.append(a))
+        with pytest.raises(ValueError, match=message):
+            evaluation_grid(ds, "classify", preprocessors, perturbations, seed=1)
+        assert ran == []
+
+
+def _usable_cpus(monkeypatch, n):
+    """Make `evaluation_grid` see n usable CPUs, whatever this machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _fields(reports):
+    """Every report field but the wall time, which depends on contention."""
+    out = [asdict(r) for r in reports]
+    for report in out:
+        del report["wall_time_ms"]
+    return out
+
+
+class TestGridThreads:
+    @pytest.mark.parametrize(
+        "task, fixture",
+        [
+            ("classify", "glass_shaped"),
+            ("classify", "tied_class_dataset"),
+            ("anomaly", "ionosphere_shaped"),
+            ("anomaly", "tied_anomaly_dataset"),
+        ],
+    )
+    def test_two_workers_equal_one(self, task, fixture, monkeypatch, request):
+        """Float and tied-integer data, every field but the wall time, each
+        float compared by its repr, which round-trips it exactly; the spy
+        shows where the cells ran."""
+        dataset = request.getfixturevalue(fixture)
+        name = {"classify": "run_classification", "anomaly": "run_anomaly"}[task]
+        runner = getattr(evaluate, name)
+        results, threads = {}, {}
+        for n_cpus in (1, 2):
+            _usable_cpus(monkeypatch, n_cpus)
+            ran_in = threads[n_cpus] = []
+
+            def spy(*args, **kwargs):
+                ran_in.append(threading.current_thread())
+                return runner(*args, **kwargs)
+
+            monkeypatch.setattr(evaluate, name, spy)
+            results[n_cpus] = repr(_fields(evaluation_grid(dataset, task, seed=19)))
+        assert results[2] == results[1]
+        assert set(threads[1]) == {threading.current_thread()}
+        assert len(threads[2]) == 15 and threading.current_thread() not in threads[2]
+
+    def test_more_workers_than_cores_under_fast_switching(self, class_dataset, monkeypatch):
+        """Eight workers hand the interpreter over every few microseconds; a
+        cell that read another's state would change a report here."""
+        _usable_cpus(monkeypatch, 1)
+        want = repr(_fields(evaluation_grid(class_dataset, "classify", seed=7, n_folds=4)))
+        _usable_cpus(monkeypatch, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            got = repr(_fields(evaluation_grid(class_dataset, "classify", seed=7, n_folds=4)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
+    def test_one_usable_cpu_starts_no_thread(self, monkeypatch):
+        ds = gaussian_classification("grid", 60, 3, 2, seed=74)
+        _usable_cpus(monkeypatch, 1)
+
+        def start(self):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        assert len(evaluation_grid(ds, "classify", seed=3, n_folds=5)) == 15
+
+    def test_a_failing_cell_raises_as_with_one_worker(self, class_dataset, monkeypatch):
+        """ARES with psi above the training rows fails; rank runs. No worker
+        outlives the raise."""
+        raised = []
+        for n_cpus in (1, 2):
+            _usable_cpus(monkeypatch, n_cpus)
+            before = threading.active_count()
+            with pytest.raises(PsiTooLarge) as info:
+                evaluation_grid(
+                    class_dataset, "classify", ["ares", "rank"], seed=3, n_folds=4,
+                    subsample_size=class_dataset.n_rows,
+                )  # fmt: skip
+            assert threading.active_count() == before
+            raised.append((type(info.value), str(info.value)))
+        assert raised[1] == raised[0]
+
+    def test_first_failure_in_grid_order_raises_and_queued_cells_never_start(
+        self, monkeypatch
+    ):
+        """Cell 1 fails first in time, cell 0 later; the loop would raise
+        cell 0's error, and so must the pool, without starting the rest."""
+        ds = gaussian_classification("grid", 60, 3, 2, seed=74)
+        _usable_cpus(monkeypatch, 2)
+        cells = [(preproc, kind) for preproc in KINDS for kind in PERTURBATION_KINDS]
+        started = []
+
+        def cell(dataset, preproc, spec, **kwargs):
+            index = cells.index((preproc, spec.kind))
+            started.append(index)
+            if index == 0:
+                time.sleep(0.5)
+                raise ValueError("cell 0")
+            if index == 1:
+                raise ValueError("cell 1")
+            time.sleep(0.2)
+
+        monkeypatch.setattr(evaluate, "run_classification", cell)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="^cell 0$"):
+            evaluation_grid(ds, "classify", seed=1)
+        assert threading.active_count() == before
+        assert sorted(started)[:2] == [0, 1] and len(started) <= 4

@@ -49,7 +49,7 @@ import numpy as np
 from .data import Dataset
 from .errors import MissingLabelColumn, NonBinaryLabels, TooFewRows
 from .metrics import accuracy, auc
-from .neighbors import knn_classify, lof_scores
+from .neighbors import _as_count, knn_classify, lof_scores
 from .perturb import (
     DEFAULT_SCALE,
     DEFAULT_SHIFT,
@@ -79,6 +79,7 @@ def kfold_split(n: int, k: int = DEFAULT_FOLDS, seed: int = 0) -> np.ndarray:
     as each row's int64 fold: fold f is the f-th of k near-equal runs of
     `sampling.permutation(n, seed)`, so the folds depend on the seed alone,
     not on the numpy version."""
+    k = _as_count(k, "fold count")
     if k < 2:
         raise ValueError(f"fold count must be >= 2, got {k}")
     if n < k:

@@ -9,6 +9,10 @@ def accuracy(predicted, truth) -> float:
     """Fraction of positions where predicted equals truth."""
     predicted = np.asarray(predicted)
     truth = np.asarray(truth)
+    if predicted.ndim != 1 or truth.ndim != 1:
+        raise ValueError(
+            f"expected 1-D predicted and truth, got shapes {predicted.shape} and {truth.shape}"
+        )
     if predicted.shape[0] != truth.shape[0]:
         raise LengthMismatch(
             f"predicted has {predicted.shape[0]} items, truth has {truth.shape[0]}"
@@ -34,6 +38,10 @@ def auc(scores, is_anomaly) -> float:
     """
     scores = np.asarray(scores, dtype=np.float64)
     flags = np.asarray(is_anomaly).astype(bool)
+    if scores.ndim != 1 or flags.ndim != 1:
+        raise ValueError(
+            f"expected 1-D scores and flags, got shapes {scores.shape} and {flags.shape}"
+        )
     if scores.shape[0] != flags.shape[0]:
         raise LengthMismatch(
             f"scores has {scores.shape[0]} items, flags has {flags.shape[0]}"

@@ -6,23 +6,29 @@ and LOF takes every row tied at the k-distance into the neighbourhood, so
 repeated runs (and runs on bitwise-equal feature matrices) give identical
 results.
 
-The public functions, `knn_classify` and `lof_scores`, first pass their
-matrices to one check, `_as_features`, which raises in order: ValueError
-for a matrix that is not 2-D, `DimensionMismatch` for unequal column
-counts, `EmptyDataset` for no columns, then, from each input's min and max,
-`NonFiniteValue` for NaN and infinite features, whose distances have no
-order to select neighbours by, and `InexactDistances` unless
-``4·m·max|x|²``, for m columns, is below 2**53 for integer input and finite
-for float input. That quantity bounds every Gram term and every squared
-distance. Each then checks its own arguments, runs the one neighbour
+The public functions, `knn_classify` and `lof_scores`, first take their
+neighbour count through `operator.index` (`_as_count`: TypeError for a
+float), then pass their matrices to one check, `_as_features`, which raises
+in order: ValueError for a matrix that is not 2-D, `DimensionMismatch` for
+unequal column counts, `EmptyDataset` for no columns, then, from each
+input's min and max, `NonFiniteValue` for NaN and infinite features, whose
+distances have no order to select neighbours by, and `InexactDistances`
+unless ``4·m·max|x|²``, for m columns, is below 2**53 for integer input and
+finite for float input. That quantity bounds every Gram term and every
+squared distance. Each then checks its own arguments, runs the one neighbour
 search, `_k_nearest_with_ties`, and its own vote or LOF sums. The private
 helpers only compute, on C-contiguous finite arrays. The search handles one
 block of queries at a time in a float64 distance buffer of at most
-`_BLOCK_BYTES`. For every dtype it fills the block with one Gram pass,
-``|r|² − 2·q·rᵀ`` in float64, as one `np.matmul`: ``|r|²`` rides along as
-an extra row of the reference, against a column of ones beside ``−2q``.
-``|q|²`` is the same along a query's row, so it changes no selection and is
-left out of the fill. With ``skip_self`` a query's own entry is set above
+`_BLOCK_BYTES`, allocated once and reused by every block: a fill allocated
+per block, about 250 KB at grid sizes and so likely a fresh mmap each time,
+ran perfbench's `classify-grid` 1–17% slower in CPU time (9 of 9 pairs).
+The int32 copy (half a fill) and the member mask (an eighth) are per-block
+temporaries; reused buffers for them changed no end-to-end time
+(CHANGES.md). For every dtype the search fills the block with one Gram
+pass, ``|r|² − 2·q·rᵀ`` in float64, as one `np.matmul`: ``|r|²`` rides
+along as an extra row of the reference, against a column of ones beside
+``−2q``. ``|q|²`` is the same along a query's row, so it changes no
+selection and is left out of the fill. With ``skip_self`` a query's own entry is set above
 every fill: INT32_MAX on an int32 copy, inf otherwise. One rule,
 `_first_k`, picks a row's k nearest entries: by distance, then by lower
 index; a query with exactly k entries keeps them all.
@@ -79,6 +85,7 @@ mean neighbourhood size.
 """
 
 import math
+import operator
 
 import numpy as np
 
@@ -175,14 +182,13 @@ def _k_nearest_with_ties(
     """
     n_ref, n_q = ref.shape[0], queries.shape[0]
     rows = _block_rows(n_ref)
+    # reused by every block: a fill allocated per block cost classify-grid 9% CPU
     buf = np.empty((min(rows, n_q), n_ref))
-    member_buf = np.empty(buf.shape, dtype=bool)
     q, ref_t, qn, slack = _distance_rows(ref, queries)
     # a fill |r|² − 2·q·r lies in [−|q|², 2·|r|² + |q|²]: integer fills below
     # INT32_MAX, which a self entry gets, are selected on an int32 copy, and
     # everything else on the float64 block itself; no queries, no fills
     narrow = slack is None and 2 * ref_t[-1].max() + qn.max(initial=0) < _INT32_MAX
-    select_buf = np.empty(buf.shape, dtype=np.int32) if narrow else buf
     beyond = _INT32_MAX if narrow else np.inf
     kth2 = np.empty(n_q)
     indptr = np.zeros(n_q + 1, dtype=np.int64)
@@ -192,11 +198,9 @@ def _k_nearest_with_ties(
     end = 0
     for start in range(0, n_q, rows):
         stop = min(start + rows, n_q)
-        block, member = buf[: stop - start], member_buf[: stop - start]
-        select = select_buf[: stop - start]
+        block = buf[: stop - start]
         np.matmul(q[start:stop], ref_t, out=block)
-        if narrow:
-            np.copyto(select, block, casting="unsafe")
+        select = block.astype(np.int32) if narrow else block
         # with skip_self, row j of the block is query start + j: its own
         # entries sit at flat positions start + j * (n_ref + 1)
         if skip_self:
@@ -206,10 +210,9 @@ def _k_nearest_with_ties(
         kth[:] = limit[:, 0]
         if slack is not None:
             limit = limit + slack[start:stop, None]
-        # a self entry is above every fill and every limit: never a member
-        np.less_equal(select, limit, out=member)
-        # the row and column of each flat position; faster than 2-D np.nonzero
-        flat = np.flatnonzero(member)
+        # a self entry is above every fill and every limit: never a member;
+        # flat positions and divmod are faster than 2-D np.nonzero
+        flat = np.flatnonzero(select <= limit)
         owner, cols = np.divmod(flat, n_ref)
         if slack is None:
             # exact integers: |q|² goes back on the kept entries alone
@@ -240,6 +243,15 @@ def _k_nearest_with_ties(
     dist2.resize(end, refcheck=False)
     np.cumsum(indptr, out=indptr)
     return indptr, indices, dist2, kth2
+
+
+def _as_count(value, name: str) -> int:
+    """``value`` as a Python int, through `operator.index`, so numpy integers
+    pass and a float raises TypeError naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}") from None
 
 
 def _as_features(*matrices) -> list[np.ndarray]:
@@ -291,8 +303,11 @@ def knn_classify(train_x, train_y, test_x, k: int = 5):
     to the smallest label under the training labels' sorted order. Integer
     features take the exact integer distance path.
     """
+    k = _as_count(k, "k")
     train_x, test_x = _as_features(train_x, test_x)
     train_y = np.asarray(train_y)
+    if train_y.ndim != 1:
+        raise ValueError(f"expected 1-D train labels, got shape {train_y.shape}")
     if train_y.shape[0] != train_x.shape[0]:
         raise ValueError("train labels length does not match train rows")
     if k < 1:
@@ -331,6 +346,7 @@ def lof_scores(x, n_neighbors: int) -> np.ndarray:
     the peak three N * k' arrays are held: the int32 neighbor indices and two
     8-byte ones, 20 bytes per neighborhood entry.
     """
+    n_neighbors = _as_count(n_neighbors, "n_neighbors")
     (x,) = _as_features(x)
     if n_neighbors < 1:
         raise ValueError(f"n_neighbors must be >= 1, got {n_neighbors}")

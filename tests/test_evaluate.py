@@ -136,6 +136,14 @@ class TestKfoldSplit:
         with pytest.raises(ValueError):
             kfold_split(10, 1, seed=0)
 
+    def test_float_fold_count_is_a_type_error(self):
+        """2.5 once built 2 folds of 5; numpy integers still count."""
+        with pytest.raises(TypeError, match="^fold count must be an integer, got float$"):
+            kfold_split(10, 2.5, seed=0)
+        with pytest.raises(TypeError, match="fold count"):
+            kfold_split(10, np.float64(2.0), seed=0)
+        assert kfold_split(10, np.int32(2), seed=4).tolist() == kfold_split(10, 2, seed=4).tolist()
+
 
 class TestLofNeighborCount:
     def test_ceil_sqrt(self):
@@ -475,18 +483,28 @@ class TestEvaluationGrid:
     def test_tied_cells_equal_the_reference_runners(self, task, fixture, monkeypatch, request):
         """On integer-tied columns, every report field but the wall time
         equals the reference runners', and every learner input, each fold's
-        train and test rows, equals the reference model's counts bitwise."""
+        train and test rows, equals the reference model's counts bitwise.
+        The cells run on two workers; the spy files each learner input under
+        the cell its thread is running, and a cell's inputs come in call
+        order."""
         dataset = request.getfixturevalue(fixture)
-        _usable_cpus(monkeypatch, 1)  # the spy records learner inputs in call order
-        seen = []
+        _usable_cpus(monkeypatch, 2)
+        name = {"classify": "run_classification", "anomaly": "run_anomaly"}[task]
+        runner, running, by_cell = getattr(evaluate, name), threading.local(), {}
+
+        def cell_runner(dataset, preproc, spec, **kwargs):
+            running.cell = (preproc, spec.kind)
+            by_cell[running.cell] = []
+            return runner(dataset, preproc, spec, **kwargs)
 
         def spy(fn, *positions):
             def wrapper(*args, **kwargs):
-                seen.append([args[i] for i in positions])
+                by_cell[running.cell].append([args[i] for i in positions])
                 return fn(*args, **kwargs)
 
             return wrapper
 
+        monkeypatch.setattr(evaluate, name, cell_runner)
         monkeypatch.setattr(evaluate, "knn_classify", spy(evaluate.knn_classify, 0, 2))
         monkeypatch.setattr(evaluate, "lof_scores", spy(evaluate.lof_scores, 0))
         reports = evaluation_grid(dataset, task, seed=19)
@@ -501,6 +519,7 @@ class TestEvaluationGrid:
             del report["wall_time_ms"]
         cells = [(preproc, kind) for preproc in KINDS for kind in PERTURBATION_KINDS]
         assert got == [reference(dataset, p, PerturbationSpec(k), seed=19) for p, k in cells]
+        seen = [inputs for cell in cells for inputs in by_cell[cell]]
 
         want = []
         for preproc, kind in cells:

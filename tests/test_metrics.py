@@ -36,6 +36,15 @@ class TestAccuracy:
         with pytest.raises(EmptyInput):
             accuracy([], [])
 
+    def test_only_1d_inputs(self):
+        """A column of truths once broadcast to 4 x 4 and read 0.5, not 1.0."""
+        with pytest.raises(ValueError, match="1-D predicted and truth"):
+            accuracy([0, 1, 0, 1], [[0], [1], [0], [1]])
+        with pytest.raises(ValueError, match="1-D predicted and truth"):
+            accuracy([[0, 1]], [[0, 1]])
+        with pytest.raises(ValueError, match="1-D predicted and truth"):
+            accuracy(1, 1)
+
 
 class TestAverageRanks:
     def test_matches_naive_definition(self):
@@ -100,6 +109,15 @@ class TestAuc:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             auc([1.0], [1, 0])
+
+    def test_only_1d_scores_and_flags(self):
+        """A 4 x 2 score matrix once returned 4.75, which is no probability."""
+        with pytest.raises(ValueError, match="1-D scores and flags"):
+            auc(np.arange(8.0).reshape(4, 2), [0, 1, 0, 1])
+        with pytest.raises(ValueError, match="1-D scores and flags"):
+            auc([0.1, 0.2, 0.3, 0.4], [[0], [1], [0], [1]])
+        with pytest.raises(ValueError, match="1-D scores and flags"):
+            auc(0.5, 1)
 
     def test_infinite_scores_rank_highest(self):
         assert auc([0.5, np.inf, 0.2], [0, 1, 0]) == 1.0

@@ -125,6 +125,29 @@ class TestKnnContracts:
         with pytest.raises(NonFiniteValue):
             knn_classify(np.array([[0.0], [np.nan]]), [0, 1], np.zeros((1, 1)), k=0)
 
+    def test_float_k_is_a_type_error_before_any_check(self):
+        """Named, and raised before the NaN matrix is looked at; it once
+        failed inside the search with numpy's own TypeError."""
+        with pytest.raises(TypeError, match="^k must be an integer, got float$"):
+            knn_classify(np.array([[0.0], [np.nan]]), [0, 1], np.zeros((1, 1)), k=2.5)
+        with pytest.raises(TypeError, match="^k must be an integer"):
+            knn_classify(np.zeros((3, 1)), [0, 1, 0], np.zeros((1, 1)), k=np.float64(1.0))
+
+    def test_numpy_integer_k(self):
+        train, labels = np.array([[0.0], [1.0], [5.0], [6.0]]), ["a", "a", "b", "b"]
+        for k in (np.int8(3), np.int64(3), np.uint16(3)):
+            assert knn_classify(train, labels, [[0.5], [5.5]], k).tolist() == ["a", "b"]
+
+    def test_2d_train_labels_rejected(self):
+        """Stacked labels pass the length check but once tallied a
+        mis-broadcast vote."""
+        rng = np.random.default_rng(3)
+        x, y = rng.normal(size=(12, 2)), np.arange(12) % 3
+        with pytest.raises(ValueError, match="1-D train labels"):
+            knn_classify(x, np.stack([y, y], 1), x[:3], 3)
+        with pytest.raises(ValueError, match="1-D train labels"):
+            knn_classify(x[:1], 0, x[:1], 1)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_rejected(self, bad):
         train = np.zeros((4, 2))
@@ -222,6 +245,16 @@ class TestLofProperties:
     def test_matrix_fault_is_reported_before_n_neighbors(self):
         with pytest.raises(NonFiniteValue):
             lof_scores(np.array([[0.0], [np.nan], [1.0]]), 0)
+
+    def test_float_n_neighbors_is_a_type_error_before_any_check(self):
+        with pytest.raises(TypeError, match="^n_neighbors must be an integer, got float$"):
+            lof_scores(np.array([[0.0], [np.nan], [1.0]]), 3.0)
+
+    def test_numpy_integer_n_neighbors(self):
+        x = np.random.default_rng(8).normal(size=(20, 3))
+        want = lof_scores(x, 4)
+        for k in (np.int8(4), np.int64(4), np.uint32(4)):
+            assert lof_scores(x, k).tobytes() == want.tobytes()
 
 
 _TRAIN, _TEST, _LOF = "knn-train", "knn-test", "lof"

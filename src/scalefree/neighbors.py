@@ -15,23 +15,23 @@ input's min and max, `NonFiniteValue` for NaN and infinite features, whose
 distances have no order to select neighbours by, and `InexactDistances`
 unless ``4·m·max|x|²``, for m columns, is below 2**53 for integer input and
 finite for float input. That quantity bounds every Gram term and every
-squared distance. Each then checks its own arguments, runs the one neighbour
-search, `_k_nearest_with_ties`, and its own vote or LOF sums. The private
-helpers only compute, on C-contiguous finite arrays. The search handles one
-block of queries at a time in a float64 distance buffer of at most
-`_BLOCK_BYTES`, allocated once and reused by every block: a fill allocated
-per block, about 250 KB at grid sizes and so likely a fresh mmap each time,
-ran perfbench's `classify-grid` 1–17% slower in CPU time (9 of 9 pairs).
-The int32 copy (half a fill) and the member mask (an eighth) are per-block
-temporaries; reused buffers for them changed no end-to-end time
-(CHANGES.md). For every dtype the search fills the block with one Gram
-pass, ``|r|² − 2·q·rᵀ`` in float64, as one `np.matmul`: ``|r|²`` rides
-along as an extra row of the reference, against a column of ones beside
-``−2q``. ``|q|²`` is the same along a query's row, so it changes no
-selection and is left out of the fill. With ``skip_self`` a query's own entry is set above
-every fill: INT32_MAX on an int32 copy, inf otherwise. One rule,
-`_first_k`, picks a row's k nearest entries: by distance, then by lower
-index; a query with exactly k entries keeps them all.
+squared distance. Each then checks its own arguments, runs the one
+neighbour search, `_k_nearest_with_ties`, and its own vote or LOF sums. The
+private helpers only compute, on C-contiguous finite arrays. The search
+handles one block of queries at a time in a float64 distance buffer of at
+most `_BLOCK_BYTES`, allocated once and reused by every block: a fill
+allocated per block, about 250 KB at grid sizes, ran perfbench's
+`classify-grid` 1–17% slower in CPU time (9 of 9 pairs). The int32 copy
+(half a fill) and the member mask (an eighth) are per-block temporaries;
+reused buffers for them changed no end-to-end time (CHANGES.md). For every
+dtype the search fills the block with one Gram pass, ``|r|² − 2·q·rᵀ`` in
+float64, as one `np.matmul`: ``|r|²`` rides along as an extra row of the
+reference, against a column of ones beside ``−2q``. ``|q|²`` is the same
+along a query's row, so it changes no selection and is left out of the
+fill. With ``skip_self`` a query's own entry is set above every fill:
+INT32_MAX on an int32 copy, inf otherwise. One rule, `_first_k`, picks a
+row's k nearest entries: by distance, then by lower index; a query with
+exactly k entries keeps them all.
 
 * Integer input (the rank and ARES counts) stays int64. Every product and
   partial sum of the Gram pass is an integer of magnitude at most

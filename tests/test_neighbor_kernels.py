@@ -166,9 +166,9 @@ def test_knn_peak_memory_in_neighbourhood_entries_and_blocks(kind, n, seed):
     peak stays within 12 bytes per neighbourhood entry (an int32 index and a
     float64 distance), three distance blocks (the fill, the selection copy
     np.partition makes, and the int32 copy or the refine's rows) and the Gram
-    operands, below half a dense n_test x n_train float64 array. Peaks on
-    counts and floats at N = 2000 were 0.96 and 0.84 MiB with reused int32
-    and mask buffers, and are 0.92 and 0.79 MiB without."""
+    operands, below half a dense n_test x n_train float64 array. At
+    N = 2000 the peaks were 0.92 MiB on counts and 0.79 MiB on floats,
+    against a bound of 1.01 MiB."""
     if kind == "counts":
         x = ares_counts(n, 16, seed=seed)
     else:

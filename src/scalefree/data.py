@@ -45,7 +45,9 @@ class Dataset:
             raise ValueError("feature_names length does not match column count")
         if self.labels is not None:
             self.labels = np.asarray(self.labels)
-            if self.labels.shape[0] != self.features.shape[0]:
+            if self.labels.ndim != 1:
+                raise ValueError("labels must be a 1-D array, one label per row")
+            if len(self.labels) != self.features.shape[0]:
                 raise ValueError("labels length does not match row count")
             if self.label_name is None:
                 self.label_name = "label"
@@ -202,23 +204,24 @@ def _same(st, file) -> bool:
         return False
 
 
-def _replaceable(path) -> Path | None:
-    """The resolved target of `path` if it may be replaced by a rename: it
-    does not exist yet, or it is a regular file. None for anything else
-    (a device such as /dev/null, a FIFO, a terminal, a directory), which
-    must be opened and written in place."""
+def _replaceable(path) -> tuple[Path, int | None] | None:
+    """The resolved target of `path` and its permission bits if it may be
+    replaced by a rename: it does not exist yet (no bits), or it is a
+    regular file. None for anything else (a device such as /dev/null, a
+    FIFO, a terminal, a directory), which must be opened and written in
+    place."""
     target = Path(path).resolve()
     try:
         st = os.stat(path)
     except FileNotFoundError:
-        return target
+        return target, None
     except OSError:
         return None
     # The resolved name must reach the same file: /dev/stdout resolves to a
     # pseudo-name such as "pipe:[123]" under /proc. The file standard output
     # or error is open on, as after `>> log`, is written in place too.
     if stat.S_ISREG(st.st_mode) and _same(st, target) and not (_same(st, 1) or _same(st, 2)):
-        return target
+        return target, stat.S_IMODE(st.st_mode)
     return None
 
 
@@ -229,16 +232,19 @@ def replacing(path):
 
     A regular or new file is written as a new sibling file that replaces
     `path` on exit; if the body raises, the sibling is removed and `path`
-    keeps its old contents. A symlink at `path` is followed, as opening it
-    would. An OSError from creating or renaming the sibling names `path`, as
-    opening it would. Any other target (`_replaceable`) is opened in append
-    mode and written in place, so it is never truncated.
+    keeps its old contents. The sibling takes a replaced file's permission
+    bits, and a new file's are the umask default. A symlink at `path` is
+    followed, as opening it would. An OSError from creating, chmodding or
+    renaming the sibling names `path`, as opening it would. Any other target
+    (`_replaceable`) is opened in append mode and written in place, so it is
+    never truncated.
     """
-    target = _replaceable(path)
-    if target is None:
+    replaceable = _replaceable(path)
+    if replaceable is None:
         with open(path, "a", encoding="utf-8", newline="") as fh:
             yield fh
         return
+    target, mode = replaceable
     tmp = target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
     try:
         fh = open(tmp, "x", encoding="utf-8", newline="")
@@ -248,6 +254,8 @@ def replacing(path):
         with fh:
             yield fh
         try:
+            if mode is not None:
+                os.chmod(tmp, mode)
             os.replace(tmp, target)
         except OSError as exc:
             raise type(exc)(exc.errno, exc.strerror, path) from None

@@ -2,8 +2,11 @@
 
 Every error raised on bad user input derives from ScaleFreeError so the
 CLI can catch one type and exit with a diagnostic. Genuine programming
-mistakes (wrong types, impossible states) raise plain ValueError/TypeError.
+mistakes (wrong types, impossible states) raise plain ValueError/TypeError,
+such as `_as_count`'s TypeError for an integer argument given as a float.
 """
+
+import operator
 
 
 class ScaleFreeError(Exception):
@@ -89,3 +92,13 @@ class UnsupportedVersion(ScaleFreeError):
 
 class CorruptModel(ScaleFreeError):
     """A model file is truncated, malformed, or violates its invariants."""
+
+
+def _as_count(value, name: str) -> int:
+    """``value`` as a Python int, through `operator.index`, so numpy integers
+    pass and a float raises TypeError naming ``name``. Every integer
+    argument goes through it: neighbour and fold counts, psi, t and seeds."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}") from None

@@ -1,27 +1,32 @@
 """Replication harness: cross-validated KNN accuracy and whole-set LOF AUC.
 
-Every run is one cell of the preprocessor x perturbation grid, and
-`_run_cell` holds the steps all cells share:
+Every run is one cell of the preprocessor x perturbation grid, and each
+runner holds its cell's steps in order:
 
+* it checks the labels and the seed (`_checked_seed`), then starts the
+  cell's timer;
 * `perturb_matrix` rescales every feature column of the full dataset first
   (it simulates how the data were measured, not a modelling step), and
   rejects a matrix with no rows or no columns, so no fit sees one;
-* the task's scoring step calls the cell's `fit_maps` with the rows and
-  seed of each fit, and gets, fit by fit, every row mapped to what the
-  learners see. Rank and ARES map to their integer counts (the transform
-  times t), whose squared distances are exact; every column is sorted once
-  per cell, and each fit's counts are a cumulative sum of its per-row
-  sample weights in that order (`transforms._in_sample_counter`). Min-max
-  maps through `fit_transformer` and `transform`, as floats;
-* `_run_cell` times these steps and builds the `EvaluationReport`.
+* `_fit_map` gives the cell's `fit(rows, seed)`, every row mapped to what
+  the learners see by a fit on `rows`. Rank and ARES map to their integer
+  counts (the transform times t), whose squared distances are exact; every
+  column is sorted once per cell, and each fit's counts are a cumulative
+  sum of its per-row sample weights in that order
+  (`transforms._in_sample_counter`). Min-max maps through `fit_transformer`
+  and `transform`, as floats;
+* the learner and the metric run on each fit's map, and `_report` stops
+  the timer and builds the `EvaluationReport`, the one place where a
+  report field is added.
 
-Only the scoring differs. `run_classification` splits the rows into k random
-folds (`kfold_split` returns each row's fold: `sampling.permutation` of the
-rows under the fold seed, cut into k near-equal runs), fits on the training
-folds only, predicts each held-out fold by KNN and reports the mean fold
-accuracy. `run_anomaly` fits on all rows (unsupervised), scores every row by
-LOF with n_neighbors = ceil(sqrt(N)) and reports the AUC of the scores
-against the binary flags.
+The runners differ in their fits and learners. `run_classification` splits
+the rows into k random folds (`kfold_split` returns each row's fold:
+`sampling.permutation` of the rows under the fold seed, cut into k
+near-equal runs), fits on the training folds only, predicts each held-out
+fold by KNN and reports the mean fold accuracy. `run_anomaly` fits on all
+rows (unsupervised), scores every row by LOF with n_neighbors = ceil(sqrt(N))
+and reports the AUC of the scores against the binary flags; its fit map is a
+temporary, so the column sort is freed before LOF runs.
 
 All randomness (fold permutation, per-fold sub-sample draws) expands from
 the single seed via the derivations in `sampling`.
@@ -47,9 +52,9 @@ import time
 import numpy as np
 
 from .data import Dataset
-from .errors import MissingLabelColumn, NonBinaryLabels, TooFewRows
+from .errors import MissingLabelColumn, NonBinaryLabels, TooFewRows, _as_count
 from .metrics import accuracy, auc
-from .neighbors import _as_count, knn_classify, lof_scores
+from .neighbors import knn_classify, lof_scores
 from .perturb import (
     DEFAULT_SCALE,
     DEFAULT_SHIFT,
@@ -84,46 +89,43 @@ def kfold_split(n: int, k: int = DEFAULT_FOLDS, seed: int = 0) -> np.ndarray:
         raise ValueError(f"fold count must be >= 2, got {k}")
     if n < k:
         raise TooFewRows(f"cannot split {n} rows into {k} folds")
-    perm = permutation(n, seed)
+    perm = permutation(n, _as_count(seed, "seed"))
     fold_of_row = np.empty(n, dtype=np.int64)
     for f, part in enumerate(np.array_split(perm, k)):
         fold_of_row[part] = f
     return fold_of_row
 
 
-def _run_cell(dataset, preprocessor, perturbation, metric, score, *, seed, **fit_kwargs):
-    """One grid cell; `score(fit_maps)` returns the aggregate and the per-fold
-    list. Each row maps on its own, so fitting on some rows and mapping all
-    equals mapping each subset. The common factor t between counts and
-    transform changes neither KNN order nor LOF ratios."""
+def _checked_seed(preprocessor: str, seed) -> int:
+    """The cell's seed as an int (`_as_count`); every kind needs one, as its
+    report names the seed that reproduces it."""
     if seed is None:
         raise ValueError(f"{preprocessor} requires a seed")
-    start = time.perf_counter()
-    features = perturb_matrix(dataset.features, perturbation)
+    return _as_count(seed, "seed")
 
-    def fit_maps(fits):
-        """Per (rows, fit_seed) of `fits` in turn, the fit on those rows
-        mapping every row. The column sort lives only while this generator
-        runs, so a caller that drains it frees the sort before its learner."""
-        if preprocessor in ("rank", "ares"):
-            counts = _in_sample_counter(features)
-            for rows, fit_seed in fits:
-                yield counts(preprocessor, rows, seed=fit_seed, **fit_kwargs)
-            return
-        for rows, fit_seed in fits:
-            transformer = fit_transformer(features[rows], preprocessor, seed=fit_seed, **fit_kwargs)
-            yield transformer.transform(features)
 
-    aggregate, per_fold = score(fit_maps)
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
+def _fit_map(features: np.ndarray, kind: str, psi: int, t: int):
+    """`fit(rows, seed)`: every row of `features` mapped by a fit of `kind`
+    on `rows`, drawn with `seed`. Each row maps on its own, so fitting on
+    some rows and mapping all equals mapping each subset. Rank and ARES map
+    to their counts, from one column sort (`_in_sample_counter`); the common
+    factor t between counts and transform changes neither KNN order nor LOF
+    ratios. Any other kind maps through `fit_transformer`, which raises for
+    an unknown kind and needs no seed for min-max."""
+    if kind in ("rank", "ares"):
+        return _in_sample_counter(features, kind, psi, t)
+    return lambda rows, _: fit_transformer(features[rows], kind).transform(features)
 
+
+def _report(dataset, preprocessor, perturbation, seed, start, metric, aggregate, per_fold):
+    """The cell's `EvaluationReport`, timed from `start`."""
     return EvaluationReport(
         dataset=dataset.name,
         preprocessor=preprocessor,
         perturbation=perturbation.kind,
         metric=metric,
         aggregate=aggregate,
-        wall_time_ms=elapsed_ms,
+        wall_time_ms=(time.perf_counter() - start) * 1000.0,
         seed=seed,
         per_fold=per_fold,
     )
@@ -144,23 +146,19 @@ def run_classification(
     labels = dataset.labels
     if labels is None:
         raise MissingLabelColumn("classification needs a dataset with labels")
-
-    def score(fit_maps):
-        folds = kfold_split(dataset.n_rows, n_folds, seed=fold_seed(seed))
-        trains = [np.flatnonzero(folds != f) for f in range(n_folds)]
-        mapped = fit_maps((rows, cv_fit_seed(seed, f)) for f, rows in enumerate(trains))
-        per_fold = []
-        for f, neighbor in enumerate(mapped):
-            train_idx, test_idx = trains[f], np.flatnonzero(folds == f)
-            train, test = neighbor[train_idx], neighbor[test_idx]
-            predicted = knn_classify(train, labels[train_idx], test, knn_k)
-            per_fold.append(accuracy(predicted, labels[test_idx]))
-        return float(np.mean(per_fold)), per_fold
-
-    return _run_cell(
-        dataset, preprocessor, perturbation, "accuracy", score,
-        seed=seed, subsample_size=subsample_size, n_subsamples=n_subsamples,
-    )  # fmt: skip
+    seed = _checked_seed(preprocessor, seed)
+    start = time.perf_counter()
+    features = perturb_matrix(dataset.features, perturbation)
+    folds = kfold_split(dataset.n_rows, n_folds, seed=fold_seed(seed))
+    fit = _fit_map(features, preprocessor, subsample_size, n_subsamples)
+    per_fold = []
+    for f in range(n_folds):
+        train_idx, test_idx = np.flatnonzero(folds != f), np.flatnonzero(folds == f)
+        neighbor = fit(train_idx, cv_fit_seed(seed, f))
+        predicted = knn_classify(neighbor[train_idx], labels[train_idx], neighbor[test_idx], knn_k)
+        per_fold.append(accuracy(predicted, labels[test_idx]))
+    mean = float(np.mean(per_fold))
+    return _report(dataset, preprocessor, perturbation, seed, start, "accuracy", mean, per_fold)
 
 
 def _binary_flags(labels) -> np.ndarray:
@@ -196,16 +194,13 @@ def run_anomaly(
     if dataset.labels is None:
         raise MissingLabelColumn("anomaly evaluation needs a dataset with 0/1 labels")
     flags = _binary_flags(dataset.labels)
-
-    def score(fit_maps):
-        (neighbor,) = fit_maps([(slice(None), seed)])
-        scores = lof_scores(neighbor, lof_neighbor_count(dataset.n_rows))
-        return auc(scores, flags), []
-
-    return _run_cell(
-        dataset, preprocessor, perturbation, "auc", score,
-        seed=seed, subsample_size=subsample_size, n_subsamples=n_subsamples,
-    )  # fmt: skip
+    seed = _checked_seed(preprocessor, seed)
+    start = time.perf_counter()
+    features = perturb_matrix(dataset.features, perturbation)
+    # the fit map is a temporary, so its column sort is freed before LOF runs
+    neighbor = _fit_map(features, preprocessor, subsample_size, n_subsamples)(slice(None), seed)
+    scores = lof_scores(neighbor, lof_neighbor_count(dataset.n_rows))
+    return _report(dataset, preprocessor, perturbation, seed, start, "auc", auc(scores, flags), [])
 
 
 def _usable_cpus() -> int:

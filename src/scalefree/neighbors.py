@@ -7,7 +7,7 @@ repeated runs (and runs on bitwise-equal feature matrices) give identical
 results.
 
 The public functions, `knn_classify` and `lof_scores`, first take their
-neighbour count through `operator.index` (`_as_count`: TypeError for a
+neighbour count through `errors._as_count` (`operator.index`: TypeError for a
 float), then pass their matrices to one check, `_as_features`, which raises
 in order: ValueError for a matrix that is not 2-D, `DimensionMismatch` for
 unequal column counts, `EmptyDataset` for no columns, then, from each
@@ -85,7 +85,6 @@ mean neighbourhood size.
 """
 
 import math
-import operator
 
 import numpy as np
 
@@ -96,6 +95,7 @@ from .errors import (
     KExceedsTrainSize,
     NonFiniteValue,
     TooFewRows,
+    _as_count,
 )
 
 # byte budget of one (block rows, N) float64 distance buffer: 256 KiB keeps a
@@ -243,15 +243,6 @@ def _k_nearest_with_ties(
     dist2.resize(end, refcheck=False)
     np.cumsum(indptr, out=indptr)
     return indptr, indices, dist2, kth2
-
-
-def _as_count(value, name: str) -> int:
-    """``value`` as a Python int, through `operator.index`, so numpy integers
-    pass and a float raises TypeError naming ``name``."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {type(value).__name__}") from None
 
 
 def _as_features(*matrices) -> list[np.ndarray]:

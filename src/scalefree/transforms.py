@@ -18,21 +18,23 @@ patterns, both exact and bitwise equal:
 * for the rows of one matrix, the pool is a per-row sample weight (how often
   the draws took the row; 1 per fitted row for rank), and a row's count is
   the cumulative weight below it in the column's sorted order
-  (`_in_sample_counter`, one sort per matrix for any number of fits).
+  (`_in_sample_counter(x, kind, psi, t)`, one sort per matrix, then
+  `counts(rows, seed)` for any number of fits).
 
 Both take the strict count from numpy's left binary search and their rows
 from `_draw`, where rank is the draw of all N rows, so ARES at psi = N costs
-what rank does. Each path stays, as the other does its job slower: fitted
-models made `evaluate`'s in-process `classify-grid` about 1.7× slower, and
-the in-sample sort a one-row `counts` call about 300× slower.
+what rank does; `_draw` takes ARES's psi, t and seed through
+`errors._as_count`, so a float among them raises a TypeError naming it.
+Each path stays, as the other does its job slower: fitted models made
+`evaluate`'s in-process `classify-grid` about 1.7× slower, and the
+in-sample sort a one-row `counts` call about 300× slower.
 """
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ColumnCountMismatch, EmptyDataset, NonFiniteValue
+from .errors import ColumnCountMismatch, EmptyDataset, NonFiniteValue, _as_count
 from .sampling import subsample_indices, subsample_seed
 
 DEFAULT_SUBSAMPLE_SIZE = 7
@@ -84,22 +86,26 @@ def _check_matrix(features, verb: str) -> np.ndarray:
 def _draw(kind: str, n_rows: int, psi: int, t: int, seed: int | None, m: int) -> np.ndarray:
     """The row indices a rank or ARES fit on n_rows rows takes for m columns,
     shape (m, t, psi). Rank is psi = N, t = 1, and psi = N is every row, as
-    Floyd's algorithm returns it sorted. ARES checks its seed and t here alone
-    (a negative t or psi acts as 0); draw j of column c takes seed (seed, c, j)."""
+    Floyd's algorithm returns it sorted. ARES checks its seed, psi and t here
+    alone, each an integer through `_as_count` (a negative t or psi acts as
+    0); draw j of column c takes seed (seed, c, j)."""
     if kind == "rank":
         psi, t = n_rows, 1
     elif seed is None:
         raise ValueError("ares requires a seed")
-    elif t < 1:
-        raise ValueError(f"sub-sample count t must be >= 1, got {max(t, 0)}")
+    else:
+        seed, psi = _as_count(seed, "seed"), _as_count(psi, "sub-sample size")
+        t = _as_count(t, "sub-sample count t")
+        if t < 1:
+            raise ValueError(f"sub-sample count t must be >= 1, got {max(t, 0)}")
     if psi == n_rows:
         return np.broadcast_to(np.arange(n_rows), (m, t, n_rows))
     seeds = subsample_seed(seed, np.arange(m)[:, None], np.arange(t))
     return subsample_indices(n_rows, max(psi, 0), seeds)
 
 
-def _in_sample_counter(x: np.ndarray):
-    """Rank and ARES counts of every row of a finite N×m matrix, for fits on
+def _in_sample_counter(x: np.ndarray, kind: str, psi: int, t: int):
+    """Rank or ARES counts of every row of a finite N×m matrix, for fits on
     any of its rows, from one sort of each column.
 
     A fit weights each row by how many of a column's t `_draw`s took it;
@@ -107,7 +113,7 @@ def _in_sample_counter(x: np.ndarray):
     same cost. A row's count is then the summed weight of the rows strictly
     below it, one cumulative sum read at the row's group start in sorted
     order, which a left search of the sorted column finds, as the model path
-    searches its pool. The returned `counts(kind, rows, psi, t, seed)` equals
+    searches its pool. The returned `counts(rows, seed)` equals
     `fit_transformer(x[rows], kind, psi, t, seed=seed).counts(x)` bitwise
     and raises as it does for no rows or a bad psi, t or seed."""
     n, m = x.shape
@@ -122,11 +128,11 @@ def _in_sample_counter(x: np.ndarray):
     order += n * np.arange(m)[:, None]
     below = np.ascontiguousarray(below.T + (n + 1) * np.arange(m))  # row r, column c
 
-    def counts(kind, rows, subsample_size, n_subsamples, seed):
+    def counts(rows, seed):
         rows = np.arange(n)[rows]
         if not len(rows):
             _check_matrix(x[:0], "fit on")  # raises EmptyDataset, as a fit on no rows does
-        idx = _draw(kind, len(rows), subsample_size, n_subsamples, seed, m)
+        idx = _draw(kind, len(rows), psi, t, seed, m)
         taken = rows[idx] + n * np.arange(m)[:, None, None]
         weights = np.bincount(taken.ravel(), minlength=n * m)
         cum = np.zeros((m, n + 1), dtype=np.int64)
@@ -177,7 +183,7 @@ class FittedTransformer:
             if self.seed is None:
                 raise ValueError("ares requires a seed")
             # an int, so that a numpy integer seed saves as a JSON number
-            object.__setattr__(self, "seed", operator.index(self.seed))
+            object.__setattr__(self, "seed", _as_count(self.seed, "seed"))
         params.flags.writeable = False
         object.__setattr__(self, "params", params)
         if self.kind != "minmax":

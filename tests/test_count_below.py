@@ -104,9 +104,8 @@ def test_in_sample_counts_equal_the_fitted_model(atoms, seed, n, styles, whole, 
     rows = slice(None) if whole else rng.choice(n, rng.integers(1, n + 1), replace=False)
     n_fit = len(np.arange(n)[rows])
     psi = {"one": 1, "all": n_fit, "some": int(rng.integers(1, n_fit + 1))}[psi_choice]
-    counts = _in_sample_counter(x)
     for kind in ("rank", "ares"):
-        got = counts(kind, rows, psi, t, seed)
+        got = _in_sample_counter(x, kind, psi, t)(rows, seed)
         want = fit_transformer(x[rows], kind, psi, t, seed=seed).counts(x)
         assert got.dtype == want.dtype == np.int64
         assert got.tobytes() == want.tobytes(), kind

@@ -19,6 +19,8 @@ from scalefree.errors import (
     NonFiniteValue,
     ParseError,
 )
+from scalefree.model_io import save_model
+from scalefree.report import EvaluationReport, write_report
 from scalefree.transforms import fit_transformer
 
 
@@ -419,6 +421,34 @@ class TestSaveCsv:
         assert path.stat().st_ino != old_inode
 
 
+_WRITERS = {
+    "save_csv": lambda path: save_csv(Dataset("d", np.array([[0.5, 2.0]])), path),
+    "save_model": lambda path: save_model(fit_transformer(np.array([[0.5, 2.0]]), "rank"), path),
+    "write_report": lambda path: write_report(
+        [EvaluationReport("d", "rank", "identity", "auc", 0.5, 1.0, 7)], path
+    ),
+}
+
+
+@pytest.mark.parametrize("writer", list(_WRITERS))
+def test_replaced_file_keeps_its_permission_bits(writer, tmp_path):
+    """A writer replaces a regular file by renaming a new sibling over it;
+    the sibling takes the old file's mode, and a new file the umask's."""
+    write = _WRITERS[writer]
+    fresh, kept = tmp_path / "fresh.out", tmp_path / "kept.out"
+    kept.write_bytes(b"OLD\n")
+    kept.chmod(0o600)
+    old_inode = kept.stat().st_ino
+    write(fresh)
+    write(kept)
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(fresh.stat().st_mode) == 0o666 & ~umask
+    assert stat.S_IMODE(kept.stat().st_mode) == 0o600
+    assert kept.stat().st_ino != old_inode and kept.read_bytes() == fresh.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.out", "kept.out"]
+
+
 class TestDatasetValidation:
     def test_non_finite_rejected(self):
         with pytest.raises(NonFiniteValue):
@@ -427,6 +457,11 @@ class TestDatasetValidation:
     def test_label_length_mismatch(self):
         with pytest.raises(ValueError):
             Dataset("bad", np.ones((3, 2)), labels=np.arange(2))
+
+    @pytest.mark.parametrize("labels", [5, np.zeros((2, 2)), np.zeros((2, 1))])
+    def test_labels_that_are_not_one_dimensional_rejected(self, labels):
+        with pytest.raises(ValueError, match="^labels must be a 1-D array, one label per row$"):
+            Dataset("bad", np.ones((2, 2)), labels=labels)
 
     def test_one_dimensional_features_rejected(self):
         with pytest.raises(ValueError, match="features must be a 2-D array"):

@@ -5,6 +5,7 @@ import re
 import sys
 import threading
 import time
+import weakref
 from dataclasses import asdict
 
 import numpy as np
@@ -31,7 +32,7 @@ from scalefree.evaluate import (
 from scalefree.neighbors import knn_classify, lof_scores
 from scalefree.perturb import PERTURBATION_KINDS, PerturbationSpec, perturb_matrix
 from scalefree.sampling import cv_fit_seed, fold_seed
-from scalefree.transforms import KINDS, fit_transformer
+from scalefree.transforms import KINDS, _in_sample_counter, fit_transformer
 
 import reference_harness
 from conftest import gaussian_classification
@@ -143,6 +144,12 @@ class TestKfoldSplit:
         with pytest.raises(TypeError, match="fold count"):
             kfold_split(10, np.float64(2.0), seed=0)
         assert kfold_split(10, np.int32(2), seed=4).tolist() == kfold_split(10, 2, seed=4).tolist()
+
+    def test_float_seed_is_a_type_error(self):
+        """A float seed was truncated to an int; numpy integers still count."""
+        with pytest.raises(TypeError, match="^seed must be an integer, got float$"):
+            kfold_split(10, 2, seed=4.5)
+        assert kfold_split(10, 2, seed=np.int64(4)).tolist() == kfold_split(10, 2, seed=4).tolist()
 
 
 class TestLofNeighborCount:
@@ -319,6 +326,53 @@ def test_both_runners_reject_a_missing_seed(preproc, class_dataset, anomaly_data
     for run, dataset in ((run_classification, class_dataset), (run_anomaly, anomaly_dataset)):
         with pytest.raises(ValueError, match=f"^{preproc} requires a seed$"):
             run(dataset, preproc, seed=None)
+
+
+@pytest.mark.parametrize("preproc", KINDS)
+def test_both_runners_take_the_seed_as_an_integer(preproc, class_dataset, anomaly_dataset):
+    """A float seed is a TypeError before the perturbation, as a missing one
+    is; a numpy integer seed runs as the equal int and is reported as one."""
+    no_columns = Dataset("no_columns", np.zeros((30, 0)), labels=np.arange(30) % 2)
+    for run, dataset in ((run_classification, class_dataset), (run_anomaly, anomaly_dataset)):
+        with pytest.raises(TypeError, match="^seed must be an integer, got float$"):
+            run(no_columns, preproc, seed=5.0)
+        got = asdict(run(dataset, preproc, seed=np.int64(5)))
+        want = asdict(run(dataset, preproc, seed=5))
+        assert type(got["seed"]) is int
+        del got["wall_time_ms"], want["wall_time_ms"]
+        assert got == want
+
+
+@pytest.mark.parametrize("run", [run_classification, run_anomaly])
+def test_runners_raise_the_fit_error_for_an_unknown_kind(run, class_dataset, anomaly_dataset):
+    dataset = class_dataset if run is run_classification else anomaly_dataset
+    with pytest.raises(ValueError) as from_fit:
+        fit_transformer(dataset.features, "zscore")
+    with pytest.raises(ValueError) as from_run:
+        run(dataset, "zscore", seed=1)
+    assert str(from_run.value) == str(from_fit.value)
+    assert str(from_run.value).startswith("unknown transformer kind 'zscore'; ")
+
+
+@pytest.mark.parametrize("preproc", ["rank", "ares"])
+def test_anomaly_frees_the_column_sort_before_lof(monkeypatch, anomaly_dataset, preproc):
+    """The in-sample counter holds every column's sort, as large as the
+    features; it is gone by the time LOF runs on the counts."""
+    counters = []
+
+    def counter(*args):
+        counts = _in_sample_counter(*args)
+        counters.append(weakref.ref(counts))
+        return counts
+
+    def lof_spy(*args):
+        assert [ref() for ref in counters] == [None]
+        return lof_scores(*args)
+
+    monkeypatch.setattr(evaluate, "_in_sample_counter", counter)
+    monkeypatch.setattr(evaluate, "lof_scores", lof_spy)
+    run_anomaly(anomaly_dataset, preproc, seed=5)
+    assert len(counters) == 1
 
 
 @pytest.mark.parametrize("preproc", KINDS)

@@ -218,7 +218,6 @@ class TestAresFit:
         x = np.column_stack(
             [np.floor(4.0 * rng.lognormal(size=40)), rng.normal(size=40), [0.0, -0.0] * 20]
         )
-        counter = _in_sample_counter(x)
         for rows in (slice(None), rng.choice(40, 25, replace=False)):
             n = len(x[rows])
             rank = fit_transformer(x[rows], "rank")
@@ -227,8 +226,10 @@ class TestAresFit:
             assert ares.params.tobytes() == np.repeat(rank.params, t, axis=1).tobytes()
             want = ares.counts(x)
             assert np.array_equal(want, t * rank.counts(x))
-            assert counter("ares", rows, n, t, seed).tobytes() == want.tobytes()
-            assert counter("rank", rows, n, t, seed).tobytes() == rank.counts(x).tobytes()
+            got = _in_sample_counter(x, "ares", n, t)(rows, seed)
+            assert got.tobytes() == want.tobytes()
+            got = _in_sample_counter(x, "rank", n, t)(rows, seed)
+            assert got.tobytes() == rank.counts(x).tobytes()
 
     @pytest.mark.parametrize("empty", [np.array([], dtype=int), np.zeros(6, dtype=bool)])
     @pytest.mark.parametrize("kind, psi", [("rank", 7), ("ares", 0), ("ares", 3)])
@@ -237,7 +238,7 @@ class TestAresFit:
         with pytest.raises(EmptyDataset) as from_fit:
             fit_transformer(x[empty], kind, psi, 10, seed=5)
         with pytest.raises(EmptyDataset) as from_counter:
-            _in_sample_counter(x)(kind, empty, psi, 10, seed=5)
+            _in_sample_counter(x, kind, psi, 10)(empty, seed=5)
         got, want = from_counter.value, from_fit.value
         assert (type(got), str(got)) == (type(want), str(want))
 
@@ -254,6 +255,31 @@ class TestAresFit:
             fit_ares(col, subsample_size=0, seed=0)
         with pytest.raises(ValueError):
             fit_ares(col, n_subsamples=0, seed=0)
+
+    @pytest.mark.parametrize(
+        "psi, t, seed, name",
+        [
+            (3, 2.5, 1, "sub-sample count t"),
+            (3.0, 2, 1, "sub-sample size"),
+            (3, 2, 1.0, "seed"),
+            (6, 2, 1.5, "seed"),  # psi = N, which draws every row and needs no seed word
+        ],
+    )
+    def test_float_psi_t_or_seed_is_a_named_type_error(self, psi, t, seed, name):
+        """t = 2.5 once fitted 3 sub-samples; on both count paths a float is
+        now a TypeError naming it, and numpy integers still count."""
+        x = np.arange(12.0).reshape(6, 2)
+        message = f"^{name} must be an integer, got float$"
+        with pytest.raises(TypeError, match=message):
+            fit_transformer(x, "ares", psi, t, seed=seed)
+        with pytest.raises(TypeError, match=message):
+            _in_sample_counter(x, "ares", psi, t)(slice(None), seed)
+        psi, t, seed = int(psi), int(t), int(seed)
+        want = fit_transformer(x, "ares", psi, t, seed=seed)
+        got = fit_transformer(x, "ares", np.int64(psi), np.int32(t), seed=np.uint8(seed))
+        assert got.params.tobytes() == want.params.tobytes() and type(got.seed) is int
+        counts = _in_sample_counter(x, "ares", np.int16(psi), np.int64(t))(slice(None), seed)
+        assert counts.tobytes() == want.counts(x).tobytes()
 
     @pytest.mark.parametrize("psi, t", [(-1, 10), (-7, 10), (3, -1), (-1, -1), (-2, 0), (0, -3)])
     def test_negative_sizes_act_as_zero(self, psi, t):

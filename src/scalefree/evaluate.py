@@ -31,22 +31,31 @@ temporary, so the column sort is freed before LOF runs.
 All randomness (fold permutation, per-fold sub-sample draws) expands from
 the single seed via the derivations in `sampling`.
 
-`evaluation_grid` checks every preprocessor and perturbation name, then
-runs its cells on min(cells, usable CPUs) threads, where the usable CPUs are
-the process's affinity set (else `os.cpu_count()`), and returns the reports
-in grid order. A cell depends only on the dataset, its preprocessor, its
-perturbation and the seed, and shares no state with another (numpy's error
-state is per thread), so every report field but `wall_time_ms` equals a
-one-thread run's. That field is the cell's own elapsed time, contention
-included, so the cells' times no longer add up to the grid's. The cells
-overlap because numpy's heavy calls release the GIL: the Gram `matmul`,
-`partition`, `nonzero`, `bincount` and the sorts. With one usable CPU (say,
-under `taskset -c 0`) or one cell, the cells run in the calling thread and
-no thread starts.
+`evaluation_grid` checks every preprocessor and perturbation name, and
+ARES's psi and t when ARES is among the preprocessors, before any cell runs.
+It then runs the cells on w = min(cells, usable CPUs) processes, where the
+usable CPUs are the process's affinity set (else `os.cpu_count()`), and
+returns the reports in grid order. A cell depends only on the dataset, its
+preprocessor, its perturbation and the seed, so a forked copy of the caller
+computes it as the caller would, and every report field but `wall_time_ms`
+equals a one-process run's. That field is the cell's own elapsed time,
+contention included, so the cells' times no longer add up to the grid's.
+Worker j runs cells j, j + w, j + 2w, ... in grid order and stops at its
+first failure; the caller runs the last and smallest share itself and forks
+the other w - 1. Each child sends its (index, report or exception) pairs
+back as one pickle through its own pipe and ends in `os._exit`. The caller
+reads every pipe to EOF and reaps every child, even when its own share
+raises, then raises the failure with the lowest grid index, the one a loop
+would raise; a child that exits without reporting raises `WorkerLost`. With
+one usable CPU (say, under `taskset -c 0`), one cell, no `os.fork`, or a
+second live Python thread in the caller, the cells run in a loop in the
+calling process and nothing forks.
 """
 
 import math
 import os
+import pickle
+import threading
 import time
 
 import numpy as np
@@ -203,6 +212,16 @@ def run_anomaly(
     return _report(dataset, preprocessor, perturbation, seed, start, "auc", auc(scores, flags), [])
 
 
+class WorkerLost(RuntimeError):
+    """A grid worker process exited without reporting its cells; `status` is
+    its exit code, negative for the signal that ended it."""
+
+    def __init__(self, pid: int, status: int):
+        super().__init__(f"grid worker {pid} exited with status {status} without reporting")
+        self.pid = pid
+        self.status = status
+
+
 def _usable_cpus() -> int:
     """The CPUs this process may run on: its affinity set where the
     platform has one, else every CPU."""
@@ -210,6 +229,60 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+def _share(run, cells, first: int, step: int) -> list:
+    """Cells first, first + step, ... in grid order, as (index, report or the
+    exception it raised) pairs, stopping at the first failure."""
+    done = []
+    for i in range(first, len(cells), step):
+        try:
+            done.append((i, run(cells[i])))
+        except Exception as exc:
+            done.append((i, exc))
+            break
+    return done
+
+
+def _forked(run, cells, workers: int) -> list:
+    """Every cell's report in grid order, the shares run by `workers`
+    processes: this one and w - 1 forked children (module docstring)."""
+    children, sent = [], []  # (pid, pipe read end); (pid, bytes, exit status)
+    try:
+        for j in range(workers - 1):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:  # the child never returns into the caller
+                status = 1
+                try:
+                    os.close(read_end)
+                    with open(write_end, "wb") as pipe:
+                        pipe.write(pickle.dumps(_share(run, cells, j, workers)))
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_end)  # so no later child holds it and EOF comes
+            children.append((pid, read_end))
+        outcomes = _share(run, cells, workers - 1, workers)
+    finally:
+        for pid, read_end in children:
+            with open(read_end, "rb") as pipe:
+                payload = pipe.read()
+            sent.append((pid, payload, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
+    for pid, payload, status in sent:
+        if status or not payload:
+            raise WorkerLost(pid, status)
+        outcomes += pickle.loads(payload)
+    outcomes.sort(key=lambda pair: pair[0])
+    for _, outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return [report for _, report in outcomes]
 
 
 def evaluation_grid(
@@ -224,15 +297,19 @@ def evaluation_grid(
     **task_kwargs,
 ) -> list[EvaluationReport]:
     """Sweep preprocessor x perturbation combinations for one dataset, one
-    report per cell in grid order (preprocessors outer). Every name is
-    checked before any cell runs, and the cells run on up to one thread per
-    usable CPU; with one, they run in this thread and no thread starts."""
+    report per cell in grid order (preprocessors outer). Every name, and
+    ARES's psi and t, is checked before any cell runs, and the cells run on
+    up to one process per usable CPU; with one, they run in this process
+    and nothing forks."""
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}; expected one of {TASKS}")
     runner = run_classification if task == "classify" else run_anomaly
     preprocessors = tuple(preprocessors)
     for preproc in preprocessors:
         _require_kind(preproc)
+    if "ares" in preprocessors:
+        _as_count(task_kwargs.get("subsample_size", DEFAULT_SUBSAMPLE_SIZE), "sub-sample size")
+        _as_count(task_kwargs.get("n_subsamples", DEFAULT_N_SUBSAMPLES), "sub-sample count t")
     specs = [PerturbationSpec(kind, shift=shift, scale=scale) for kind in perturbations]
     cells = [(preproc, spec) for preproc in preprocessors for spec in specs]
 
@@ -240,18 +317,6 @@ def evaluation_grid(
         return runner(dataset, *cell, seed=seed, **task_kwargs)
 
     workers = min(len(cells), _usable_cpus())
-    if workers <= 1:
-        return [run(cell) for cell in cells]
-    # imported here: 2-3 ms that a one-thread grid does not pay
-    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-
-    # The pool starts cells in grid order, so once one fails, every cell
-    # still queued comes after it: those are cancelled, the running ones
-    # finish, and the first failure in grid order raises, as in the loop.
-    pool = ThreadPoolExecutor(workers)
-    try:
-        futures = [pool.submit(run, cell) for cell in cells]
-        wait(futures, return_when=FIRST_EXCEPTION)
-    finally:
-        pool.shutdown(cancel_futures=True)
-    return [future.result() for future in futures]
+    if workers > 1 and hasattr(os, "fork") and threading.active_count() == 1:
+        return _forked(run, cells, workers)
+    return [run(cell) for cell in cells]

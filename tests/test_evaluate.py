@@ -1,6 +1,7 @@
 """Cross-validation split and the classification/anomaly runners."""
 
 import os
+import pickle
 import re
 import sys
 import threading
@@ -18,8 +19,10 @@ from scalefree.errors import (
     MissingLabelColumn,
     NonBinaryLabels,
     NonFiniteValue,
+    ParseError,
     PsiNonPositive,
     PsiTooLarge,
+    ScaleFreeError,
     TooFewRows,
 )
 from scalefree.evaluate import (
@@ -538,27 +541,20 @@ class TestEvaluationGrid:
         """On integer-tied columns, every report field but the wall time
         equals the reference runners', and every learner input, each fold's
         train and test rows, equals the reference model's counts bitwise.
-        The cells run on two workers; the spy files each learner input under
-        the cell its thread is running, and a cell's inputs come in call
-        order."""
+        The cells run on one usable CPU, so the spy sees every learner input,
+        in grid order; `TestGridThreads::test_two_workers_equal_one` covers
+        two workers on these fixtures."""
         dataset = request.getfixturevalue(fixture)
-        _usable_cpus(monkeypatch, 2)
-        name = {"classify": "run_classification", "anomaly": "run_anomaly"}[task]
-        runner, running, by_cell = getattr(evaluate, name), threading.local(), {}
-
-        def cell_runner(dataset, preproc, spec, **kwargs):
-            running.cell = (preproc, spec.kind)
-            by_cell[running.cell] = []
-            return runner(dataset, preproc, spec, **kwargs)
+        _usable_cpus(monkeypatch, 1)
+        seen = []
 
         def spy(fn, *positions):
             def wrapper(*args, **kwargs):
-                by_cell[running.cell].append([args[i] for i in positions])
+                seen.append([args[i] for i in positions])
                 return fn(*args, **kwargs)
 
             return wrapper
 
-        monkeypatch.setattr(evaluate, name, cell_runner)
         monkeypatch.setattr(evaluate, "knn_classify", spy(evaluate.knn_classify, 0, 2))
         monkeypatch.setattr(evaluate, "lof_scores", spy(evaluate.lof_scores, 0))
         reports = evaluation_grid(dataset, task, seed=19)
@@ -573,7 +569,6 @@ class TestEvaluationGrid:
             del report["wall_time_ms"]
         cells = [(preproc, kind) for preproc in KINDS for kind in PERTURBATION_KINDS]
         assert got == [reference(dataset, p, PerturbationSpec(k), seed=19) for p, k in cells]
-        seen = [inputs for cell in cells for inputs in by_cell[cell]]
 
         want = []
         for preproc, kind in cells:
@@ -641,6 +636,34 @@ def _fields(reports):
     return out
 
 
+GRID = [(preproc, kind) for preproc in KINDS for kind in PERTURBATION_KINDS]
+
+
+def _logged(path, runner):
+    """`runner` that first appends "grid index, pid" to the file at `path`: a
+    spy's list in a forked worker is never seen by the test, a file is."""
+
+    def cell(dataset, preproc, spec, **kwargs):
+        with open(path, "a") as log:
+            log.write(f"{GRID.index((preproc, spec.kind))} {os.getpid()}\n")
+        return runner(dataset, preproc, spec, **kwargs)
+
+    return cell
+
+
+def _starts(path):
+    """The (grid index, pid) pairs `_logged` wrote, in the order written."""
+    if not path.exists():
+        return []
+    return [tuple(map(int, line.split())) for line in path.read_text().splitlines()]
+
+
+def _assert_no_child_left():
+    """Every child this process forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestGridThreads:
     @pytest.mark.parametrize(
         "task, fixture",
@@ -651,31 +674,34 @@ class TestGridThreads:
             ("anomaly", "tied_anomaly_dataset"),
         ],
     )
-    def test_two_workers_equal_one(self, task, fixture, monkeypatch, request):
+    def test_two_workers_equal_one(self, task, fixture, monkeypatch, request, tmp_path):
         """Float and tied-integer data, every field but the wall time, each
-        float compared by its repr, which round-trips it exactly; the spy
-        shows where the cells ran."""
+        float compared by its repr, which round-trips it exactly. The log
+        shows where the cells ran: on two CPUs, in one forked worker that
+        takes the even cells and in the caller, which takes the odd ones."""
         dataset = request.getfixturevalue(fixture)
         name = {"classify": "run_classification", "anomaly": "run_anomaly"}[task]
         runner = getattr(evaluate, name)
-        results, threads = {}, {}
+        results, starts = {}, {}
         for n_cpus in (1, 2):
             _usable_cpus(monkeypatch, n_cpus)
-            ran_in = threads[n_cpus] = []
-
-            def spy(*args, **kwargs):
-                ran_in.append(threading.current_thread())
-                return runner(*args, **kwargs)
-
-            monkeypatch.setattr(evaluate, name, spy)
+            log = tmp_path / f"{n_cpus}.log"
+            monkeypatch.setattr(evaluate, name, _logged(log, runner))
             results[n_cpus] = repr(_fields(evaluation_grid(dataset, task, seed=19)))
+            starts[n_cpus] = _starts(log)
         assert results[2] == results[1]
-        assert set(threads[1]) == {threading.current_thread()}
-        assert len(threads[2]) == 15 and threading.current_thread() not in threads[2]
+        me = os.getpid()
+        assert starts[1] == [(i, me) for i in range(15)]
+        assert sorted(starts[2]) == sorted(set(starts[2])) and len(starts[2]) == 15
+        assert len({pid for _, pid in starts[2]}) == 2
+        assert [i for i, pid in starts[2] if pid == me] == list(range(1, 15, 2))
+        assert [i for i, pid in starts[2] if pid != me] == list(range(0, 15, 2))
+        _assert_no_child_left()
 
     def test_more_workers_than_cores_under_fast_switching(self, class_dataset, monkeypatch):
-        """Eight workers hand the interpreter over every few microseconds; a
-        cell that read another's state would change a report here."""
+        """Eight usable CPUs fork seven workers, more than this machine may
+        have cores, and the caller runs its own share under a fast switch
+        interval; every report equals the one-worker run's."""
         _usable_cpus(monkeypatch, 1)
         want = repr(_fields(evaluation_grid(class_dataset, "classify", seed=7, n_folds=4)))
         _usable_cpus(monkeypatch, 8)
@@ -686,16 +712,47 @@ class TestGridThreads:
         finally:
             sys.setswitchinterval(interval)
         assert got == want
+        _assert_no_child_left()
 
     def test_one_usable_cpu_starts_no_thread(self, monkeypatch):
+        """Nor a process: the cells run in a loop in the caller."""
         ds = gaussian_classification("grid", 60, 3, 2, seed=74)
         _usable_cpus(monkeypatch, 1)
 
         def start(self):
             raise AssertionError("a thread was started")
 
+        def fork():
+            raise AssertionError("a process was forked")
+
         monkeypatch.setattr(threading.Thread, "start", start)
+        monkeypatch.setattr(os, "fork", fork)
         assert len(evaluation_grid(ds, "classify", seed=3, n_folds=5)) == 15
+
+    def test_a_second_live_thread_runs_the_grid_in_the_caller(self, monkeypatch, tmp_path):
+        """Forking beside another thread could copy a lock that thread holds,
+        so the grid forks only from a process's one Python thread."""
+        ds = gaussian_classification("grid", 60, 3, 2, seed=74)
+        _usable_cpus(monkeypatch, 1)
+        want = repr(_fields(evaluation_grid(ds, "classify", seed=3, n_folds=5)))
+        _usable_cpus(monkeypatch, 2)
+        log = tmp_path / "cells.log"
+        monkeypatch.setattr(evaluate, "run_classification", _logged(log, run_classification))
+
+        def fork():
+            raise AssertionError("a process was forked")
+
+        monkeypatch.setattr(os, "fork", fork)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            got = repr(_fields(evaluation_grid(ds, "classify", seed=3, n_folds=5)))
+        finally:
+            release.set()
+            other.join()
+        assert got == want
+        assert _starts(log) == [(i, os.getpid()) for i in range(15)]
 
     def test_a_failing_cell_raises_as_with_one_worker(self, class_dataset, monkeypatch):
         """ARES with psi above the training rows fails; rank runs. No worker
@@ -703,39 +760,137 @@ class TestGridThreads:
         raised = []
         for n_cpus in (1, 2):
             _usable_cpus(monkeypatch, n_cpus)
-            before = threading.active_count()
             with pytest.raises(PsiTooLarge) as info:
                 evaluation_grid(
                     class_dataset, "classify", ["ares", "rank"], seed=3, n_folds=4,
                     subsample_size=class_dataset.n_rows,
                 )  # fmt: skip
-            assert threading.active_count() == before
+            _assert_no_child_left()
             raised.append((type(info.value), str(info.value)))
         assert raised[1] == raised[0]
 
     def test_first_failure_in_grid_order_raises_and_queued_cells_never_start(
-        self, monkeypatch
+        self, monkeypatch, tmp_path
     ):
-        """Cell 1 fails first in time, cell 0 later; the loop would raise
-        cell 0's error, and so must the pool, without starting the rest."""
+        """Cell 1, the caller's first, fails first in time; cell 0, the
+        worker's first, fails later. The loop would raise cell 0's error, and
+        so must the workers, each stopping at its own first failure."""
         ds = gaussian_classification("grid", 60, 3, 2, seed=74)
         _usable_cpus(monkeypatch, 2)
-        cells = [(preproc, kind) for preproc in KINDS for kind in PERTURBATION_KINDS]
-        started = []
 
         def cell(dataset, preproc, spec, **kwargs):
-            index = cells.index((preproc, spec.kind))
-            started.append(index)
+            index = GRID.index((preproc, spec.kind))
             if index == 0:
-                time.sleep(0.5)
+                time.sleep(0.3)
                 raise ValueError("cell 0")
             if index == 1:
                 raise ValueError("cell 1")
-            time.sleep(0.2)
+            time.sleep(0.1)
 
-        monkeypatch.setattr(evaluate, "run_classification", cell)
-        before = threading.active_count()
+        log = tmp_path / "cells.log"
+        monkeypatch.setattr(evaluate, "run_classification", _logged(log, cell))
         with pytest.raises(ValueError, match="^cell 0$"):
             evaluation_grid(ds, "classify", seed=1)
-        assert threading.active_count() == before
-        assert sorted(started)[:2] == [0, 1] and len(started) <= 4
+        _assert_no_child_left()
+        (first, worker), (second, caller) = sorted(_starts(log))
+        assert (first, second, caller) == (0, 1, os.getpid()) and worker != caller
+
+
+class _Abort(BaseException):
+    """Not an `Exception`, so a share does not catch it as a cell failure."""
+
+
+@pytest.mark.parametrize("outcome", ["success", "failing cell", "caller's share raises"])
+def test_no_worker_outlives_the_grid(outcome, monkeypatch):
+    ds = gaussian_classification("grid", 60, 3, 2, seed=74)
+    _usable_cpus(monkeypatch, 2)
+    caller = os.getpid()
+
+    def cell(dataset, preproc, spec, **kwargs):
+        index = GRID.index((preproc, spec.kind))
+        if outcome == "failing cell" and index == 4:
+            raise ValueError("cell 4")
+        if outcome == "caller's share raises" and os.getpid() == caller:
+            raise _Abort
+        return run_classification(dataset, preproc, spec, **kwargs)
+
+    monkeypatch.setattr(evaluate, "run_classification", cell)
+    if outcome == "success":
+        assert len(evaluation_grid(ds, "classify", seed=1, n_folds=4)) == 15
+    else:
+        with pytest.raises(ValueError if outcome == "failing cell" else _Abort):
+            evaluation_grid(ds, "classify", seed=1, n_folds=4)
+    _assert_no_child_left()
+
+
+def test_a_worker_that_exits_without_reporting_raises_worker_lost(monkeypatch):
+    ds = gaussian_classification("grid", 60, 3, 2, seed=74)
+    _usable_cpus(monkeypatch, 2)
+    caller = os.getpid()
+
+    def cell(dataset, preproc, spec, **kwargs):
+        if os.getpid() != caller:
+            os._exit(3)
+        return run_classification(dataset, preproc, spec, **kwargs)
+
+    monkeypatch.setattr(evaluate, "run_classification", cell)
+    with pytest.raises(evaluate.WorkerLost, match="exited with status 3 without reporting$") as info:
+        evaluation_grid(ds, "classify", seed=1, n_folds=4)
+    assert info.value.status == 3 and info.value.pid != caller
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("task", ["classify", "anomaly"])
+@pytest.mark.parametrize("n_cpus", [1, 2])
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [({"subsample_size": 2.5}, "sub-sample size"), ({"n_subsamples": 2.5}, "sub-sample count t")],
+)
+def test_a_float_ares_psi_or_t_fails_before_any_cell(
+    task, n_cpus, kwargs, name, monkeypatch, tmp_path, class_dataset, anomaly_dataset
+):
+    """The TypeError `_draw` raises for the first ARES fit, before any
+    learner runs in any worker; a grid without ARES ignores psi and t."""
+    dataset = class_dataset if task == "classify" else anomaly_dataset
+    _usable_cpus(monkeypatch, n_cpus)
+    log = tmp_path / "learners.log"
+
+    def logged(fn):
+        def wrapper(*args, **kwargs):
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()}\n")
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(evaluate, "knn_classify", logged(evaluate.knn_classify))
+    monkeypatch.setattr(evaluate, "lof_scores", logged(evaluate.lof_scores))
+    with pytest.raises(TypeError) as from_fit:
+        fit_transformer(dataset.features, "ares", **kwargs, seed=1)
+    with pytest.raises(TypeError) as from_grid:
+        evaluation_grid(dataset, task, seed=1, **kwargs)
+    assert str(from_grid.value) == str(from_fit.value) == f"{name} must be an integer, got float"
+    assert not log.exists()
+    _assert_no_child_left()
+    assert len(evaluation_grid(dataset, task, ["rank"], ["log"], seed=1, **kwargs)) == 1
+
+
+def _scalefree_errors(cls=ScaleFreeError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _scalefree_errors(sub)
+
+
+@pytest.mark.parametrize("cls", list(_scalefree_errors()), ids=lambda cls: cls.__name__)
+def test_every_package_error_survives_pickling(cls):
+    """A worker sends a failed cell's exception back as a pickle, so the
+    caller raises the same type, message and attributes."""
+    error = cls(f"a {cls.__name__}")
+    if cls is ParseError:
+        error = ParseError("bad cell", row=3, column="width")
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is cls
+    assert str(copy) == str(error) and copy.args == error.args
+    assert vars(copy) == vars(error)
+    if cls is ParseError:
+        assert (copy.row, copy.column) == (3, "width")

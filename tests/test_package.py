@@ -190,8 +190,9 @@ def run_cli_fresh(*argvs):
     """Run each argv through `scalefree.cli.main` in one fresh interpreter;
     return whether hashlib, OpenSSL's `_hashlib`, `numpy.random` and
     `concurrent.futures` were loaded after the import, and after the calls.
-    A one-cell `evaluate` runs in the calling thread, and the executor's
-    import would cost it a few milliseconds."""
+    The grid's workers are forked processes, so no subcommand needs
+    `concurrent.futures`, whose import would cost a one-cell `evaluate` a
+    few milliseconds."""
     return run_fresh(
         "import json, sys\n"
         "import scalefree.cli\n"

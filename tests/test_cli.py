@@ -368,8 +368,9 @@ class TestEvaluate:
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
     @pytest.mark.parametrize("task, data", [("classify", "class_csv"), ("anomaly", "anomaly_csv")])
     def test_grid_pinned_to_one_cpu_equals_the_unpinned_grid(self, task, data, request, tmp_path):
-        """One usable CPU runs the cells in turn, the unpinned run on threads
-        where the machine has more; the JSON reports differ only in times."""
+        """One usable CPU runs the cells in turn, the unpinned run in worker
+        processes where the machine has more; the JSON reports differ only
+        in times."""
         path = [str(Path(scalefree.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
         cpu = min(os.sched_getaffinity(0))

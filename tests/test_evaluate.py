@@ -3,7 +3,6 @@
 import os
 import pickle
 import re
-import sys
 import threading
 import time
 import weakref
@@ -653,8 +652,6 @@ def _logged(path, runner):
 
 def _starts(path):
     """The (grid index, pid) pairs `_logged` wrote, in the order written."""
-    if not path.exists():
-        return []
     return [tuple(map(int, line.split())) for line in path.read_text().splitlines()]
 
 
@@ -692,25 +689,18 @@ class TestGridThreads:
         assert results[2] == results[1]
         me = os.getpid()
         assert starts[1] == [(i, me) for i in range(15)]
-        assert sorted(starts[2]) == sorted(set(starts[2])) and len(starts[2]) == 15
         assert len({pid for _, pid in starts[2]}) == 2
         assert [i for i, pid in starts[2] if pid == me] == list(range(1, 15, 2))
         assert [i for i, pid in starts[2] if pid != me] == list(range(0, 15, 2))
         _assert_no_child_left()
 
-    def test_more_workers_than_cores_under_fast_switching(self, class_dataset, monkeypatch):
+    def test_more_workers_than_cores(self, class_dataset, monkeypatch):
         """Eight usable CPUs fork seven workers, more than this machine may
-        have cores, and the caller runs its own share under a fast switch
-        interval; every report equals the one-worker run's."""
+        have cores; every report equals the one-worker run's."""
         _usable_cpus(monkeypatch, 1)
         want = repr(_fields(evaluation_grid(class_dataset, "classify", seed=7, n_folds=4)))
         _usable_cpus(monkeypatch, 8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            got = repr(_fields(evaluation_grid(class_dataset, "classify", seed=7, n_folds=4)))
-        finally:
-            sys.setswitchinterval(interval)
+        got = repr(_fields(evaluation_grid(class_dataset, "classify", seed=7, n_folds=4)))
         assert got == want
         _assert_no_child_left()
 
@@ -750,7 +740,8 @@ class TestGridThreads:
             got = repr(_fields(evaluation_grid(ds, "classify", seed=3, n_folds=5)))
         finally:
             release.set()
-            other.join()
+            other.join(timeout=10)
+        assert not other.is_alive()
         assert got == want
         assert _starts(log) == [(i, os.getpid()) for i in range(15)]
 
@@ -785,7 +776,6 @@ class TestGridThreads:
                 raise ValueError("cell 0")
             if index == 1:
                 raise ValueError("cell 1")
-            time.sleep(0.1)
 
         log = tmp_path / "cells.log"
         monkeypatch.setattr(evaluate, "run_classification", _logged(log, cell))
@@ -823,20 +813,22 @@ def test_no_worker_outlives_the_grid(outcome, monkeypatch):
     _assert_no_child_left()
 
 
-def test_a_worker_that_exits_without_reporting_raises_worker_lost(monkeypatch):
+@pytest.mark.parametrize("status", [3, 0])
+def test_a_worker_that_exits_without_reporting_raises_worker_lost(status, monkeypatch):
     ds = gaussian_classification("grid", 60, 3, 2, seed=74)
     _usable_cpus(monkeypatch, 2)
     caller = os.getpid()
 
     def cell(dataset, preproc, spec, **kwargs):
         if os.getpid() != caller:
-            os._exit(3)
+            os._exit(status)
         return run_classification(dataset, preproc, spec, **kwargs)
 
     monkeypatch.setattr(evaluate, "run_classification", cell)
-    with pytest.raises(evaluate.WorkerLost, match="exited with status 3 without reporting$") as info:
+    message = f"exited with status {status} without reporting$"
+    with pytest.raises(evaluate.WorkerLost, match=message) as info:
         evaluation_grid(ds, "classify", seed=1, n_folds=4)
-    assert info.value.status == 3 and info.value.pid != caller
+    assert info.value.status == status and info.value.pid != caller
     _assert_no_child_left()
 
 

@@ -31,25 +31,29 @@ temporary, so the column sort is freed before LOF runs.
 All randomness (fold permutation, per-fold sub-sample draws) expands from
 the single seed via the derivations in `sampling`.
 
-`evaluation_grid` checks every preprocessor and perturbation name, and
-ARES's psi and t when ARES is among the preprocessors, before any cell runs.
-It then runs the cells on w = min(cells, usable CPUs) processes, where the
-usable CPUs are the process's affinity set (else `os.cpu_count()`), and
-returns the reports in grid order. A cell depends only on the dataset, its
-preprocessor, its perturbation and the seed, so a forked copy of the caller
-computes it as the caller would, and every report field but `wall_time_ms`
-equals a one-process run's. That field is the cell's own elapsed time,
-contention included, so the cells' times no longer add up to the grid's.
+`evaluation_grid` checks every preprocessor and perturbation name before any
+cell runs. When ARES is among the preprocessors, it also asks `_draw` for a
+draw of no columns on ARES's smallest fit (every row for anomaly, all but
+the largest fold for classify), so a bad psi or t raises `fit_transformer`'s
+error on the first fit's rows before any learner runs. It then runs the
+cells on w = min(cells, usable CPUs) processes, where the usable CPUs are
+the process's affinity set (else `os.cpu_count()`), and returns the reports
+in grid order. A cell depends only on the dataset, its preprocessor, its
+perturbation and the seed, so a forked copy of the caller computes it as the
+caller would, and every report field but `wall_time_ms` equals a one-process
+run's. That field is the cell's own elapsed time, contention included, so
+the cells' times no longer add up to the grid's.
 Worker j runs cells j, j + w, j + 2w, ... in grid order and stops at its
 first failure; the caller runs the last and smallest share itself and forks
 the other w - 1. Each child sends its (index, report or exception) pairs
 back as one pickle through its own pipe and ends in `os._exit`. The caller
 reads every pipe to EOF and reaps every child, even when its own share
 raises, then raises the failure with the lowest grid index, the one a loop
-would raise; a child that exits without reporting raises `WorkerLost`. With
-one usable CPU (say, under `taskset -c 0`), one cell, no `os.fork`, or a
-second live Python thread in the caller, the cells run in a loop in the
-calling process and nothing forks.
+would raise; a child that exits without reporting, or exits nonzero, raises
+`WorkerLost`. With one usable CPU (say, under `taskset -c 0`), one cell, no
+`os.fork`, or a second live Python thread in the caller, w is 1: the same
+path runs as one worker, the caller's share is every cell, and nothing
+forks. An empty grid returns no reports.
 """
 
 import math
@@ -77,6 +81,7 @@ from .transforms import (
     DEFAULT_N_SUBSAMPLES,
     DEFAULT_SUBSAMPLE_SIZE,
     KINDS,
+    _draw,
     _in_sample_counter,
     _require_kind,
     fit_transformer,
@@ -245,7 +250,7 @@ def _share(run, cells, first: int, step: int) -> list:
 
 
 def _forked(run, cells, workers: int) -> list:
-    """Every cell's report in grid order, the shares run by `workers`
+    """Every cell's report in grid order, the shares run by `workers` >= 1
     processes: this one and w - 1 forked children (module docstring)."""
     children, sent = [], []  # (pid, pipe read end); (pid, bytes, exit status)
     try:
@@ -299,24 +304,28 @@ def evaluation_grid(
     """Sweep preprocessor x perturbation combinations for one dataset, one
     report per cell in grid order (preprocessors outer). Every name, and
     ARES's psi and t, is checked before any cell runs, and the cells run on
-    up to one process per usable CPU; with one, they run in this process
-    and nothing forks."""
+    w processes, up to one per usable CPU; with w = 1 they run in this
+    process and nothing forks."""
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}; expected one of {TASKS}")
     runner = run_classification if task == "classify" else run_anomaly
     preprocessors = tuple(preprocessors)
     for preproc in preprocessors:
         _require_kind(preproc)
-    if "ares" in preprocessors:
-        _as_count(task_kwargs.get("subsample_size", DEFAULT_SUBSAMPLE_SIZE), "sub-sample size")
-        _as_count(task_kwargs.get("n_subsamples", DEFAULT_N_SUBSAMPLES), "sub-sample count t")
+    if "ares" in preprocessors and dataset.n_rows:
+        # A draw for no columns on ARES's smallest fit: every row, or the
+        # rows outside fold 0, a largest fold, of a classify run. With no
+        # rows, the first cell raises EmptyDataset.
+        n_fit = dataset.n_rows
+        if task == "classify":
+            n_fit = np.count_nonzero(kfold_split(n_fit, task_kwargs.get("n_folds", DEFAULT_FOLDS)))
+        psi = task_kwargs.get("subsample_size", DEFAULT_SUBSAMPLE_SIZE)
+        _draw("ares", n_fit, psi, task_kwargs.get("n_subsamples", DEFAULT_N_SUBSAMPLES), 0, 0)
     specs = [PerturbationSpec(kind, shift=shift, scale=scale) for kind in perturbations]
     cells = [(preproc, spec) for preproc in preprocessors for spec in specs]
 
     def run(cell):
         return runner(dataset, *cell, seed=seed, **task_kwargs)
 
-    workers = min(len(cells), _usable_cpus())
-    if workers > 1 and hasattr(os, "fork") and threading.active_count() == 1:
-        return _forked(run, cells, workers)
-    return [run(cell) for cell in cells]
+    can_fork = hasattr(os, "fork") and threading.active_count() == 1
+    return _forked(run, cells, max(1, min(len(cells), _usable_cpus())) if can_fork else 1)

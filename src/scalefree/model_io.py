@@ -36,13 +36,11 @@ def _header_int(value, key: str) -> int:
     return value
 
 
-def _numbers(values, ndim: int) -> np.ndarray:
-    """The parameters of all columns as one float64 array of `ndim`
-    dimensions, so every column block must have the same shape; each value
-    must be a JSON number, not a string, a boolean or null."""
+def _numbers(values) -> np.ndarray:
+    """The parameters of all columns as one float64 array, so every column
+    block must have the same shape; each value must be a JSON number, not a
+    string, a boolean or null. `FittedTransformer` checks the array's shape."""
     arr = np.asarray(values, dtype=object)
-    if arr.ndim != ndim:
-        raise ValueError(f"expected parameters nested {ndim} deep")
     if not set(map(type, arr.flat)) <= {int, float}:
         raise ValueError("parameters must be JSON numbers")
     return arr.astype(np.float64)
@@ -106,12 +104,12 @@ def load_model(path) -> FittedTransformer:
     try:
         seed = None
         if kind == "minmax":
-            params = _numbers([[b["min"], b["max"]] for b in raw_columns], 2)
+            params = _numbers([[b["min"], b["max"]] for b in raw_columns])
         elif kind == "rank":
-            params = _numbers([b["sorted_train"] for b in raw_columns], 2)[:, None]
+            params = _numbers([b["sorted_train"] for b in raw_columns])[:, None]
         else:
             seed = _header_int(doc["seed"], "seed")
-            params = _numbers([b["subsamples"] for b in raw_columns], 3)
+            params = _numbers([b["subsamples"] for b in raw_columns])
         transformer = FittedTransformer(kind, params, seed)
         if kind == "ares":
             psi, t = _header_int(doc["psi"], "psi"), _header_int(doc["t"], "t")

@@ -17,6 +17,7 @@ from scalefree.errors import (
     EmptyDataset,
     MissingLabelColumn,
     NonBinaryLabels,
+    NonFiniteResult,
     NonFiniteValue,
     ParseError,
     PsiNonPositive,
@@ -746,19 +747,26 @@ class TestGridThreads:
         assert _starts(log) == [(i, os.getpid()) for i in range(15)]
 
     def test_a_failing_cell_raises_as_with_one_worker(self, class_dataset, monkeypatch):
-        """ARES with psi above the training rows fails; rank runs. No worker
+        """A fault only a cell sees: at scale 1e200, `square` overflows in
+        cell 2, after cells 0 and 1 made their 20 KNN calls. No worker
         outlives the raise."""
-        raised = []
+        raised, knn_calls = [], []
+
+        def knn(*args):
+            knn_calls.append(os.getpid())
+            return knn_classify(*args)
+
+        monkeypatch.setattr(evaluate, "knn_classify", knn)
         for n_cpus in (1, 2):
             _usable_cpus(monkeypatch, n_cpus)
-            with pytest.raises(PsiTooLarge) as info:
-                evaluation_grid(
-                    class_dataset, "classify", ["ares", "rank"], seed=3, n_folds=4,
-                    subsample_size=class_dataset.n_rows,
-                )  # fmt: skip
+            with pytest.raises(NonFiniteResult) as info:
+                evaluation_grid(class_dataset, "classify", ["minmax", "rank"], seed=3, scale=1e200)
             _assert_no_child_left()
             raised.append((type(info.value), str(info.value)))
+            if n_cpus == 1:
+                assert knn_calls == [os.getpid()] * 20
         assert raised[1] == raised[0]
+        assert raised[0] == (NonFiniteResult, "perturbation 'square' produced non-finite values")
 
     def test_first_failure_in_grid_order_raises_and_queued_cells_never_start(
         self, monkeypatch, tmp_path
@@ -832,18 +840,43 @@ def test_a_worker_that_exits_without_reporting_raises_worker_lost(status, monkey
     _assert_no_child_left()
 
 
+def test_a_worker_that_reports_and_exits_nonzero_raises_worker_lost(monkeypatch):
+    """The worker sends its whole share, then exits with status 5."""
+    ds = gaussian_classification("grid", 60, 3, 2, seed=74)
+    _usable_cpus(monkeypatch, 2)
+    caller, exit_now = os.getpid(), os._exit
+    monkeypatch.setattr(os, "_exit", lambda status: exit_now(5))
+    with pytest.raises(evaluate.WorkerLost, match="exited with status 5 ") as info:
+        evaluation_grid(ds, "classify", seed=1, n_folds=4)
+    assert info.value.status == 5 and info.value.pid != caller
+    _assert_no_child_left()
+
+
 @pytest.mark.parametrize("task", ["classify", "anomaly"])
 @pytest.mark.parametrize("n_cpus", [1, 2])
 @pytest.mark.parametrize(
     "kwargs, name",
-    [({"subsample_size": 2.5}, "sub-sample size"), ({"n_subsamples": 2.5}, "sub-sample count t")],
+    [
+        ({"subsample_size": 2.5}, "sub-sample size"),
+        ({"n_subsamples": 2.5}, "sub-sample count t"),
+        ({"subsample_size": 0}, "sub-sample size"),
+        ({"subsample_size": "n_fit + 1"}, "sub-sample size"),
+        ({"n_subsamples": 0}, "sub-sample count t"),
+    ],
 )
 def test_a_float_ares_psi_or_t_fails_before_any_cell(
     task, n_cpus, kwargs, name, monkeypatch, tmp_path, class_dataset, anomaly_dataset
 ):
-    """The TypeError `_draw` raises for the first ARES fit, before any
-    learner runs in any worker; a grid without ARES ignores psi and t."""
+    """The error `fit_transformer` raises on the first ARES fit's rows, for a
+    float psi or t or one out of range, before any learner runs in any
+    worker; a grid without ARES ignores psi and t."""
     dataset = class_dataset if task == "classify" else anomaly_dataset
+    if task == "classify":
+        rows = np.flatnonzero(kfold_split(dataset.n_rows, 10, seed=fold_seed(1)) != 0)
+    else:
+        rows = np.arange(dataset.n_rows)
+    if kwargs == {"subsample_size": "n_fit + 1"}:
+        kwargs = {"subsample_size": len(rows) + 1}
     _usable_cpus(monkeypatch, n_cpus)
     log = tmp_path / "learners.log"
 
@@ -857,14 +890,77 @@ def test_a_float_ares_psi_or_t_fails_before_any_cell(
 
     monkeypatch.setattr(evaluate, "knn_classify", logged(evaluate.knn_classify))
     monkeypatch.setattr(evaluate, "lof_scores", logged(evaluate.lof_scores))
-    with pytest.raises(TypeError) as from_fit:
-        fit_transformer(dataset.features, "ares", **kwargs, seed=1)
-    with pytest.raises(TypeError) as from_grid:
+    with pytest.raises(Exception) as from_fit:
+        fit_transformer(dataset.features[rows], "ares", **kwargs, seed=1)
+    with pytest.raises(type(from_fit.value)) as from_grid:
         evaluation_grid(dataset, task, seed=1, **kwargs)
-    assert str(from_grid.value) == str(from_fit.value) == f"{name} must be an integer, got float"
+    assert type(from_grid.value) is type(from_fit.value)
+    assert str(from_grid.value) == str(from_fit.value)
+    if 2.5 in kwargs.values():
+        assert str(from_fit.value) == f"{name} must be an integer, got float"
+    assert str(from_fit.value).startswith(name)
     assert not log.exists()
     _assert_no_child_left()
     assert len(evaluation_grid(dataset, task, ["rank"], ["log"], seed=1, **kwargs)) == 1
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+@pytest.mark.parametrize(
+    "task, fault",
+    [
+        ("classify", "no labels"),
+        ("anomaly", "no labels"),
+        ("anomaly", "non-binary labels"),
+        ("classify", "no seed"),
+        ("anomaly", "float seed"),
+        ("classify", "one fold"),
+        ("classify", "float fold count"),
+        ("classify", "too few rows"),
+        ("classify", "no rows"),
+        ("anomaly", "no rows"),
+    ],
+)
+def test_a_fault_of_the_first_cell_keeps_its_error(
+    task, fault, n_cpus, monkeypatch, class_dataset, anomaly_dataset
+):
+    """With ARES in the grid and its psi and t valid, the grid raises the
+    error its first cell raises before any learner call."""
+    dataset = class_dataset if task == "classify" else anomaly_dataset
+    seed, kwargs = 1, {}
+    if fault == "no labels":
+        dataset = Dataset("nolabel", dataset.features)
+    elif fault == "non-binary labels":
+        dataset = Dataset("threeway", dataset.features, labels=np.arange(dataset.n_rows) % 3)
+    elif fault in ("no seed", "float seed"):
+        seed = None if fault == "no seed" else 1.5
+    elif fault in ("one fold", "float fold count"):
+        kwargs = {"n_folds": 1 if fault == "one fold" else 2.5}
+    elif fault == "too few rows":
+        dataset = Dataset("few", dataset.features[:5], labels=dataset.labels[:5])
+    else:
+        dataset = Dataset("empty", dataset.features[:0], labels=dataset.labels[:0])
+    runner = run_classification if task == "classify" else run_anomaly
+    with pytest.raises(Exception) as from_cell:
+        runner(dataset, "minmax", PerturbationSpec("identity"), seed=seed, **kwargs)
+    _usable_cpus(monkeypatch, n_cpus)
+    with pytest.raises(type(from_cell.value)) as from_grid:
+        evaluation_grid(dataset, task, seed=seed, **kwargs)
+    assert type(from_grid.value) is type(from_cell.value)
+    assert str(from_grid.value) == str(from_cell.value)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("task", ["classify", "anomaly"])
+@pytest.mark.parametrize("n_cpus", [1, 2])
+@pytest.mark.parametrize("names", [((),), (("rank",), ())], ids=["no kinds", "no perturbations"])
+def test_an_empty_grid_returns_no_reports(task, n_cpus, names, monkeypatch, class_dataset):
+    _usable_cpus(monkeypatch, n_cpus)
+
+    def fork():
+        raise AssertionError("a process was forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+    assert evaluation_grid(class_dataset, task, *names, seed=1) == []
 
 
 def _scalefree_errors(cls=ScaleFreeError):

@@ -333,17 +333,27 @@ def test_fifo_is_written_in_place(features, tmp_path):
 
 
 def test_rank_columns_of_different_lengths_rejected(features, tmp_path):
-    """One parameter array holds every rank column, so all have N values."""
+    """One parameter array holds every rank column, so all have N values,
+    each a number: a value nested one deeper in every column, or every
+    column a single number, is as malformed as a shorter column."""
     path = tmp_path / "model.json"
     save_model(fit_transformer(features, "rank"), path)
-    doc = json.loads(path.read_text())
-    del doc["columns"][1]["sorted_train"][0]
-    path.write_text(json.dumps(doc))
-    with pytest.raises(CorruptModel, match="malformed column parameters"):
-        load_model(path)
+    saved = path.read_text()
+    for edit in ("one column shorter", "every column nested deeper", "every column a number"):
+        doc = json.loads(saved)
+        if edit == "one column shorter":
+            del doc["columns"][1]["sorted_train"][0]
+        for block in doc["columns"]:
+            if edit == "every column nested deeper":
+                block["sorted_train"] = [[v] for v in block["sorted_train"]]
+            elif edit == "every column a number":
+                block["sorted_train"] = block["sorted_train"][0]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CorruptModel, match="malformed column parameters"):
+            load_model(path)
 
 
-@pytest.mark.parametrize("axis", ["psi", "t"])
+@pytest.mark.parametrize("axis", ["psi", "t", "every block one level shallower"])
 def test_ares_blocks_of_different_shapes_rejected(axis, features, tmp_path):
     path = tmp_path / "model.json"
     save_model(fit_transformer(features, "ares", seed=7), path)
@@ -352,8 +362,11 @@ def test_ares_blocks_of_different_shapes_rejected(axis, features, tmp_path):
     if axis == "psi":
         for row in block:
             del row[0]
-    else:
+    elif axis == "t":
         del block[0]
+    else:
+        for column in doc["columns"]:
+            column["subsamples"] = column["subsamples"][0]
     path.write_text(json.dumps(doc))
     with pytest.raises(CorruptModel, match="malformed column parameters"):
         load_model(path)

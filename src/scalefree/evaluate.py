@@ -50,10 +50,11 @@ back as one pickle through its own pipe and ends in `os._exit`. The caller
 reads every pipe to EOF and reaps every child, even when its own share
 raises, then raises the failure with the lowest grid index, the one a loop
 would raise; a child that exits without reporting, or exits nonzero, raises
-`WorkerLost`. With one usable CPU (say, under `taskset -c 0`), one cell, no
-`os.fork`, or a second live Python thread in the caller, w is 1: the same
-path runs as one worker, the caller's share is every cell, and nothing
-forks. An empty grid returns no reports.
+`WorkerLost`, whose message says whether its report arrived. With one
+usable CPU (say, under `taskset -c 0`), one cell, no `os.fork`, or a second
+live Python thread in the caller, w is 1: the same path runs as one worker,
+the caller's share is every cell, and nothing forks. An empty grid returns
+no reports.
 """
 
 import math
@@ -218,11 +219,13 @@ def run_anomaly(
 
 
 class WorkerLost(RuntimeError):
-    """A grid worker process exited without reporting its cells; `status` is
-    its exit code, negative for the signal that ended it."""
+    """A grid worker process exited nonzero or without reporting its cells;
+    `status` is its exit code, negative for the signal that ended it, and
+    the message says whether its report arrived."""
 
-    def __init__(self, pid: int, status: int):
-        super().__init__(f"grid worker {pid} exited with status {status} without reporting")
+    def __init__(self, pid: int, status: int, reported: bool):
+        how = "after reporting" if reported else "without reporting"
+        super().__init__(f"grid worker {pid} exited with status {status} {how}")
         self.pid = pid
         self.status = status
 
@@ -281,7 +284,7 @@ def _forked(run, cells, workers: int) -> list:
             sent.append((pid, payload, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
     for pid, payload, status in sent:
         if status or not payload:
-            raise WorkerLost(pid, status)
+            raise WorkerLost(pid, status, bool(payload))
         outcomes += pickle.loads(payload)
     outcomes.sort(key=lambda pair: pair[0])
     for _, outcome in outcomes:

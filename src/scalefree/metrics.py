@@ -5,18 +5,19 @@ import numpy as np
 from .errors import EmptyInput, LengthMismatch, SingleClass
 
 
+def _check_pair(a: np.ndarray, b: np.ndarray, a_name: str, b_name: str) -> None:
+    """Both arrays 1-D and of one length, each named in the error."""
+    if a.ndim != 1 or b.ndim != 1:
+        raise ValueError(f"expected 1-D {a_name} and {b_name}, got shapes {a.shape} and {b.shape}")
+    if a.shape[0] != b.shape[0]:
+        raise LengthMismatch(f"{a_name} has {a.shape[0]} items, {b_name} has {b.shape[0]}")
+
+
 def accuracy(predicted, truth) -> float:
     """Fraction of positions where predicted equals truth."""
     predicted = np.asarray(predicted)
     truth = np.asarray(truth)
-    if predicted.ndim != 1 or truth.ndim != 1:
-        raise ValueError(
-            f"expected 1-D predicted and truth, got shapes {predicted.shape} and {truth.shape}"
-        )
-    if predicted.shape[0] != truth.shape[0]:
-        raise LengthMismatch(
-            f"predicted has {predicted.shape[0]} items, truth has {truth.shape[0]}"
-        )
+    _check_pair(predicted, truth, "predicted", "truth")
     if predicted.shape[0] == 0:
         raise EmptyInput("cannot compute accuracy of empty sequences")
     return float(np.mean(predicted == truth))
@@ -38,14 +39,7 @@ def auc(scores, is_anomaly) -> float:
     """
     scores = np.asarray(scores, dtype=np.float64)
     flags = np.asarray(is_anomaly).astype(bool)
-    if scores.ndim != 1 or flags.ndim != 1:
-        raise ValueError(
-            f"expected 1-D scores and flags, got shapes {scores.shape} and {flags.shape}"
-        )
-    if scores.shape[0] != flags.shape[0]:
-        raise LengthMismatch(
-            f"scores has {scores.shape[0]} items, flags has {flags.shape[0]}"
-        )
+    _check_pair(scores, flags, "scores", "flags")
     n_pos = int(flags.sum())
     n_neg = flags.shape[0] - n_pos
     if n_pos == 0 or n_neg == 0:

@@ -21,10 +21,11 @@ patterns, both exact and bitwise equal:
   (`_in_sample_counter(x, kind, psi, t)`, one sort per matrix, then
   `counts(rows, seed)` for any number of fits).
 
-Both take the strict count from numpy's left binary search and their rows
-from `_draw`, where rank is the draw of all N rows, so ARES at psi = N costs
-what rank does; `_draw` takes ARES's psi, t and seed through
-`errors._as_count`, so a float among them raises a TypeError naming it.
+Both take the strict count from one `_count_below`, numpy's left binary
+search of each sorted column, and their rows from `_draw`, where rank is
+the draw of all N rows, so ARES at psi = N costs what rank does; `_draw`
+takes ARES's psi, t and seed through `errors._as_count`, so a float among
+them raises a TypeError naming it.
 Each path stays, as the other does its job slower: fitted models made
 `evaluate`'s in-process `classify-grid` about 1.7× slower, and the
 in-sample sort a one-row `counts` call about 300× slower.
@@ -104,6 +105,16 @@ def _draw(kind: str, n_rows: int, psi: int, t: int, seed: int | None, m: int) ->
     return subsample_indices(n_rows, max(psi, 0), seeds)
 
 
+def _count_below(pools: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """out[r, c], the number of entries of the sorted `pools[c]` strictly
+    below x[r, c], as a C-contiguous int64 matrix: numpy's left search,
+    which is 1-D, fills one column of it at a time."""
+    out = np.empty(x.shape, dtype=np.int64)
+    for c, pool in enumerate(pools):
+        out[:, c] = np.searchsorted(pool, x[:, c], side="left")
+    return out
+
+
 def _in_sample_counter(x: np.ndarray, kind: str, psi: int, t: int):
     """Rank or ARES counts of every row of a finite N×m matrix, for fits on
     any of its rows, from one sort of each column.
@@ -112,21 +123,21 @@ def _in_sample_counter(x: np.ndarray, kind: str, psi: int, t: int):
     rank's one draw takes every fitted row, as ARES's do at psi = N, at the
     same cost. A row's count is then the summed weight of the rows strictly
     below it, one cumulative sum read at the row's group start in sorted
-    order, which a left search of the sorted column finds, as the model path
-    searches its pool. The returned `counts(rows, seed)` equals
+    order: `_count_below` of each sorted column searched for its own values,
+    as the model path searches its pool, scattered back through the sort
+    order. The returned `counts(rows, seed)` equals
     `fit_transformer(x[rows], kind, psi, t, seed=seed).counts(x)` bitwise
     and raises as it does for no rows or a bad psi, t or seed."""
     n, m = x.shape
     xt = np.ascontiguousarray(x.T)
     order = np.argsort(xt, axis=1)
     ranked = np.take_along_axis(xt, order, axis=1)
-    below = np.empty_like(order)
-    for c in range(m):  # numpy's search is 1-D
-        below[c, order[c]] = np.searchsorted(ranked[c], ranked[c], side="left")
+    below = np.empty((n, m), dtype=np.int64)  # row r, column c
+    np.put_along_axis(below, order.T, _count_below(ranked, ranked.T), axis=0)
     # Flat positions, so that each fit does two 1-D takes: column c's weights
     # are w[c·n:(c + 1)·n] and its cumulative sums cum[c·(n + 1):(c + 1)·(n + 1)].
     order += n * np.arange(m)[:, None]
-    below = np.ascontiguousarray(below.T + (n + 1) * np.arange(m))  # row r, column c
+    below += (n + 1) * np.arange(m)
 
     def counts(rows, seed):
         rows = np.arange(n)[rows]
@@ -215,11 +226,7 @@ class FittedTransformer:
         t sub-samples, as an int64 matrix. `transform` is this divided by t."""
         if self.kind == "minmax":
             raise ValueError("min-max has no integer counts; use transform")
-        x = self._checked(features)
-        out = np.empty(x.shape, dtype=np.int64)
-        for c, pool in enumerate(self._pool):  # numpy's search is 1-D
-            out[:, c] = np.searchsorted(pool, x[:, c], side="left")
-        return out
+        return _count_below(self._pool, self._checked(features))
 
     def transform(self, features: np.ndarray) -> np.ndarray:
         """Min-max: the affine map of `_unit`, unclamped. Rank and ARES: the

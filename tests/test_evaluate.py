@@ -1,5 +1,6 @@
 """Cross-validation split and the classification/anomaly runners."""
 
+import errno
 import os
 import pickle
 import re
@@ -846,10 +847,52 @@ def test_a_worker_that_reports_and_exits_nonzero_raises_worker_lost(monkeypatch)
     _usable_cpus(monkeypatch, 2)
     caller, exit_now = os.getpid(), os._exit
     monkeypatch.setattr(os, "_exit", lambda status: exit_now(5))
-    with pytest.raises(evaluate.WorkerLost, match="exited with status 5 ") as info:
+    with pytest.raises(evaluate.WorkerLost) as info:
         evaluation_grid(ds, "classify", seed=1, n_folds=4)
     assert info.value.status == 5 and info.value.pid != caller
+    assert str(info.value) == f"grid worker {info.value.pid} exited with status 5 after reporting"
     _assert_no_child_left()
+
+
+@pytest.mark.parametrize("n_cpus, failing_fork", [(2, 1), (3, 2)])
+def test_a_failed_fork_closes_every_pipe_and_reaps_every_worker(n_cpus, failing_fork, monkeypatch):
+    """`os.fork` raises EAGAIN on its `failing_fork`-th call. The grid raises
+    that error after closing both ends of every pipe it made, and after
+    reaping the worker an earlier fork started, which still runs its share."""
+    ds = gaussian_classification("grid", 60, 3, 2, seed=74)
+    _usable_cpus(monkeypatch, n_cpus)
+    fds, forks, make_pipe, fork = [], [], os.pipe, os.fork
+    error = OSError(errno.EAGAIN, "no process left")
+
+    def pipe():
+        fds.extend(make_pipe())
+        return fds[-2:]
+
+    def failing():
+        forks.append(None)
+        if len(forks) == failing_fork:
+            raise error
+        return fork()
+
+    monkeypatch.setattr(os, "pipe", pipe)
+    monkeypatch.setattr(os, "fork", failing)
+    with pytest.raises(OSError) as info:
+        evaluation_grid(ds, "classify", seed=1, n_folds=4)
+    assert info.value is error
+    assert len(fds) == 2 * failing_fork
+    for fd in fds:
+        with pytest.raises(OSError) as closed:
+            os.fstat(fd)
+        assert closed.value.errno == errno.EBADF
+    _assert_no_child_left()
+
+
+def test_without_an_affinity_set_every_cpu_is_usable(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert evaluate._usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert evaluate._usable_cpus() == 1
 
 
 @pytest.mark.parametrize("task", ["classify", "anomaly"])

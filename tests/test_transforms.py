@@ -575,6 +575,24 @@ class TestCounts:
             out = mapped(np.empty((0, 3)))
             assert out.shape == (0, 3) and out.flags.c_contiguous
 
+    @pytest.mark.parametrize("kind", ["rank", "ares"])
+    def test_queries_in_any_layout_map_to_c_order(self, kind):
+        """A Fortran-ordered query matrix and a column-sliced view map to the
+        C-contiguous int64 counts and float64 transform of the same queries
+        in C order, bitwise."""
+        ft = fit_transformer(self.x[:300], kind, seed=5)
+        queries = np.vstack([self.x, -self.x[:20]])
+        wide = np.zeros((len(queries), 5))
+        wide[:, 1:4] = queries
+        layouts = [np.asfortranarray(queries), wide[:, 1:4]]
+        assert not any(q.flags.c_contiguous for q in layouts)
+        for mapped, dtype in [(ft.counts, np.int64), (ft.transform, np.float64)]:
+            want = mapped(queries)
+            for q in layouts:
+                out = mapped(q)
+                assert out.dtype == dtype and out.flags.c_contiguous
+                assert out.tobytes() == want.tobytes()
+
     def test_minmax_has_no_counts(self):
         ft = fit_transformer(self.x, "minmax")
         with pytest.raises(ValueError):

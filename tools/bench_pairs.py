@@ -2,14 +2,15 @@
 
 Run from the repository root:
 
-    python tools/bench_pairs.py PARENT CHANGE OUT.json [--pairs 10] [--seed 7]
-        [--seconds 15] [--workloads classify-grid anomaly-grid csv-pipeline]
+    python tools/bench_pairs.py PARENT CHANGE OUT.json [--pairs 10]
 
 PARENT and CHANGE are anything `git archive` takes: a commit, or the tree
-of the staged changes, `$(git write-tree)`. For each workload, each side is
-extracted to a fresh temporary directory and runs its own unchanged
+of the staged changes, `$(git write-tree)`. The workloads and the run
+length are the parent's: its BENCHMARK.json's `workloads` names, in order,
+and its `run_seconds`. For each workload, each side is extracted to a fresh
+temporary directory and runs its own unchanged
 
-    python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
+    python3 perfbench/run.py --workload W --seed 7 --seconds T --trace 0
 
 under PYTHONDONTWRITEBYTECODE=1, one run at a time. Pair i (counting from
 1) runs the parent first when i is odd and the change first when it is
@@ -29,7 +30,7 @@ import tempfile
 from pathlib import Path
 
 END_TO_END = ("wall_s", "cpu_s", "peak_rss_mb", "setup_s")
-WORKLOADS = ("classify-grid", "anomaly-grid", "csv-pipeline")
+SEED = 7
 
 
 def summarize(parent_runs: list[float], change_runs: list[float]) -> dict:
@@ -58,9 +59,9 @@ def _extract(rev: str, into: Path) -> Path:
     return into
 
 
-def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def _run(tree: Path, workload: str, seconds: float) -> dict:
     """One perfbench run in `tree`: its last stdout line, a JSON summary."""
-    argv = ["python3", "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
+    argv = ["python3", "perfbench/run.py", "--workload", workload, "--seed", str(SEED)]
     argv += ["--seconds", str(seconds), "--trace", "0"]
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
@@ -70,7 +71,7 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         raise RuntimeError(f"perfbench printed no summary in {tree}:\n{done.stderr}") from None
 
 
-def measure(parent: str, change: str, workload: str, pairs: int, seed: int, seconds: float):
+def measure(parent: str, change: str, workload: str, pairs: int, seconds: float):
     """The workload's block: seed, pairs, failed runs and `summarize` per metric."""
     runs = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory() as tmp:
@@ -78,9 +79,9 @@ def measure(parent: str, change: str, workload: str, pairs: int, seed: int, seco
                  (("parent", parent), ("change", change))}  # fmt: skip
         for i in range(1, pairs + 1):
             for side in ("parent", "change") if i % 2 else ("change", "parent"):
-                runs[side].append(_run(trees[side], workload, seed, seconds))
+                runs[side].append(_run(trees[side], workload, seconds))
                 print(f"{workload} pair {i} {side} done", file=sys.stderr, flush=True)
-    block = {"seed": seed, "pairs": pairs}
+    block = {"seed": SEED, "pairs": pairs}
     block["incorrect_runs"] = {side: sum(not r["correct"] for r in rs) for side, rs in runs.items()}
     block["metrics"] = {
         name: summarize(*(
@@ -97,21 +98,23 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("change")
     parser.add_argument("out", type=Path)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--seconds", type=float, default=15.0)
-    parser.add_argument("--workloads", nargs="+", default=WORKLOADS, choices=WORKLOADS)
     args = parser.parse_args(argv)
+    bench = json.loads(subprocess.run(
+        ["git", "show", f"{args.parent}:BENCHMARK.json"], capture_output=True, check=True
+    ).stdout)  # fmt: skip
+    seconds = bench["run_seconds"]
     record = {
         "commits": {"parent": args.parent, "change": args.change},
-        "command": f"python3 perfbench/run.py --workload <workload> --seed {args.seed} "
-        f"--seconds {args.seconds:g} --trace 0",
-        "method": f"Alternating pairs, {args.pairs} per workload, seed {args.seed}; the parent "
-        "ran first in odd-numbered pairs (counting from 1), the change first in even-numbered "
-        "ones, one run at a time, workloads in the order listed, each side from its own fresh "
-        "git archive, under PYTHONDONTWRITEBYTECODE=1 (tools/bench_pairs.py).",
+        "command": f"python3 perfbench/run.py --workload <workload> --seed {SEED} "
+        f"--seconds {seconds:g} --trace 0",
+        "method": f"Alternating pairs, {args.pairs} per workload, seed {SEED}, the parent's "
+        "BENCHMARK.json run_seconds; the parent ran first in odd-numbered pairs (counting from "
+        "1), the change first in even-numbered ones, one run at a time, workloads in the order "
+        "listed, each side from its own fresh git archive, under PYTHONDONTWRITEBYTECODE=1 "
+        "(tools/bench_pairs.py).",
         "workloads": {
-            w: measure(args.parent, args.change, w, args.pairs, args.seed, args.seconds)
-            for w in args.workloads
+            w["name"]: measure(args.parent, args.change, w["name"], args.pairs, seconds)
+            for w in bench["workloads"]
         },
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")

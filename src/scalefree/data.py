@@ -2,12 +2,19 @@
 
 CSV contract: UTF-8, one header row, comma separated, '.' decimal point; a
 leading byte-order mark is dropped. Every non-label cell must parse as a
-finite real; missing or malformed cells are rejected with 1-based file
-coordinates rather than imputed, because silently filled values would
-contaminate the scale-invariance guarantees downstream.
+finite real, by Python's `float`; missing or malformed cells are rejected
+with 1-based file coordinates rather than imputed, because silently filled
+values would contaminate the scale-invariance guarantees downstream.
+
+A plain text (`_plain_lines`) has its feature cells parsed by numpy's C
+reader, which accepts a subset of `float`'s syntax with the same bits; any
+other text, and any plain one that reader refuses, goes through `csv`.
+The writers format each distinct float once (`_reprs`) and write a block
+of rows, or one model column, at a time.
 """
 
 import csv
+import io
 import itertools
 import os
 import stat
@@ -79,6 +86,50 @@ def _resolve_label_index(header: list[str], label_column) -> int:
     raise MissingLabelColumn(f"no column named {_quoted(label_column)} in header {_quoted(header)}")
 
 
+# Characters that make a text not plain: the quote, which starts a csv
+# field that may hold commas and line breaks; \v \f \x1c \x1d \x1e \x85
+# \u2028 \u2029, where str.splitlines breaks a line and csv does not; and
+# \x1f, which numpy strips from a number as whitespace and float does not.
+_NOT_PLAIN = '"\v\f\x1c\x1d\x1e\x1f\x85\u2028\u2029'
+
+
+def _plain_lines(text):
+    """The text's lines if it is plain, else None.
+
+    Plain: no quote and no `_NOT_PLAIN` character, at least one data line,
+    no empty line, no line longer than csv's field size limit, and every
+    line has as many commas as the header. csv's records of a plain text are
+    then exactly `line.split(",")` for each of its lines.
+    """
+    if any(c in text for c in _NOT_PLAIN):
+        return None
+    lines = text.splitlines()
+    if len(lines) < 2:
+        return None
+    commas, limit = lines[0].count(","), csv.field_size_limit()
+    if all(line and len(line) <= limit and line.count(",") == commas for line in lines):
+        return lines
+    return None
+
+
+def _loadtxt(lines, feature_idx):
+    """The feature matrix of a plain text's data lines, parsed in C by
+    np.loadtxt; None if a cell is not a number it reads or not finite.
+
+    Outside `_NOT_PLAIN`, numpy strips the same whitespace as float and
+    calls the same PyOS_string_to_double, so every value it returns is
+    float's, bit for bit; it refuses what only float reads, such as `1_0`
+    and non-ASCII digits, and those cells go through _parse and _scan.
+    """
+    try:
+        values = np.loadtxt(
+            lines, delimiter=",", comments=None, usecols=feature_idx, dtype=np.float64, ndmin=2
+        )
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
 def _parse(rows, width, feature_idx, label_idx):
     """The feature matrix of every row in one pass, label cells skipped;
     None if any row is ragged or any feature cell is not a finite number.
@@ -143,34 +194,47 @@ def _scan(path, header, rows, feature_idx):
     return features
 
 
+def _records(path, text):
+    """The header and the rows of csv's strict reader over `text`."""
+    # strict: an unclosed quote or text after a closing quote is an error,
+    # not a field that swallows the rest of the file or the quote
+    reader = csv.reader(io.StringIO(text, newline=""), strict=True)
+    try:
+        return next(reader), list(reader)
+    except StopIteration:
+        raise EmptyFile(f"{path}: no header row") from None
+    except csv.Error as exc:
+        raise ParseError(f"{path}: not readable as CSV ({exc})") from None
+
+
 def load_csv(path, label_column=None) -> Dataset:
     """Read a CSV file into a Dataset named after the file's stem.
 
     label_column selects the label column by header name or zero-based index;
     None means every column is a feature. Parse failures report the 1-based
-    file row (header is row 1) and the offending column name. A file that
-    parses cleanly is read in one vectorised pass; any fault sends it through
-    the cell-by-cell scan, which finds and reports the first one. The label
-    column is read once, as text, after the features parse, when every row
-    is known to have the header's width. A field csv cannot read (a quote
-    left open at the end of the file, text after a closing quote, a cell
-    over csv's field size limit) is a ParseError.
+    file row (header is row 1) and the offending column name. The file is
+    decoded in one read. A plain text (`_plain_lines`) has all its feature
+    cells parsed by one np.loadtxt call; any other text, or a plain one with
+    a cell np.loadtxt refuses or a non-finite value, is split by csv's
+    reader and parsed in one vectorised pass by float, and any fault sends
+    it through the cell-by-cell scan, which finds and reports the first
+    one. The label column is read once, as text, after the features parse,
+    when every row is known to have the header's width. A field csv cannot
+    read (a quote left open at the end of the file, text after a closing
+    quote, a cell over csv's field size limit) is a ParseError.
     """
     path = Path(path)
     # utf-8-sig drops the byte-order mark that Excel writes before the header
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        # strict: an unclosed quote or text after a closing quote is an error,
-        # not a field that swallows the rest of the file or the quote
-        reader = csv.reader(fh, strict=True)
         try:
-            header = next(reader)
-            rows = list(reader)
-        except StopIteration:
-            raise EmptyFile(f"{path}: no header row") from None
+            text = fh.read()
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not valid UTF-8 ({exc})") from None
-        except csv.Error as exc:
-            raise ParseError(f"{path}: not readable as CSV ({exc})") from None
+    lines = _plain_lines(text)
+    if lines is None:
+        header, rows = _records(path, text)
+    else:
+        header, rows = lines[0].split(","), lines[1:]
 
     if not header or all(h.strip() == "" for h in header):
         raise EmptyFile(f"{path}: empty header row")
@@ -182,16 +246,27 @@ def load_csv(path, label_column=None) -> Dataset:
     if not feature_idx:
         raise ParseError(f"{path}: no feature columns besides the label", row=1)
 
-    features = _parse(rows, len(header), feature_idx, label_idx)
+    labels = None
+    features = None if lines is None else _loadtxt(rows, feature_idx)
     if features is None:
-        features = _scan(path, header, rows, feature_idx)
+        if lines is not None:
+            rows = [line.split(",") for line in rows]  # csv's records of a plain text
+        features = _parse(rows, len(header), feature_idx, label_idx)
+        if features is None:
+            features = _scan(path, header, rows, feature_idx)
+        # every row now has the header's width, so each has a label cell
+        if label_idx is not None:
+            labels = [row[label_idx] for row in rows]
+    elif label_idx is not None:
+        # a plain line's label, split off with the `after` fields that follow it
+        after = len(header) - 1 - label_idx
+        labels = [line.rsplit(",", after + 1)[-after - 1] for line in rows]
 
     return Dataset(
         name=path.stem,
         features=features,
         feature_names=[header[i] for i in feature_idx],
-        # every row now has the header's width, so each has a label cell
-        labels=None if label_idx is None else np.array([row[label_idx] for row in rows]),
+        labels=None if labels is None else np.array(labels),
         label_name=header[label_idx] if label_idx is not None else None,
     )
 
@@ -264,19 +339,53 @@ def replacing(path):
         raise
 
 
+# rows that save_csv formats and writes at a time
+_WRITE_BLOCK_ROWS = 2048
+
+
+def _reprs(values: np.ndarray) -> list:
+    """The `repr` text of every float64 in `values`, as nested lists of its
+    shape. Each distinct bit pattern is formatted once; the patterns are
+    found over the int64 view, so -0.0 and 0.0 stay apart."""
+    bits, inverse = np.unique(np.ascontiguousarray(values).view(np.int64), return_inverse=True)
+    table = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    return table[inverse.reshape(values.shape)].tolist()
+
+
+def _label_ends(labels, after_cells: bool) -> list[str]:
+    """Each label as the end of its CSV row: a comma if feature cells come
+    before it, the label's field and the line terminator. csv's writer
+    quotes each distinct label once, as it would inside the row."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    lead = [""] if after_cells else []
+    ends = {}
+    texts = list(map(str, labels))
+    for text in dict.fromkeys(texts):
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow([*lead, text])
+        ends[text] = buffer.getvalue()
+    return [ends[text] for text in texts]
+
+
 def save_csv(dataset: Dataset, path) -> None:
     """Write a Dataset back to CSV, label column (if any) last.
 
-    Feature values render with shortest round-trip precision (csv formats a
-    float with repr), so load_csv(save_csv(ds)) reproduces every value bit
-    for bit. Rows are formatted one at a time, so no whole-file copy is held.
+    Feature values render with shortest round-trip precision (`repr`), so
+    load_csv(save_csv(ds)) reproduces every value bit for bit. The bytes
+    are those of csv's writer given each row as floats and a label string.
+    Rows are formatted and written `_WRITE_BLOCK_ROWS` at a time, so no
+    whole-file copy is held.
     """
     header = list(dataset.feature_names)
-    rows = map(np.ndarray.tolist, dataset.features)
+    ends = ["\r\n"] * dataset.n_rows
     if dataset.labels is not None:
         header.append(dataset.label_name)
-        rows = ([*row, label] for row, label in zip(rows, map(str, dataset.labels)))
+        ends = _label_ends(dataset.labels, dataset.n_features > 0)
     with replacing(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh).writerow(header)
+        for start in range(0, dataset.n_rows, _WRITE_BLOCK_ROWS):
+            stop = start + _WRITE_BLOCK_ROWS
+            texts = _reprs(dataset.features[start:stop])
+            fh.write("".join([",".join(row) + end for row, end in zip(texts, ends[start:stop])]))

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import _quoted, replacing
+from .data import _quoted, _reprs, replacing
 from .errors import CorruptModel, UnsupportedVersion
 from .transforms import KINDS, FittedTransformer
 
@@ -49,8 +49,10 @@ def _numbers(values) -> np.ndarray:
 def save_model(transformer: FittedTransformer, path) -> None:
     """Write the transformer as one line of JSON, one column block at a time.
 
-    json.dumps runs the C encoder, which json.dump never uses; the bytes are
-    those json.dump writes for the whole document.
+    The bytes are those json.dump writes for the whole document: the header
+    goes through json.dumps, and each column block is laid out as json.dumps
+    lays it out, its numbers formatted by `data._reprs`, as json formats a
+    finite float.
     """
     head = {
         "format_version": FORMAT_VERSION,
@@ -64,14 +66,14 @@ def save_model(transformer: FittedTransformer, path) -> None:
     with replacing(path) as fh:
         fh.write(json.dumps(head)[:-1] + ', "columns": [')
         for c, params in enumerate(transformer.params):
-            params = params.tolist()
+            texts = _reprs(params)
             if transformer.kind == "minmax":
-                block = {"min": params[0], "max": params[1]}
+                block = '{"min": %s, "max": %s}' % tuple(texts)
             elif transformer.kind == "rank":
-                block = {"sorted_train": params[0]}
+                block = '{"sorted_train": [%s]}' % ", ".join(texts[0])
             else:
-                block = {"subsamples": params}
-            fh.write((", " if c else "") + json.dumps(block))
+                block = '{"subsamples": [%s]}' % ", ".join(f"[{', '.join(row)}]" for row in texts)
+            fh.write((", " if c else "") + block)
         fh.write("]}\n")
 
 

@@ -1,6 +1,7 @@
-"""Reference CSV and model writers: one `repr` per cell, one `json.dump` call.
+"""Reference CSV and model writers: one `repr` per cell through csv's
+writer, one `json.dump` call per model.
 
-These are the straightforward writers that the streamed ones in
+These are the straightforward writers that the block writers in
 `scalefree.data` and `scalefree.model_io` replaced, kept verbatim, but for
 reading a model's one parameter array, so the byte-identity tests can
 require the same file bytes from both.

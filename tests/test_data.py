@@ -5,10 +5,14 @@ import os
 import stat
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scalefree import data
 from scalefree.data import Dataset, load_csv, save_csv
@@ -243,6 +247,19 @@ LOAD_CORPUS = [
     ("a,b\n1,2\n5\n3,4\n1,nan\n", None),
     ("a,b\n1,2\nx,inf\n", None),
     ("a,b\n1,2\ninf,x\n", None),
+    # syntax only float reads: numpy's reader refuses it, and csv's path reads it
+    ("a,b\n\u0661,2\n", None),
+    ("a,b\n\xa01.5\u3000,2\n", None),
+    # float does not strip \x1f, numpy would: not plain, so csv's path rejects it
+    ("a,b\n1\x1f,2\n", None),
+    ("a,cls\r\n1,x\r\n2,y\r\n", "cls"),
+    ("a,cls\r1,x\r2,y", "cls"),
+    # line breaks to str.splitlines, not to csv
+    ("a,cls\n1,x\x0b2,y\n", "cls"),
+    ("a,cls\n1,x\x852,y\n", "cls"),
+    ("a,cls\n1,x\u20282,y\n", "cls"),
+    ("\ufeffcls,a\nx,1\n", "cls"),
+    ("a,b\n1,2\n \n", None),
 ]
 
 
@@ -255,15 +272,26 @@ def _outcome(path, label_column):
     return ds.features.shape, ds.features.tobytes(), labels, ds.feature_names, ds.label_name
 
 
+def _outcomes(path, label_column):
+    """`_outcome` three ways: as load_csv reads the file; with the plain
+    path off, so csv's reader splits every text; and with the one-pass
+    parse off too, so the cell-by-cell scan parses every cell."""
+    outcomes = [_outcome(path, label_column)]
+    with mock.patch.object(data, "_plain_lines", lambda text: None):
+        outcomes.append(_outcome(path, label_column))
+        with mock.patch.object(data, "_parse", lambda *args: None):
+            outcomes.append(_outcome(path, label_column))
+    return outcomes
+
+
 class TestLoadPaths:
-    """The one-pass parse and the cell-by-cell scan must agree on every file."""
+    """numpy's reader of plain text, the one-pass parse and the cell-by-cell
+    scan must agree on every file."""
 
     @pytest.mark.parametrize("text, label_column", LOAD_CORPUS)
-    def test_fast_path_matches_scan(self, text, label_column, tmp_path, monkeypatch):
-        path = _write(tmp_path, text)
-        fast = _outcome(path, label_column)
-        monkeypatch.setattr(data, "_parse", lambda *args: None)
-        assert _outcome(path, label_column) == fast
+    def test_fast_path_matches_scan(self, text, label_column, tmp_path):
+        plain, csv_path, scan = _outcomes(_write(tmp_path, text), label_column)
+        assert plain == csv_path == scan
 
     def test_clean_file_takes_fast_path(self, tmp_path, monkeypatch):
         path = _write(tmp_path, "a,cls,b\n1,x,2\n3,y,4\n")
@@ -276,6 +304,35 @@ class TestLoadPaths:
         assert ds.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
         assert ds.labels.tolist() == ["x", "y"]
 
+    @pytest.mark.parametrize(
+        "text, slower",
+        [
+            ("a,cls,b\n1,x,2\n3,y,4\n", ("_parse", "_scan")),
+            ('a,cls,b\n1,"x",2\n3,y,4\n', ("_scan",)),
+        ],
+        ids=["plain", "quoted"],
+    )
+    def test_clean_file_takes_no_slower_path(self, text, slower, tmp_path, monkeypatch):
+        """A plain file is parsed by numpy's reader alone; a quoted one by
+        csv's reader and the one-pass parse."""
+
+        def slow(*args):
+            raise AssertionError("clean file sent to a slower path")
+
+        for name in slower:
+            monkeypatch.setattr(data, name, slow)
+        ds = load_csv(_write(tmp_path, text), label_column="cls")
+        assert ds.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert ds.labels.tolist() == ["x", "y"]
+
+    def test_cell_over_the_field_limit_is_a_parse_error(self, tmp_path):
+        """A finite cell whose line is longer than csv's field limit is not
+        plain: csv's reader refuses it, as before."""
+        path = _write(tmp_path, "a,b\n1,0." + "0" * 131_072 + "1\n")
+        with pytest.raises(ParseError, match=r"field larger than field limit \(131072\)"):
+            load_csv(path)
+
+
     def test_non_finite_before_ragged_row(self, tmp_path):
         with pytest.raises(NonFiniteValue, match="row 3, column 'b'"):
             load_csv(_write(tmp_path, "a,b\n1,2\n1,nan\n3,4\n5\n"))
@@ -284,6 +341,68 @@ class TestLoadPaths:
         with pytest.raises(ParseError) as exc_info:
             load_csv(_write(tmp_path, "a,b\n1,2\n5\n3,4\n1,nan\n"))
         assert exc_info.value.row == 3 and exc_info.value.column is None
+
+
+TINY = float(np.finfo(np.float64).smallest_normal)
+# cells whose syntax or value the two parsers might treat apart
+CELL_TEXTS = [
+    " 1.5", "+1", ".5", "5.", "1e5", "1_0", "\u0661", "\xa01", "nan", "inf", "1e999", "",
+    "1\x1f", "1\x00", " ", "0x10", "x", "0." + "0" * 131_072 + "1",
+]  # fmt: skip
+CELL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, TINY, -TINY, 1e308, -1e308]
+CELLS = st.one_of(
+    st.sampled_from(CELL_TEXTS),
+    st.sampled_from(CELL_FLOATS).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+# labels: one with a quote is a quoted field; \v and \x85 break a line for
+# str.splitlines only, and before a comma they leave lines of equal width
+LABELS = st.sampled_from(
+    ["x", "", "a b", '"q"', '"a,b"', "a\vb", "a\x85b", "\v1,x", "\x851,x", "1.5"]
+)
+
+
+@st.composite
+def csv_texts(draw):
+    """A CSV text and its label column: a header, rows of drawn cells with
+    a label cell or none, then faults mixed in: a ragged row, a blank line,
+    lone CR or CRLF line ends, a byte-order mark."""
+    width = draw(st.integers(1, 4))
+    label_idx = draw(st.one_of(st.none(), st.integers(0, width - 1)))
+    header = [f"c{i}" for i in range(width)]
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 4))):
+        row = [draw(LABELS) if c == label_idx else draw(CELLS) for c in range(width)]
+        if draw(st.integers(0, 9)) == 0:
+            row = row[:-1] if draw(st.booleans()) else [*row, draw(CELLS)]
+        lines.append(",".join(row))
+    if draw(st.integers(0, 7)) == 0:
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text.removesuffix(ends[-1])
+    if draw(st.integers(0, 7)) == 0:
+        text = "\ufeff" + text
+    return text, label_idx
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=csv_texts())
+@example(case=("c0,c1\n1_0,\u0661\n", None))
+@example(case=("c0,c1\n1,x\x0b2,y\n", 1))
+@example(case=("c0,c1\n1," + "0." + "0" * 131_072 + "1\n", None))
+@example(case=("c0\n", None))
+# a line of exactly csv's field limit is plain, one character more is not
+@example(case=("c0\n0." + "0" * 131_069 + "1\n", None))
+@example(case=("c0\n0." + "0" * 131_070 + "1\n", None))
+def test_generated_texts_read_alike_on_every_path(case):
+    text, label_column = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        plain, csv_path, scan = _outcomes(path, label_column)
+    assert plain == csv_path == scan
 
 
 class TestSaveCsv:
@@ -311,17 +430,25 @@ class TestSaveCsv:
         assert back.features.tobytes() == ds.features.tobytes()
         assert back.labels is None
 
-    def test_failed_write_keeps_previous_file(self, tmp_path):
-        class Unprintable:
-            def __str__(self):
-                raise RuntimeError("label cannot be written")
-
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "out.csv"
         save_csv(Dataset("old", np.ones((3, 2))), path)
         before = path.read_bytes()
-        labels = np.array([1, 2, Unprintable(), 4] * 500, dtype=object)
-        with pytest.raises(RuntimeError):
-            save_csv(Dataset("new", np.zeros((2000, 2)), labels=labels), path)
+        # formatting fails in the second block of rows, after the header and
+        # the first block are written
+        blocks, reprs = [], data._reprs
+
+        def failing_reprs(values):
+            blocks.append(len(values))
+            if len(blocks) == 2:
+                raise RuntimeError("cannot format the second block")
+            return reprs(values)
+
+        monkeypatch.setattr(data, "_reprs", failing_reprs)
+        n = 3 * data._WRITE_BLOCK_ROWS
+        with pytest.raises(RuntimeError, match="second block"):
+            save_csv(Dataset("new", np.zeros((n, 2)), labels=np.arange(n) % 4), path)
+        assert blocks == [data._WRITE_BLOCK_ROWS] * 2
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
@@ -419,6 +546,27 @@ class TestSaveCsv:
         assert done.returncode == 0, done.stderr
         assert path.read_bytes() == b"f0,f1\r\n0.5,2.0\r\n"
         assert path.stat().st_ino != old_inode
+
+
+def test_unstatable_standard_streams_still_replace_by_rename(tmp_path, monkeypatch):
+    """When descriptors 1 and 2 cannot be stat'ed, `_same` reads them as
+    not the target, and a regular file is still replaced by a rename."""
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"OLD\n")
+    old_inode = path.stat().st_ino
+    real_stat = os.stat
+
+    def stat(file, *args, **kwargs):
+        if isinstance(file, int) and file in (1, 2):
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        return real_stat(file, *args, **kwargs)
+
+    monkeypatch.setattr(data.os, "stat", stat)
+    save_csv(Dataset("d", np.array([[0.5, 2.0]])), path)
+    monkeypatch.undo()
+    assert path.read_bytes() == b"f0,f1\r\n0.5,2.0\r\n"
+    assert path.stat().st_ino != old_inode
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 _WRITERS = {

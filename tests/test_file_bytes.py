@@ -1,10 +1,12 @@
-"""The streamed CSV and model writers against the one-cell-at-a-time ones.
+"""The block writers against the one-cell-at-a-time ones.
 
-`tests/reference_io.py` keeps the writers as they were before rows went
-through the C csv writer as floats and model blocks through json's C
-encoder. Files must come out byte for byte the same. Values are
-drawn from small adversarial sets, so heavy ties, signed zeros, subnormals
-and magnitudes near the float64 maximum all occur.
+`tests/reference_io.py` keeps the writers as they were before each
+distinct float was formatted once and rows and model blocks were joined as
+text: csv's writer per row, one `json.dump` per model. Files must come out
+byte for byte the same. Values are drawn from small adversarial sets, so
+heavy ties, signed zeros, subnormals and magnitudes near the float64
+maximum all occur; labels and feature names include fields csv must quote,
+and a file can span more than one write block.
 """
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_io
-from scalefree.data import Dataset, save_csv
+from scalefree.data import _WRITE_BLOCK_ROWS, Dataset, save_csv
 from scalefree.model_io import save_model
 from scalefree.transforms import fit_transformer
 
@@ -38,22 +40,30 @@ def _same_bytes(tmp_path_factory, write, reference, obj):
     return (out / "new").read_bytes() == (out / "ref").read_bytes()
 
 
+LABEL_TEXTS = ['a,b', 'say "hi"', " x ", "ü", "", "a\r\nb", "\n", "1.5"]
+NAMES = ["a,b", 'say "hi"', "x\ny", " z "]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     atoms=ATOMS,
     seed=st.integers(0, 2**32 - 1),
-    n=st.integers(0, 30),
-    m=st.integers(1, 4),
+    n=st.one_of(st.integers(0, 30), st.integers(_WRITE_BLOCK_ROWS - 2, _WRITE_BLOCK_ROWS + 3)),
+    m=st.integers(0, 4),
     labels=st.sampled_from([None, "int", "text"]),
+    quoted_names=st.booleans(),
 )
-@example(atoms=[0.0, -0.0, 5e-324, -5e-324], seed=0, n=12, m=3, labels=None)
-def test_save_csv_bytes(tmp_path_factory, atoms, seed, n, m, labels):
+@example(atoms=[0.0, -0.0, 5e-324, -5e-324], seed=0, n=12, m=3, labels=None, quoted_names=False)
+@example(atoms=[1.0, 0.1], seed=0, n=_WRITE_BLOCK_ROWS + 5, m=2, labels="text", quoted_names=True)
+@example(atoms=[1.0], seed=0, n=len(LABEL_TEXTS), m=0, labels="text", quoted_names=False)
+def test_save_csv_bytes(tmp_path_factory, atoms, seed, n, m, labels, quoted_names):
     x = _matrix(atoms, seed, n, m)
+    rng = np.random.default_rng(seed + 1)
     if labels == "int":
-        labels = np.arange(n) % 3
+        labels = rng.integers(0, 3, size=n)
     elif labels == "text":
-        labels = np.array([['a,b', 'say "hi"', " x ", "ü"][r % 4] for r in range(n)])
-    ds = Dataset("d", x, labels=labels)
+        labels = rng.choice(LABEL_TEXTS, size=n)
+    ds = Dataset("d", x, feature_names=NAMES[:m] if quoted_names else [], labels=labels)
     assert _same_bytes(tmp_path_factory, save_csv, reference_io.save_csv, ds)
 
 

@@ -7,6 +7,7 @@ import stat
 import numpy as np
 import pytest
 
+from scalefree import model_io
 from scalefree.errors import CorruptModel, UnsupportedVersion
 from scalefree.model_io import load_model, save_model
 from scalefree.transforms import FittedTransformer, fit_transformer
@@ -298,17 +299,17 @@ def test_failed_write_keeps_previous_file(features, tmp_path, monkeypatch):
     path = tmp_path / "model.json"
     save_model(fit_transformer(features, "rank"), path)
     before = path.read_bytes()
-    # the encoder fails on the second column block, after the header and
+    # formatting fails on the second column block, after the header and
     # the first block are written
-    encoded, dumps = [], json.dumps
+    blocks, reprs = [], model_io._reprs
 
-    def failing_dumps(obj, *args, **kwargs):
-        encoded.append(obj)
-        if len(encoded) == 3:
-            raise TypeError("cannot encode the second column")
-        return dumps(obj, *args, **kwargs)
+    def failing_reprs(values):
+        blocks.append(values)
+        if len(blocks) == 2:
+            raise TypeError("cannot format the second column")
+        return reprs(values)
 
-    monkeypatch.setattr(json, "dumps", failing_dumps)
+    monkeypatch.setattr(model_io, "_reprs", failing_reprs)
     with pytest.raises(TypeError, match="second column"):
         save_model(fit_transformer(features, "minmax"), path)
     monkeypatch.undo()

@@ -16,8 +16,9 @@ under PYTHONDONTWRITEBYTECODE=1, one run at a time. Pair i (counting from
 1) runs the parent first when i is odd and the change first when it is
 even, so drift over time falls on both sides alike. OUT.json gets
 the commits, the command, the method and, per workload and metric, every
-run, both medians, the parent's interquartile range and how many pairs the
-change read lower or higher (`summarize`).
+run, both medians, the parent's interquartile range, how many pairs the
+change read lower or higher, and whether that meets the claim rule
+(`summarize`).
 """
 
 import argparse
@@ -35,11 +36,18 @@ SEED = 7
 
 def summarize(parent_runs: list[float], change_runs: list[float]) -> dict:
     """One metric's pairs: run i of each side is pair i. The quartiles are
-    `statistics.quantiles`' default (exclusive) ones."""
+    `statistics.quantiles`' default (exclusive) ones.
+
+    `claim_met` is the rule for claiming that the change lowered the
+    metric: it read lower in at least nine tenths of the pairs, ties
+    counting for neither side, and its median is below the parent's by
+    more than the parent's interquartile range.
+    """
     q1, _, q3 = statistics.quantiles(parent_runs, n=4)
     parent_median = statistics.median(parent_runs)
     change_median = statistics.median(change_runs)
     pairs = list(zip(parent_runs, change_runs, strict=True))
+    lower = sum(c < p for p, c in pairs)
     return {
         "parent_runs": [round(v, 6) for v in parent_runs],
         "change_runs": [round(v, 6) for v in change_runs],
@@ -47,8 +55,9 @@ def summarize(parent_runs: list[float], change_runs: list[float]) -> dict:
         "change_median": round(change_median, 6),
         "parent_iqr": round(q3 - q1, 6),
         "median_change_pct": round((change_median / parent_median - 1) * 100, 2),
-        "change_lower_in_pairs": sum(c < p for p, c in pairs),
+        "change_lower_in_pairs": lower,
         "change_higher_in_pairs": sum(c > p for p, c in pairs),
+        "claim_met": 10 * lower >= 9 * len(pairs) and parent_median - change_median > q3 - q1,
     }
 
 

@@ -15,7 +15,6 @@ of rows, or one model column, at a time.
 
 import csv
 import io
-import itertools
 import os
 import stat
 from contextlib import contextmanager
@@ -88,9 +87,10 @@ def _resolve_label_index(header: list[str], label_column) -> int:
 
 # Characters that make a text not plain: the quote, which starts a csv
 # field that may hold commas and line breaks; \v \f \x1c \x1d \x1e \x85
-# \u2028 \u2029, where str.splitlines breaks a line and csv does not; and
-# \x1f, which numpy strips from a number as whitespace and float does not.
-_NOT_PLAIN = '"\v\f\x1c\x1d\x1e\x1f\x85\u2028\u2029'
+# \u2028 \u2029, where str.splitlines breaks a line and csv does not; \x1f,
+# which numpy strips from a number as whitespace and float does not; and
+# NUL, which csv's reader refuses before Python 3.11.
+_NOT_PLAIN = '"\v\f\x1c\x1d\x1e\x1f\x85\u2028\u2029\x00'
 
 
 def _plain_lines(text):
@@ -119,7 +119,7 @@ def _loadtxt(lines, feature_idx):
     Outside `_NOT_PLAIN`, numpy strips the same whitespace as float and
     calls the same PyOS_string_to_double, so every value it returns is
     float's, bit for bit; it refuses what only float reads, such as `1_0`
-    and non-ASCII digits, and those cells go through _parse and _scan.
+    and non-ASCII digits, and those cells go through _scan.
     """
     try:
         values = np.loadtxt(
@@ -128,27 +128,6 @@ def _loadtxt(lines, feature_idx):
     except ValueError:
         return None
     return values if np.isfinite(values).all() else None
-
-
-def _parse(rows, width, feature_idx, label_idx):
-    """The feature matrix of every row in one pass, label cells skipped;
-    None if any row is ragged or any feature cell is not a finite number.
-
-    Python's float stays the parser, so accepted syntax and rounding are the
-    same as in _scan.
-    """
-    if any(len(row) != width for row in rows):
-        return None
-    cells = itertools.chain.from_iterable(rows)
-    if label_idx is not None:
-        cells = itertools.compress(cells, itertools.cycle([c != label_idx for c in range(width)]))
-    try:
-        values = np.fromiter(map(float, cells), np.float64, len(rows) * len(feature_idx))
-    except ValueError:
-        return None
-    if not np.isfinite(values).all():
-        return None
-    return values.reshape(len(rows), len(feature_idx))
 
 
 # characters of a bad value that an error message quotes
@@ -214,14 +193,13 @@ def load_csv(path, label_column=None) -> Dataset:
     None means every column is a feature. Parse failures report the 1-based
     file row (header is row 1) and the offending column name. The file is
     decoded in one read. A plain text (`_plain_lines`) has all its feature
-    cells parsed by one np.loadtxt call; any other text, or a plain one with
-    a cell np.loadtxt refuses or a non-finite value, is split by csv's
-    reader and parsed in one vectorised pass by float, and any fault sends
-    it through the cell-by-cell scan, which finds and reports the first
-    one. The label column is read once, as text, after the features parse,
-    when every row is known to have the header's width. A field csv cannot
-    read (a quote left open at the end of the file, text after a closing
-    quote, a cell over csv's field size limit) is a ParseError.
+    cells parsed by one np.loadtxt call. Any other text is split by csv's
+    reader; it, and a plain one with a cell np.loadtxt refuses or a
+    non-finite value, is parsed cell by cell by float, and the first fault
+    is reported. The label column is read once, as text, after the features
+    parse, when every row is known to have the header's width. A field csv
+    cannot read (a quote left open at the end of the file, text after a
+    closing quote, a cell over csv's field size limit) is a ParseError.
     """
     path = Path(path)
     # utf-8-sig drops the byte-order mark that Excel writes before the header
@@ -251,9 +229,7 @@ def load_csv(path, label_column=None) -> Dataset:
     if features is None:
         if lines is not None:
             rows = [line.split(",") for line in rows]  # csv's records of a plain text
-        features = _parse(rows, len(header), feature_idx, label_idx)
-        if features is None:
-            features = _scan(path, header, rows, feature_idx)
+        features = _scan(path, header, rows, feature_idx)
         # every row now has the header's width, so each has a label cell
         if label_idx is not None:
             labels = [row[label_idx] for row in rows]

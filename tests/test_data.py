@@ -260,6 +260,9 @@ LOAD_CORPUS = [
     ("a,cls\n1,x\u20282,y\n", "cls"),
     ("\ufeffcls,a\nx,1\n", "cls"),
     ("a,b\n1,2\n \n", None),
+    # NUL: csv's reader refuses it before Python 3.11, so it is never plain
+    ("a,cls\n1,x\x00\n", "cls"),
+    ("a,b\n1\x00,2\n", None),
 ]
 
 
@@ -273,25 +276,22 @@ def _outcome(path, label_column):
 
 
 def _outcomes(path, label_column):
-    """`_outcome` three ways: as load_csv reads the file; with the plain
-    path off, so csv's reader splits every text; and with the one-pass
-    parse off too, so the cell-by-cell scan parses every cell."""
-    outcomes = [_outcome(path, label_column)]
+    """`_outcome` two ways: as load_csv reads the file, and with the plain
+    path off, so csv's reader splits every text and the cell-by-cell scan
+    parses every cell."""
+    plain = _outcome(path, label_column)
     with mock.patch.object(data, "_plain_lines", lambda text: None):
-        outcomes.append(_outcome(path, label_column))
-        with mock.patch.object(data, "_parse", lambda *args: None):
-            outcomes.append(_outcome(path, label_column))
-    return outcomes
+        return plain, _outcome(path, label_column)
 
 
 class TestLoadPaths:
-    """numpy's reader of plain text, the one-pass parse and the cell-by-cell
-    scan must agree on every file."""
+    """numpy's reader of plain text and the cell-by-cell scan must agree on
+    every file."""
 
     @pytest.mark.parametrize("text, label_column", LOAD_CORPUS)
     def test_fast_path_matches_scan(self, text, label_column, tmp_path):
-        plain, csv_path, scan = _outcomes(_write(tmp_path, text), label_column)
-        assert plain == csv_path == scan
+        plain, scan = _outcomes(_write(tmp_path, text), label_column)
+        assert plain == scan
 
     def test_clean_file_takes_fast_path(self, tmp_path, monkeypatch):
         path = _write(tmp_path, "a,cls,b\n1,x,2\n3,y,4\n")
@@ -304,26 +304,12 @@ class TestLoadPaths:
         assert ds.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
         assert ds.labels.tolist() == ["x", "y"]
 
-    @pytest.mark.parametrize(
-        "text, slower",
-        [
-            ("a,cls,b\n1,x,2\n3,y,4\n", ("_parse", "_scan")),
-            ('a,cls,b\n1,"x",2\n3,y,4\n', ("_scan",)),
-        ],
-        ids=["plain", "quoted"],
-    )
-    def test_clean_file_takes_no_slower_path(self, text, slower, tmp_path, monkeypatch):
-        """A plain file is parsed by numpy's reader alone; a quoted one by
-        csv's reader and the one-pass parse."""
-
-        def slow(*args):
-            raise AssertionError("clean file sent to a slower path")
-
-        for name in slower:
-            monkeypatch.setattr(data, name, slow)
-        ds = load_csv(_write(tmp_path, text), label_column="cls")
-        assert ds.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
-        assert ds.labels.tolist() == ["x", "y"]
+    @pytest.mark.parametrize("text", ["a,cls\n1,x\x00\n", "a,b\n1\x00,2\n"])
+    def test_nul_text_is_not_plain(self, text):
+        """csv's reader refuses NUL before Python 3.11, so NUL text must
+        take csv's reader, whatever the interpreter."""
+        assert data._plain_lines(text) is None
+        assert data._plain_lines(text.replace("\x00", "")) is not None
 
     def test_cell_over_the_field_limit_is_a_parse_error(self, tmp_path):
         """A finite cell whose line is longer than csv's field limit is not
@@ -331,7 +317,6 @@ class TestLoadPaths:
         path = _write(tmp_path, "a,b\n1,0." + "0" * 131_072 + "1\n")
         with pytest.raises(ParseError, match=r"field larger than field limit \(131072\)"):
             load_csv(path)
-
 
     def test_non_finite_before_ragged_row(self, tmp_path):
         with pytest.raises(NonFiniteValue, match="row 3, column 'b'"):
@@ -401,8 +386,8 @@ def test_generated_texts_read_alike_on_every_path(case):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "data.csv"
         path.write_text(text, encoding="utf-8", newline="")
-        plain, csv_path, scan = _outcomes(path, label_column)
-    assert plain == csv_path == scan
+        plain, scan = _outcomes(path, label_column)
+    assert plain == scan
 
 
 class TestSaveCsv:
